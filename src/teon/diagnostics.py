@@ -10,6 +10,11 @@ below 1e-8) and should be filtered, never asserted on.
 `track_run` samples momentum buffers every `every` steps and emits one
 AlignmentRecord per configured pair, matching the CSV row layout
 `step,pair_id,left_align,right_align,sigma_gap`.
+
+Cost model: a matrix usually sits in several pairs (`b1.q` in Q0-Q1, Q1-Q2,
+Q1-K1 and Q1-V1), so callers that align many pairs over one snapshot pass a
+per-step `memo` dict to `top_singular_alignment`. Each distinct buffer is
+then decomposed by one SVD per sampled step, however many pairs it is in.
 """
 
 from __future__ import annotations
@@ -57,21 +62,30 @@ class AlignmentRecord:
         )
 
 
-def top_singular_alignment(a: np.ndarray, b: np.ndarray, step: int = 0, pair_id: str = "") -> AlignmentRecord:
-    """Alignment of the top singular directions of two same-shaped matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"alignment needs equal shapes, got {a.shape} vs {b.shape}")
-    ua, sa, va = svd(a)
-    ub, sb, vb = svd(b)
-    left = float(abs(np.dot(ua[:, 0], ub[:, 0])))
-    right = float(abs(np.dot(va[:, 0], vb[:, 0])))
+def top_singular_alignment(
+    a: np.ndarray,
+    b: np.ndarray,
+    step: int = 0,
+    pair_id: str = "",
+    *,
+    memo: dict | None = None,
+) -> AlignmentRecord:
+    """Alignment of the top singular directions of two same-shaped matrices.
 
-    def gap(s):
-        return float(s[0] - s[1]) if len(s) > 1 else float(s[0])
-
-    sigma_gap = min(gap(sa), gap(sb))
+    `memo` is a dict owned by the caller that caches each input's top
+    singular pair under `id()` of the input, as `copy.deepcopy` does. It
+    holds a reference to every input it has seen, so an id is never reused
+    while the dict lives; the inputs must not be mutated in that time. Keep
+    one memo per sampled step. Records are the same with or without it.
+    """
+    ua, va, gap_a = _top_pair(a, memo)
+    ub, vb, gap_b = _top_pair(b, memo)
+    shape_a, shape_b = (len(ua), len(va)), (len(ub), len(vb))
+    if shape_a != shape_b:
+        raise ValueError(f"alignment needs equal shapes, got {shape_a} vs {shape_b}")
+    left = float(abs(np.dot(ua, ub)))
+    right = float(abs(np.dot(va, vb)))
+    sigma_gap = min(gap_a, gap_b)
     return AlignmentRecord(
         step=step,
         pair_id=pair_id,
@@ -80,6 +94,19 @@ def top_singular_alignment(a: np.ndarray, b: np.ndarray, step: int = 0, pair_id:
         sigma_gap=sigma_gap,
         degenerate=sigma_gap < DEGENERATE_SIGMA_GAP,
     )
+
+
+def _top_pair(x, memo: dict | None):
+    """(u_1, v_1, sigma_1 - sigma_2) of matrix `x`, through `memo` if given."""
+    if memo is not None:
+        hit = memo.get(id(x))
+        if hit is not None and hit[0] is x:
+            return hit[1]
+    u, s, v = svd(x)
+    top = (u[:, 0], v[:, 0], float(s[0] - s[1]) if len(s) > 1 else float(s[0]))
+    if memo is not None:
+        memo[id(x)] = (x, top)
+    return top
 
 
 def stable_rank(m: np.ndarray) -> float:
@@ -133,6 +160,7 @@ def track_run(
     for step, buffers in snapshots:
         if step % every != 0:
             continue
+        memo: dict = {}
         for pair_id, name_a, name_b in pairs:
             a, b = buffers[name_a], buffers[name_b]
-            yield top_singular_alignment(a, b, step=step, pair_id=pair_id)
+            yield top_singular_alignment(a, b, step=step, pair_id=pair_id, memo=memo)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_tensor3, fold, frobenius, inner, matricize
+from .linalg import as_tensor3, fold, matricize
 from .ortho import ortho_exact
 
 __all__ = [

@@ -414,17 +414,24 @@ def apply_group_step(
     """Apply one group's update in place on the `weights` dict.
 
     `policy` overrides the group's stored policy (used by schedulers to
-    substitute the stepped learning rate)."""
+    substitute the stepped learning rate). A non-finite gradient or a
+    diverging Newton-Schulz run raises FloatingPointError naming the group
+    and its optimizer step."""
     pol = policy if policy is not None else group.policy
-    if group.kind == TENSOR_GROUP:
-        ws = stack_slices([weights[nm] for nm in group.members])
-        gs = stack_slices([grads[nm] for nm in group.members])
-        new = teon_step(ws, gs, state, pol)
-        for i, nm in enumerate(group.members):
-            weights[nm] = new[:, :, i]
-        return
-    nm = group.members[0]
-    if group.kind == MATRIX_SINGLE and pol.optimizer == MUON:
-        weights[nm] = muon_step(weights[nm], grads[nm], state, pol)
-    else:
-        weights[nm] = adamw_step(weights[nm], grads[nm], state, pol)
+    try:
+        if group.kind == TENSOR_GROUP:
+            ws = stack_slices([weights[nm] for nm in group.members])
+            # teon_step rejects a non-finite gradient with a FloatingPointError
+            gs = np.stack([grads[nm] for nm in group.members], axis=2)
+            new = teon_step(ws, gs, state, pol)
+            for i, nm in enumerate(group.members):
+                weights[nm] = new[:, :, i]
+            return
+        nm = group.members[0]
+        if group.kind == MATRIX_SINGLE and pol.optimizer == MUON:
+            weights[nm] = muon_step(weights[nm], grads[nm], state, pol)
+        else:
+            weights[nm] = adamw_step(weights[nm], grads[nm], state, pol)
+    except FloatingPointError as exc:
+        msg = f"group {group.id!r} at optimizer step {state.t}: {exc}"
+        raise FloatingPointError(msg) from exc

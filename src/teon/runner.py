@@ -138,9 +138,11 @@ def gradient_metrics(grads: dict, groups) -> tuple[float, float, float, int]:
         if g.kind == VECTOR_ADAMW:
             continue
         stack = stack_slices([grads[nm] for nm in g.members])
-        muon_primal = max(muon_primal, norm(stack, NormKind.muon()))
+        # one value-only SVD of the slices gives both muon norms
+        s = np.linalg.svd(stack.transpose(2, 0, 1), compute_uv=False)
+        muon_primal = max(muon_primal, float(s.max()))
         teon1_dual += norm(stack, NormKind.teon(1, dual=True))
-        muon_dual += norm(stack, NormKind.muon(dual=True))
+        muon_dual += float(s.sum())
         max_depth = max(max_depth, g.depth)
     return muon_primal, teon1_dual, muon_dual, max_depth
 
@@ -206,11 +208,12 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
             )
         if (t + 1) % cfg.align_every == 0 and pairs:
             buffers = _momentum_views(groups, states)
+            memo: dict = {}  # one SVD per buffer for this sampled step
             for pair_id, a, b in pairs:
                 if a in buffers and b in buffers:
                     alignment.append(
                         top_singular_alignment(
-                            buffers[a], buffers[b], step=t + 1, pair_id=pair_id
+                            buffers[a], buffers[b], step=t + 1, pair_id=pair_id, memo=memo
                         )
                     )
 

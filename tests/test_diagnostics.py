@@ -143,3 +143,50 @@ def test_track_run_edge_cases():
     bad = [(1, {"a": np.eye(2), "b": np.eye(3)})]
     with pytest.raises(ValueError):
         list(track_run(bad, [("ab", "a", "b")], every=1))
+
+
+# ------------------------------------------------------------ per-step memo
+
+
+def test_memo_gives_bit_identical_records():
+    rng = np.random.default_rng(21)
+    a, b, c = (rng.standard_normal((7, 5)) for _ in range(3))
+    memo = {}
+    for x, y in ((a, b), (b, c), (a, c), (c, c)):
+        plain = top_singular_alignment(x, y, step=3, pair_id="p")
+        assert top_singular_alignment(x, y, step=3, pair_id="p", memo=memo) == plain
+    assert len(memo) == 3
+
+
+def test_memo_misses_on_a_new_object_under_a_known_id():
+    rng = np.random.default_rng(23)
+    a, b = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    fresh = rng.standard_normal((4, 4))
+    # an entry left under fresh's id by some other (dead) object must be ignored
+    memo = {id(fresh): (a, (np.ones(4) / 2, np.ones(4) / 2, 1.0))}
+    got = top_singular_alignment(fresh, b, memo=memo)
+    assert got == top_singular_alignment(fresh, b)
+
+
+def test_track_run_decomposes_each_buffer_once_per_sampled_step(monkeypatch):
+    import teon.diagnostics as diag
+
+    calls = []
+    original = diag.svd
+    monkeypatch.setattr(diag, "svd", lambda x: calls.append(1) or original(x))
+    rng = np.random.default_rng(24)
+    names = ("w0", "w1", "w2")
+    snapshots = [
+        (s, {nm: rng.standard_normal((5, 4)) for nm in names}) for s in range(1, 5)
+    ]
+    pairs = [("a", "w0", "w1"), ("b", "w1", "w2"), ("c", "w0", "w2")]
+    records = list(track_run(snapshots, pairs, every=2))
+    assert len(calls) == 2 * len(names)
+    expected = [
+        top_singular_alignment(bufs[x], bufs[y], step=s, pair_id=pid)
+        for s, bufs in snapshots
+        if s % 2 == 0
+        for pid, x, y in pairs
+    ]
+    assert records == expected
+    assert records[0] != records[3]  # step 2 and step 4 see different buffers

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -443,3 +445,36 @@ def test_apply_group_step_matches_direct_calls():
         weights["bias"],
         adamw_step(ref["bias"], grads["bias"], OptimizerState(), bias_group.policy),
     )
+
+
+@pytest.mark.parametrize("planted", ["b1.k", "b0.o"])
+def test_apply_group_step_names_group_and_step_of_a_nan_gradient(planted):
+    # b1.k sits in a stacked teon group, b0.o is a lone muon matrix
+    layout = _transformer_layout(2)
+    groups = build_groups(layout, 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
+    rng = np.random.default_rng(11)
+    weights = {e.name: rng.standard_normal(e.shape) for e in layout}
+    grads = {e.name: rng.standard_normal(e.shape) for e in layout}
+    states = {g.id: OptimizerState() for g in groups}
+    for g in groups:
+        apply_group_step(weights, grads, g, states[g.id])
+    grads[planted][0, 0] = np.nan
+    group = next(g for g in groups if planted in g.members)
+    healthy = next(g for g in groups if g.kind == group.kind and g is not group)
+    apply_group_step(weights, grads, healthy, states[healthy.id])
+    pattern = rf"group '{re.escape(group.id)}' at optimizer step 1: non-finite gradient"
+    with pytest.raises(FloatingPointError, match=pattern):
+        apply_group_step(weights, grads, group, states[group.id])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_apply_group_step_names_group_of_a_diverging_newton_schulz_run():
+    scheme = OrthoScheme.newton_schulz(12, schedule=[(3.0, 400.0, -402.5)])
+    layout = [LayoutEntry("l0", "W", (6, 6), 0), LayoutEntry("l1", "W", (6, 6), 1)]
+    (group,) = build_groups(layout, 2, {"W"}, policy=UpdatePolicy.teon(1, 0.1, scheme=scheme))
+    rng = np.random.default_rng(8)
+    weights = {e.name: rng.standard_normal(e.shape) for e in layout}
+    grads = {e.name: rng.standard_normal(e.shape) for e in layout}
+    pattern = r"group 'w\.blocks0-1' at optimizer step 0: Newton-Schulz"
+    with pytest.raises(FloatingPointError, match=pattern):
+        apply_group_step(weights, grads, group, OptimizerState())

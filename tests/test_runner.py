@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from teon.config import parse_config_text
+from teon.config import RunConfig, parse_config_text
 from teon.linalg import stack_slices, svd
 from teon.norms import NormKind, norm
-from teon.optim import UpdatePolicy, build_groups
+from teon.optim import VECTOR_ADAMW, UpdatePolicy, build_groups
 from teon.runner import (
     ALIGNMENT_COLUMNS,
     ALIGNMENT_HEADER,
@@ -408,3 +408,81 @@ eta = 1e200
 def test_sweep_requires_a_config():
     with pytest.raises(ValueError, match="at least one config"):
         sweep([], "/tmp/nowhere")
+
+
+# ------------------------------------------------- diagnostics cost contracts
+
+
+def _attn_cfg(out, optimizer, *, steps, align_every=1):
+    policy = UpdatePolicy.teon(1, 0.05) if optimizer == "teon" else UpdatePolicy.muon(0.05)
+    return RunConfig(
+        task="micro_attention",
+        steps=steps,
+        seed=4,
+        out_path=str(out),
+        policy=policy,
+        adamw_policy=UpdatePolicy.adamw(0.005),
+        task_params={"dim": 8, "seq": 4, "batch": 2, "blocks": 4},
+        stack_set=("QKV", "MLP1"),
+        align_every=align_every,
+        log_every=1,
+    )
+
+
+def test_one_sampled_step_decomposes_each_paired_buffer_once(tmp_path, monkeypatch):
+    import teon.diagnostics as diag
+
+    calls = []
+    original = diag.svd
+    monkeypatch.setattr(diag, "svd", lambda x: calls.append(1) or original(x))
+    res = run(_attn_cfg(tmp_path, "muon", steps=1), write=False)
+    # 6 roles x 4 blocks: 18 consecutive-block pairs + 4 x {QK, KV, QV}
+    assert len(res.alignment) == 30
+    assert len(calls) == 24
+
+
+def test_alignment_csv_matches_track_run_over_the_same_snapshots(tmp_path, monkeypatch):
+    import teon.runner as runner
+    from teon.diagnostics import default_alignment_pairs, track_run
+
+    every = 2
+    snapshots = []
+    original = runner._momentum_views
+
+    def recording(groups, states):
+        views = original(groups, states)
+        step = every * (len(snapshots) + 1)
+        snapshots.append((step, {nm: v.copy() for nm, v in views.items()}))
+        return views
+
+    monkeypatch.setattr(runner, "_momentum_views", recording)
+    res = run(_attn_cfg(tmp_path, "teon", steps=6, align_every=every))
+    assert [s for s, _ in snapshots] == [2, 4, 6]
+    pairs = default_alignment_pairs(
+        make_task("micro_attention", 4, **res.config.task_params).layout
+    )
+    expected = [r.csv_row() for r in track_run(snapshots, pairs, every)]
+    rows = res.alignment_path.read_text().splitlines()[2:]
+    assert rows == expected and len(rows) == 3 * len(pairs)
+    # a fresh memo per sampled step: the same pair reads differently at each step
+    by_pair = {}
+    for rec in res.alignment:
+        by_pair.setdefault(rec.pair_id, []).append(rec.left_align)
+    assert all(len(set(v)) == 3 for v in by_pair.values())
+
+
+@pytest.mark.parametrize("optimizer,depth", [("muon", 1), ("teon", 2)])
+def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, depth):
+    task = make_task("micro_attention", 5, dim=8, seq=4, batch=2, blocks=4)
+    _, grads = task.loss_and_grads(task.init_weights(np.random.default_rng(6)))
+    policy = UpdatePolicy.teon(1, 0.1) if optimizer == "teon" else UpdatePolicy.muon(0.1)
+    groups = build_groups(task.layout, 2, ("QKV", "MLP1"), policy=policy)
+    mp = td = md = 0.0
+    for g in groups:
+        if g.kind == VECTOR_ADAMW:
+            continue
+        stack = stack_slices([grads[nm] for nm in g.members])
+        mp = max(mp, norm(stack, NormKind.muon()))
+        td += norm(stack, NormKind.teon(1, dual=True))
+        md += norm(stack, NormKind.muon(dual=True))
+    assert gradient_metrics(grads, groups) == (mp, td, md, depth)
