@@ -132,9 +132,10 @@ class SvdResult(NamedTuple):
 def svd(a: np.ndarray) -> SvdResult:
     """Thin SVD used as the ground-truth oracle everywhere else.
 
-    Deterministic for a fixed input on a fixed build (single-threaded
-    LAPACK path). Non-convergence is surfaced as a numerical error rather
-    than returning garbage.
+    Deterministic for a fixed input on a fixed NumPy/BLAS build and BLAS
+    thread count; LAPACK's blocked SVD runs on the threaded BLAS, so the
+    last bits can change with the thread count. Non-convergence is surfaced
+    as a numerical error rather than returning garbage.
     """
     a = as_matrix(a)
     try:

@@ -1,10 +1,13 @@
 """CLI surface: exit codes, output shape, error routing."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import teon
 from teon.cli import main
 
 GOOD_INI = """
@@ -184,3 +187,32 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "maxgain.ratio=" in proc.stdout
+
+
+def _sweep_csvs(out, threads):
+    src = str(Path(teon.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=str(threads),
+        OMP_NUM_THREADS=str(threads),
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    proc = subprocess.run(
+        [sys.executable, "-m", "teon", "sweep", "--config-dir", str(configs), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "sweep.failed=0" in proc.stdout.splitlines()
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+
+
+def test_sweep_csvs_identical_across_blas_thread_counts(tmp_path):
+    one = _sweep_csvs(tmp_path / "t1", 1)
+    two = _sweep_csvs(tmp_path / "t2", 2)
+    assert len(one) > 4 and list(one) == list(two)
+    for name, data in one.items():
+        assert data == two[name], name

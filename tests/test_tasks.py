@@ -147,6 +147,99 @@ def test_micro_attention_fd_gate_aborts_on_bad_gradient():
         Broken(dim=4, seq=2, batch=2, blocks=2, seed=0)
 
 
+def _einsum_loss_and_grads(task, weights):
+    """Reference backprop on (batch, seq, dim) tensors with einsum weight
+    gradients, kept to check the row-matrix GEMM version in MicroAttentionTask."""
+    x = task.inputs
+    caches = []
+    inv_sqrt_d = 1.0 / np.sqrt(task.dim)
+    for b in range(task.blocks):
+        wq, wk, wv = weights[f"b{b}.q"], weights[f"b{b}.k"], weights[f"b{b}.v"]
+        wo, w1, w2 = weights[f"b{b}.o"], weights[f"b{b}.mlp1"], weights[f"b{b}.mlp2"]
+        q, k, v = x @ wq.T, x @ wk.T, x @ wv.T
+        scores = (q @ k.transpose(0, 2, 1)) * inv_sqrt_d
+        scores -= scores.max(axis=-1, keepdims=True)
+        e = np.exp(scores)
+        attn = e / e.sum(axis=-1, keepdims=True)
+        ctx = attn @ v
+        x1 = x + ctx @ wo.T
+        z = np.tanh(x1 @ w1.T)
+        caches.append((x, q, k, v, attn, ctx, x1, z))
+        x = x1 + z @ w2.T
+    pred = x @ weights["readout"].T + weights["readout_bias"]
+    resid = pred - task.targets
+    denom = task.batch * task.seq
+    loss = 0.5 * float(np.sum(resid * resid)) / denom
+    dpred = resid / denom
+    grads = {
+        "readout": np.einsum("bso,bsd->od", dpred, x),
+        "readout_bias": dpred.sum(axis=(0, 1)),
+    }
+    dx = dpred @ weights["readout"]
+    for b in reversed(range(task.blocks)):
+        x, q, k, v, attn, ctx, x1, z = caches[b]
+        wq, wk, wv = weights[f"b{b}.q"], weights[f"b{b}.k"], weights[f"b{b}.v"]
+        wo, w1, w2 = weights[f"b{b}.o"], weights[f"b{b}.mlp1"], weights[f"b{b}.mlp2"]
+        dz = dx @ w2
+        grads[f"b{b}.mlp2"] = np.einsum("bso,bsh->oh", dx, z)
+        dh = (1.0 - z * z) * dz
+        grads[f"b{b}.mlp1"] = np.einsum("bsh,bsd->hd", dh, x1)
+        dx1 = dx + dh @ w1
+        grads[f"b{b}.o"] = np.einsum("bso,bsd->od", dx1, ctx)
+        dctx = dx1 @ wo
+        dattn = dctx @ v.transpose(0, 2, 1)
+        dv = attn.transpose(0, 2, 1) @ dctx
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dq = (dscores @ k) * inv_sqrt_d
+        dk = (dscores.transpose(0, 2, 1) @ q) * inv_sqrt_d
+        grads[f"b{b}.q"] = np.einsum("bsd,bse->de", dq, x)
+        grads[f"b{b}.k"] = np.einsum("bsd,bse->de", dk, x)
+        grads[f"b{b}.v"] = np.einsum("bsd,bse->de", dv, x)
+        dx = dx1 + dq @ wq + dk @ wk + dv @ wv
+    return loss, pred, grads
+
+
+@pytest.mark.parametrize(
+    "dim,seq,batch,blocks",
+    [(8, 5, 3, 2), (32, 4, 2, 3), (8, 1, 4, 3), (32, 6, 1, 2), (8, 1, 1, 2)],
+)
+def test_micro_attention_gemm_backprop_matches_einsum_reference(dim, seq, batch, blocks):
+    task = MicroAttentionTask(dim=dim, seq=seq, batch=batch, blocks=blocks, seed=dim + seq)
+    weights = task.init_weights(np.random.default_rng([dim, seq, batch, blocks]))
+    ref_loss, ref_pred, ref_grads = _einsum_loss_and_grads(task, weights)
+    loss, grads = task.loss_and_grads(weights)
+    pred = task._forward(weights)[0]
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+    assert pred.shape == (batch, seq, dim)
+    np.testing.assert_allclose(pred, ref_pred, rtol=1e-12, atol=1e-12 * np.abs(ref_pred).max())
+    assert set(grads) == {e.name for e in task.layout}
+    for e in task.layout:
+        g, ref = grads[e.name], ref_grads[e.name]
+        assert g.shape == ref.shape == e.shape and g.dtype == ref.dtype == np.float64, e.name
+        # GEMM sums in another order than einsum: allow 1e-12 of the entry or,
+        # for entries that nearly cancel, of the largest entry.
+        np.testing.assert_allclose(
+            g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=e.name
+        )
+
+
+def test_micro_attention_fd_gate_accepts_correct_gradient_at_dim64_blocks6():
+    # Plain central differences at h=1e-5 read 3.5e-3 here, above the 1e-4 bound.
+    task = make_task("micro_attention", 0, dim=64, seq=16, batch=8, blocks=6)
+    assert isinstance(task, MicroAttentionTask)
+
+
+def test_micro_attention_fd_gate_rejects_one_percent_error_at_dim64_blocks6():
+    class Scaled(MicroAttentionTask):
+        def loss_and_grads(self, weights):
+            loss, grads = super().loss_and_grads(weights)
+            grads["b0.q"] = grads["b0.q"] * 1.01
+            return loss, grads
+
+    with pytest.raises(RuntimeError, match="gradient check failed"):
+        Scaled(dim=64, seq=16, batch=8, blocks=6, seed=0)
+
+
 def test_micro_attention_validation():
     with pytest.raises(ValueError, match="single-head"):
         MicroAttentionTask(dim=4, seq=2, batch=2, blocks=2, seed=0, heads=2)
