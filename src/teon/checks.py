@@ -23,7 +23,7 @@ from .norms import (
     ntr_step_muon,
     ntr_step_teon,
 )
-from .optim import OptimizerState, UpdatePolicy, muon_step, teon_step
+from .optim import OptimizerState, UpdatePolicy, ortho_step
 from .ortho import OrthoScheme, apply_ortho, ortho_exact
 from .runner import run
 from .tasks import finite_difference_check, make_task
@@ -133,16 +133,16 @@ def _bound_identity() -> CheckResult:
 
 
 def _k1_collapse(rng) -> CheckResult:
-    w_mat = rng.standard_normal((3, 2))
-    w_tns = w_mat[:, :, None].copy()
-    g_seq = [rng.standard_normal((3, 2)) for _ in range(8)]
+    w_m = rng.standard_normal((3, 2, 1))
+    w_t = w_m.copy()
+    g_seq = [rng.standard_normal((3, 2, 1)) for _ in range(8)]
     pol_m = UpdatePolicy.muon(0.1, weight_decay=0.01)
     pol_t = UpdatePolicy.teon(1, 0.1, weight_decay=0.01)
     st_m, st_t = OptimizerState(), OptimizerState()
     for g in g_seq:
-        w_mat = muon_step(w_mat, g, st_m, pol_m)
-        w_tns = teon_step(w_tns, g[:, :, None], st_t, pol_t)
-        if not np.array_equal(w_tns[:, :, 0], w_mat):
+        w_m = ortho_step(w_m, g, st_m, pol_m, pol_m.eta)
+        w_t = ortho_step(w_t, g, st_t, pol_t, pol_t.eta)
+        if not np.array_equal(w_t, w_m):
             return CheckResult("k1_collapse", False, "trajectories diverged")
     return CheckResult("k1_collapse", True, "8 steps bitwise equal")
 

@@ -1,7 +1,9 @@
 """Command-line front end: run / sweep / check / construct-maxgain / align-demo.
 
 All failures surface as a single `error: ...` line on stderr with exit
-status 1; success output is key=value or CSV-shaped text on stdout.
+status 1; success output is key=value or CSV-shaped text on stdout. `sweep`
+also exits 1 when any of its runs failed, after printing `sweep.failed=N`
+and writing the summary.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def _cmd_sweep(args) -> int:
     print(f"sweep.runs={len(rows)}")
     failed = sum(",failed," in row for row in rows)
     print(f"sweep.failed={failed}")
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_check(args) -> int:

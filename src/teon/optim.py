@@ -1,6 +1,6 @@
 """Parameter updates and layer grouping.
 
-Three update rules share this module. The matrix/tensor rule, with gradient
+Two update rules share this module. The orthogonalized rule, with gradient
 G, momentum buffer M (zero at t=0), step size eta and decay lambda:
 
     M_t  =  mu * M_{t-1} + G_t                  momentum_style "accumulate"
@@ -8,10 +8,12 @@ G, momentum buffer M (zero at t=0), step size eta and decay lambda:
     W   <-  (1 - eta * lambda) * W              (decoupled, only if lambda > 0)
     W   <-  W - eta * sqrt(m / n) * O_t
 
-For a single (m, n) matrix, O_t = Ortho(M_t). For an (m, n, K) stack,
-O_t = fold(Ortho(matricize(M_t, mode)), mode) with mode in {1, 2}. The
-sqrt(m/n) factor always uses the SLICE dimensions even though the mode-1
-matricization is m x nK — the scaling is per-layer, not per-unfolding.
+For an (m, n, K) stack, O_t = fold(Ortho(matricize(M_t, mode)), mode) with
+mode in {1, 2}. The sqrt(m/n) factor always uses the SLICE dimensions even
+though the mode-1 matricization is m x nK — the scaling is per-layer, not
+per-unfolding. Muon is not a separate rule: a lone (m, n) matrix is the
+K=1 stack under mode 1, whose unfolding is the matrix itself, so
+O_t = Ortho(M_t). `ortho_step` is the one function that performs either.
 
 The adamw rule (any parameter shape), with betas (b1, b2) and step count t
 starting at 1:
@@ -19,10 +21,6 @@ starting at 1:
     m_t = b1 * m_{t-1} + (1 - b1) * g          v_t = b2 * v_{t-1} + (1 - b2) * g^2
     w  <- (1 - eta * lambda) * w
     w  <- w - eta * (m_t / (1 - b1^t)) / (sqrt(v_t / (1 - b2^t)) + eps)
-
-A K=1 stack updates bit-for-bit like the single-matrix rule under mode 1:
-the mode-1 matricization of a depth-1 stack is the slice itself and every
-surrounding scalar op is shared.
 """
 
 from __future__ import annotations
@@ -31,7 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_matrix, as_tensor3, fold, matricize, stack_slices
+from .linalg import as_matrix  # noqa: F401  perfbench/test_smoke.py reads this binding
+from .linalg import as_tensor3, fold, matricize
 from .ortho import OrthoScheme, apply_ortho
 
 __all__ = [
@@ -47,8 +46,7 @@ __all__ = [
     "ParamGroup",
     "OptimizerState",
     "LayoutEntry",
-    "muon_step",
-    "teon_step",
+    "ortho_step",
     "adamw_step",
     "build_groups",
     "apply_group_step",
@@ -220,59 +218,43 @@ def _momentum_update(state: OptimizerState, g: np.ndarray, policy: UpdatePolicy)
     return state.momentum
 
 
-def _shrink(w: np.ndarray, policy: UpdatePolicy) -> np.ndarray:
-    if policy.weight_decay > 0:
-        return (1.0 - policy.eta * policy.weight_decay) * w
+def _shrink(w: np.ndarray, weight_decay: float, eta: float) -> np.ndarray:
+    if weight_decay > 0:
+        return (1.0 - eta * weight_decay) * w
     return w
 
 
-def muon_step(
-    w: np.ndarray, g: np.ndarray, state: OptimizerState, policy: UpdatePolicy
+def ortho_step(
+    ws: np.ndarray, gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
 ) -> np.ndarray:
-    """One per-matrix orthogonalized update; returns the new weights."""
-    if policy.optimizer != MUON:
-        raise ValueError(f"muon_step needs a muon policy, got {policy.optimizer!r}")
-    w = as_matrix(w)
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != w.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match weights {w.shape}")
-    _reject_nonfinite(g, state.t)
-    buf = _momentum_update(state, g, policy)
-    o = apply_ortho(buf, policy.scheme)
-    m, n = w.shape
-    scale = np.sqrt(m / n)
-    w = _shrink(w, policy)
-    out = w - (policy.eta * scale) * o
-    state.t += 1
-    return out
-
-
-def teon_step(
-    ws: np.ndarray, gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy
-) -> np.ndarray:
-    """One stacked update: orthogonalize the mode-`policy.mode` unfolding of
-    the momentum tensor and fold back. Returns the new (m, n, K) weights."""
-    if policy.optimizer != TEON:
-        raise ValueError(f"teon_step needs a teon policy, got {policy.optimizer!r}")
+    """One orthogonalized update of an (m, n, K) stack at step size `eta`:
+    orthogonalize the mode-`policy.mode` unfolding of the momentum tensor
+    (mode 1 for muon, whose stack has K=1) and fold back. Returns the new
+    (m, n, K) weights."""
+    if policy.optimizer == ADAMW:
+        raise ValueError("ortho_step needs a muon or teon policy, got 'adamw'")
     ws = as_tensor3(ws)
     gs = np.asarray(gs, dtype=np.float64)
     if gs.shape != ws.shape:
         raise ValueError(f"gradient shape {gs.shape} does not match weights {ws.shape}")
+    if policy.optimizer == MUON and ws.shape[2] != 1:
+        raise ValueError(f"a muon policy updates one matrix (K=1), got K={ws.shape[2]}")
     _reject_nonfinite(gs, state.t)
+    mode = policy.mode or 1
     buf = _momentum_update(state, gs, policy)
-    o = fold(apply_ortho(matricize(buf, policy.mode), policy.scheme), policy.mode, ws.shape)
+    o = fold(apply_ortho(matricize(buf, mode), policy.scheme), mode, ws.shape)
     m, n = ws.shape[0], ws.shape[1]  # slice dims, not the unfolded ones
     scale = np.sqrt(m / n)
-    ws = _shrink(ws, policy)
-    out = ws - (policy.eta * scale) * o
+    ws = _shrink(ws, policy.weight_decay, eta)
+    out = ws - (eta * scale) * o
     state.t += 1
     return out
 
 
 def adamw_step(
-    w: np.ndarray, g: np.ndarray, state: OptimizerState, policy: UpdatePolicy
+    w: np.ndarray, g: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
 ) -> np.ndarray:
-    """Bias-corrected adaptive update with decoupled decay; any shape."""
+    """Bias-corrected adaptive update with decoupled decay, step size `eta`; any shape."""
     if policy.optimizer != ADAMW:
         raise ValueError(f"adamw_step needs an adamw policy, got {policy.optimizer!r}")
     w = np.asarray(w, dtype=np.float64)
@@ -293,8 +275,8 @@ def adamw_step(
     state.exp_avg_sq = b2 * state.exp_avg_sq + (1.0 - b2) * g * g
     num = state.exp_avg / (1.0 - b1**t)
     den = np.sqrt(state.exp_avg_sq / (1.0 - b2**t)) + policy.adam_eps
-    w = _shrink(w, policy)
-    out = w - policy.eta * (num / den)
+    w = _shrink(w, policy.weight_decay, eta)
+    out = w - eta * (num / den)
     state.t = t
     return out
 
@@ -409,29 +391,25 @@ def apply_group_step(
     grads: dict,
     group: ParamGroup,
     state: OptimizerState,
-    policy: UpdatePolicy | None = None,
+    lr_factor: float = 1.0,
 ) -> None:
-    """Apply one group's update in place on the `weights` dict.
-
-    `policy` overrides the group's stored policy (used by schedulers to
-    substitute the stepped learning rate). A non-finite gradient or a
-    diverging Newton-Schulz run raises FloatingPointError naming the group
-    and its optimizer step."""
-    pol = policy if policy is not None else group.policy
+    """Apply one group's update in place on the `weights` dict at step size
+    `group.policy.eta * lr_factor`; muon and teon groups go through
+    `ortho_step` as one (m, n, K) stack. A non-finite gradient or a diverging
+    Newton-Schulz run raises FloatingPointError naming the group and its
+    optimizer step."""
+    pol = group.policy
+    eta = pol.eta * lr_factor
     try:
-        if group.kind == TENSOR_GROUP:
-            ws = stack_slices([weights[nm] for nm in group.members])
-            # teon_step rejects a non-finite gradient with a FloatingPointError
-            gs = np.stack([grads[nm] for nm in group.members], axis=2)
-            new = teon_step(ws, gs, state, pol)
-            for i, nm in enumerate(group.members):
-                weights[nm] = new[:, :, i]
+        if pol.optimizer == ADAMW:
+            nm = group.members[0]
+            weights[nm] = adamw_step(weights[nm], grads[nm], state, pol, eta)
             return
-        nm = group.members[0]
-        if group.kind == MATRIX_SINGLE and pol.optimizer == MUON:
-            weights[nm] = muon_step(weights[nm], grads[nm], state, pol)
-        else:
-            weights[nm] = adamw_step(weights[nm], grads[nm], state, pol)
+        ws = np.stack([weights[nm] for nm in group.members], axis=2)
+        gs = np.stack([grads[nm] for nm in group.members], axis=2)
+        new = ortho_step(ws, gs, state, pol, eta)
+        for i, nm in enumerate(group.members):
+            weights[nm] = new[:, :, i]
     except FloatingPointError as exc:
         msg = f"group {group.id!r} at optimizer step {state.t}: {exc}"
         raise FloatingPointError(msg) from exc

@@ -20,17 +20,8 @@ import numpy as np
 
 from .config import SCHEDULES, RunConfig, config_hash
 from .diagnostics import AlignmentRecord, default_alignment_pairs, top_singular_alignment
-from .linalg import stack_slices
 from .norms import NormKind, format_value, norm
-from .optim import (
-    MATRIX_SINGLE,
-    MUON,
-    TENSOR_GROUP,
-    VECTOR_ADAMW,
-    OptimizerState,
-    apply_group_step,
-    build_groups,
-)
+from .optim import VECTOR_ADAMW, OptimizerState, apply_group_step, build_groups
 from .tasks import make_task
 
 __all__ = [
@@ -137,7 +128,7 @@ def gradient_metrics(grads: dict, groups) -> tuple[float, float, float, int]:
     for g in groups:
         if g.kind == VECTOR_ADAMW:
             continue
-        stack = stack_slices([grads[nm] for nm in g.members])
+        stack = np.stack([grads[nm] for nm in g.members], axis=2)
         # one value-only SVD of the slices gives both muon norms
         s = np.linalg.svd(stack.transpose(2, 0, 1), compute_uv=False)
         muon_primal = max(muon_primal, float(s.max()))
@@ -162,11 +153,8 @@ def _momentum_views(groups, states) -> dict:
         st = states[g.id]
         if st.momentum is None:
             continue
-        if g.kind == TENSOR_GROUP:
-            for i, nm in enumerate(g.members):
-                out[nm] = st.momentum[:, :, i]
-        elif g.kind == MATRIX_SINGLE and g.policy.optimizer == MUON:
-            out[g.members[0]] = st.momentum
+        for i, nm in enumerate(g.members):
+            out[nm] = st.momentum[:, :, i]
     return out
 
 
@@ -192,20 +180,15 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at step {t}")
         factor = schedule_factor(t, cfg.steps, cfg.schedule, cfg.warmup_ratio)
-        log_now = (t % cfg.log_every == 0) or (t == cfg.steps - 1)
-        pending = None
-        if log_now:
+        for g in groups:
+            apply_group_step(weights, grads, g, states[g.id], lr_factor=factor)
+        if (t % cfg.log_every == 0) or (t == cfg.steps - 1):
+            # after the updates, so a non-finite gradient is first rejected
+            # by the group that holds it, naming the group and step
             mp, td, md, kmax = gradient_metrics(grads, groups)
             _check_record_sandwich(td, md, kmax)
-            pending = (mp, td, md)
-        for g in groups:
-            stepped = replace(g.policy, eta=g.policy.eta * factor)
-            apply_group_step(weights, grads, g, states[g.id], policy=stepped)
-        if pending is not None:
             wall = (time.perf_counter() - tic) * 1000.0 if cfg.log_timing else 0.0
-            metrics.append(
-                MetricsRecord(t, loss, *pending, cfg.policy.eta * factor, wall)
-            )
+            metrics.append(MetricsRecord(t, loss, mp, td, md, cfg.policy.eta * factor, wall))
         if (t + 1) % cfg.align_every == 0 and pairs:
             buffers = _momentum_views(groups, states)
             memo: dict = {}  # one SVD per buffer for this sampled step

@@ -105,6 +105,39 @@ def test_sweep_command(tmp_path, capsys):
     assert (tmp_path / "sw" / "summary.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_sweep_command_exits_1_when_a_run_fails(tmp_path, capsys):
+    cdir = tmp_path / "cfgs"
+    cdir.mkdir()
+    (cdir / "a.ini").write_text(GOOD_INI.format(out=tmp_path / "ignored"), "utf-8")
+    (cdir / "b.ini").write_text(
+        f"""
+[run]
+task = deep_linear
+steps = 5
+seed = 0
+out_path = {tmp_path / 'x'}
+
+[task]
+depth = 2
+width = 6
+batch = 4
+
+[optimizer]
+optimizer = muon
+eta = 1e200
+""",
+        "utf-8",
+    )
+    assert main(["sweep", "--config-dir", str(cdir), "--out", str(tmp_path / "sw")]) == 1
+    out = capsys.readouterr().out
+    assert "sweep.runs=2" in out
+    assert "sweep.failed=1" in out.splitlines()
+    summary = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[6] for row in summary[2:]] == ["ok", "failed"]
+
+
 def test_sweep_default_out_dir(tmp_path, capsys):
     cdir = tmp_path / "cfgs"
     cdir.mkdir()

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from teon.optim import (
     adamw_step,
     apply_group_step,
     build_groups,
-    muon_step,
-    teon_step,
+    ortho_step,
 )
 from teon.ortho import OrthoScheme, ortho_exact
 
@@ -36,6 +36,11 @@ def _transformer_layout(blocks, dim=8, mlp=16):
     entries.append(LayoutEntry("readout", "OUT", (3, dim), None))
     entries.append(LayoutEntry("readout_bias", "bias", (3,), None))
     return entries
+
+
+def _lone(w, g, state, policy):
+    """One update of a lone (m, n) matrix: the K=1 stack through the engine."""
+    return ortho_step(w[:, :, None], g[:, :, None], state, policy, policy.eta)[:, :, 0]
 
 
 # ------------------------------------------------------------------- policy
@@ -96,13 +101,13 @@ def test_param_group_validation():
     assert g.depth == 2 and g.slice_shape == (2, 3)
 
 
-# ---------------------------------------------------------------- muon_step
+# ------------------------------------------------- ortho_step, lone matrix (K=1)
 
 
 def test_muon_zero_gradient_zero_momentum_is_noop():
     w = np.arange(6, dtype=np.float64).reshape(2, 3)
     state = OptimizerState()
-    out = muon_step(w, np.zeros((2, 3)), state, UpdatePolicy.muon(0.3, mu=0.9))
+    out = _lone(w, np.zeros((2, 3)), state, UpdatePolicy.muon(0.3, mu=0.9))
     np.testing.assert_array_equal(out, w)
     assert state.t == 1
 
@@ -110,7 +115,7 @@ def test_muon_zero_gradient_zero_momentum_is_noop():
 def test_muon_positive_diagonal_step():
     w = np.zeros((2, 2))
     policy = UpdatePolicy.muon(1.0, mu=0.0)
-    out = muon_step(w, np.diag([5.0, 3.0]), OptimizerState(), policy)
+    out = _lone(w, np.diag([5.0, 3.0]), OptimizerState(), policy)
     np.testing.assert_allclose(out, -np.eye(2), atol=1e-12)
 
 
@@ -119,11 +124,11 @@ def test_muon_accumulate_two_constant_steps():
     policy = UpdatePolicy.muon(0.1, mu=0.95, momentum_style=ACCUMULATE)
     state = OptimizerState()
     w = np.zeros((4, 4))
-    w = muon_step(w, g, state, policy)
-    w = muon_step(w, g, state, policy)
-    np.testing.assert_allclose(state.momentum, 1.95 * g, rtol=1e-14)
+    w = _lone(w, g, state, policy)
+    w = _lone(w, g, state, policy)
+    np.testing.assert_allclose(state.momentum[:, :, 0], 1.95 * g, rtol=1e-14)
     # polar factor ignores the momentum magnitude
-    step_dir = muon_step(np.zeros((4, 4)), g, OptimizerState(), policy)
+    step_dir = _lone(np.zeros((4, 4)), g, OptimizerState(), policy)
     np.testing.assert_allclose(w - step_dir, step_dir, atol=1e-10)
 
 
@@ -136,11 +141,11 @@ def test_momentum_closed_form(style):
     state = OptimizerState()
     w = np.zeros((3, 2))
     for g in gs:
-        w = muon_step(w, g, state, policy)
+        w = _lone(w, g, state, policy)
     expected = sum(mu ** (4 - s) * gs[s] for s in range(5))
     if style == EMA:
         expected = (1 - mu) * expected
-    np.testing.assert_allclose(state.momentum, expected, rtol=1e-12)
+    np.testing.assert_allclose(state.momentum[:, :, 0], expected, rtol=1e-12)
     assert state.t == 5
 
 
@@ -148,14 +153,14 @@ def test_step_scale_invariance():
     g = np.random.default_rng(2).standard_normal((5, 7))
     w = np.zeros((5, 7))
     exact = UpdatePolicy.muon(0.2, mu=0.0)
-    a = muon_step(w, g, OptimizerState(), exact)
-    b = muon_step(w, 3.7 * g, OptimizerState(), exact)
+    a = _lone(w, g, OptimizerState(), exact)
+    b = _lone(w, 3.7 * g, OptimizerState(), exact)
     np.testing.assert_allclose(a, b, atol=1e-10)
     ns = UpdatePolicy.muon(0.2, mu=0.0, scheme=OrthoScheme.newton_schulz(5, preset="jordan"))
-    a = muon_step(w, g, OptimizerState(), ns)
+    a = _lone(w, g, OptimizerState(), ns)
     # power-of-two scaling survives the Frobenius pre-normalization bit-for-bit
-    np.testing.assert_array_equal(a, muon_step(w, 8.0 * g, OptimizerState(), ns))
-    np.testing.assert_allclose(a, muon_step(w, 3.7 * g, OptimizerState(), ns), atol=1e-10)
+    np.testing.assert_array_equal(a, _lone(w, 8.0 * g, OptimizerState(), ns))
+    np.testing.assert_allclose(a, _lone(w, 3.7 * g, OptimizerState(), ns), atol=1e-10)
 
 
 def test_muon_weight_decay_order():
@@ -164,7 +169,7 @@ def test_muon_weight_decay_order():
     g = rng.standard_normal((3, 5))
     eta, lam = 0.1, 0.5
     policy = UpdatePolicy.muon(eta, mu=0.0, weight_decay=lam)
-    out = muon_step(w0, g, OptimizerState(), policy)
+    out = _lone(w0, g, OptimizerState(), policy)
     expected = (1 - eta * lam) * w0 - eta * np.sqrt(3 / 5) * ortho_exact(g)
     np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-14)
 
@@ -175,25 +180,25 @@ def test_muon_rejects_nan_with_step_index():
     w = np.zeros((2, 2))
     bad = np.array([[1.0, np.nan], [0.0, 0.0]])
     with pytest.raises(FloatingPointError, match="step 0"):
-        muon_step(w, bad, state, policy)
-    w = muon_step(w, np.eye(2), state, policy)
+        _lone(w, bad, state, policy)
+    w = _lone(w, np.eye(2), state, policy)
     with pytest.raises(FloatingPointError, match="step 1"):
-        muon_step(w, bad, state, policy)
+        _lone(w, bad, state, policy)
 
 
 def test_muon_shape_errors_and_buffer_stability():
     policy = UpdatePolicy.muon(0.1)
     state = OptimizerState()
     with pytest.raises(ValueError):
-        muon_step(np.zeros((2, 2)), np.zeros((2, 3)), state, policy)
-    muon_step(np.zeros((2, 3)), np.ones((2, 3)), state, policy)
+        _lone(np.zeros((2, 2)), np.zeros((2, 3)), state, policy)
+    _lone(np.zeros((2, 3)), np.ones((2, 3)), state, policy)
     with pytest.raises(ValueError, match="momentum buffer"):
-        muon_step(np.zeros((3, 2)), np.ones((3, 2)), state, policy)
+        _lone(np.zeros((3, 2)), np.ones((3, 2)), state, policy)
     with pytest.raises(ValueError):
-        muon_step(np.zeros((2, 2)), np.zeros((2, 2)), OptimizerState(), UpdatePolicy.teon(1, 0.1))
+        _lone(np.zeros((2, 2)), np.zeros((2, 2)), OptimizerState(), UpdatePolicy.adamw(0.1))
 
 
-# ---------------------------------------------------------------- teon_step
+# ------------------------------------------------------ ortho_step, stacks (K>=1)
 
 
 @pytest.mark.parametrize("style", [ACCUMULATE, EMA])
@@ -203,18 +208,19 @@ def test_muon_shape_errors_and_buffer_stability():
     ids=["exact", "ns-jordan"],
 )
 def test_teon_k1_matches_muon_bitwise(style, scheme):
+    # the same engine under a muon and a teon mode-1 policy
     rng = np.random.default_rng(4)
     kw = dict(eta=0.07, mu=0.9, momentum_style=style, scheme=scheme, weight_decay=0.01)
     muon_p = UpdatePolicy.muon(**kw)
     teon_p = UpdatePolicy.teon(1, **kw)
-    w2 = rng.standard_normal((3, 2))
-    w3 = w2[:, :, None].copy()
-    s2, s3 = OptimizerState(), OptimizerState()
+    wm = rng.standard_normal((3, 2, 1))
+    wt = wm.copy()
+    sm, st = OptimizerState(), OptimizerState()
     for _ in range(20):
-        g = rng.standard_normal((3, 2))
-        w2 = muon_step(w2, g, s2, muon_p)
-        w3 = teon_step(w3, g[:, :, None], s3, teon_p)
-        np.testing.assert_array_equal(w3[:, :, 0], w2)
+        g = rng.standard_normal((3, 2, 1))
+        wm = ortho_step(wm, g, sm, muon_p, muon_p.eta)
+        wt = ortho_step(wt, g, st, teon_p, teon_p.eta)
+        np.testing.assert_array_equal(wt, wm)
 
 
 def test_teon_aligned_rank_one_family_exact_when_full_row_rank():
@@ -225,7 +231,7 @@ def test_teon_aligned_rank_one_family_exact_when_full_row_rank():
     gs = build_max_gain_tensor(m, n, K, mode=2, seed=5)
     eta = 0.5
     policy = UpdatePolicy.teon(1, eta, mu=0.0)
-    out = teon_step(np.zeros((m, n, K)), gs, OptimizerState(), policy)
+    out = ortho_step(np.zeros((m, n, K)), gs, OptimizerState(), policy, policy.eta)
     np.testing.assert_allclose(out, -eta * np.sqrt(m / n) * gs, atol=1e-10)
 
 
@@ -238,7 +244,7 @@ def test_teon_aligned_rank_one_family_ns_when_rank_deficient():
     eta = 0.5
     scheme = OrthoScheme.newton_schulz(30, preset="cubic")
     policy = UpdatePolicy.teon(1, eta, mu=0.0, scheme=scheme)
-    out = teon_step(np.zeros((m, n, K)), gs, OptimizerState(), policy)
+    out = ortho_step(np.zeros((m, n, K)), gs, OptimizerState(), policy, policy.eta)
     np.testing.assert_allclose(out, -eta * np.sqrt(m / n) * gs, atol=1e-6)
 
 
@@ -251,7 +257,7 @@ def test_teon_shared_left_family_scales_by_sqrt_k():
     eta = 0.25
     scheme = OrthoScheme.newton_schulz(5, preset="cubic")
     policy = UpdatePolicy.teon(1, eta, mu=0.0, scheme=scheme)
-    out = teon_step(np.zeros((m, n, K)), gs, OptimizerState(), policy)
+    out = ortho_step(np.zeros((m, n, K)), gs, OptimizerState(), policy, policy.eta)
     np.testing.assert_allclose(out, -eta * np.sqrt(m / n) * gs / np.sqrt(K), atol=1e-12)
 
 
@@ -259,7 +265,7 @@ def test_teon_identical_slices_symmetry():
     a = np.random.default_rng(8).standard_normal((3, 3))
     gs = np.stack([a, a, a], axis=2)
     policy = UpdatePolicy.teon(1, 1.0, mu=0.0)
-    out = teon_step(np.zeros((3, 3, 3)), gs, OptimizerState(), policy)
+    out = ortho_step(np.zeros((3, 3, 3)), gs, OptimizerState(), policy, policy.eta)
     np.testing.assert_allclose(out[:, :, 0], out[:, :, 1], atol=1e-12)
     np.testing.assert_allclose(out[:, :, 0], out[:, :, 2], atol=1e-12)
     # [A A A] has full row rank; its polar blocks are polar(A)/sqrt(3)
@@ -268,14 +274,27 @@ def test_teon_identical_slices_symmetry():
 
 def test_teon_errors():
     policy = UpdatePolicy.teon(1, 0.1)
+    muon_p = UpdatePolicy.muon(0.1)
     with pytest.raises(ValueError):
-        teon_step(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)), OptimizerState(), policy)
+        ortho_step(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)), OptimizerState(), policy, policy.eta)
     with pytest.raises(ValueError):
-        teon_step(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), OptimizerState(), UpdatePolicy.muon(0.1))
+        ortho_step(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), OptimizerState(), muon_p, 0.1)
     bad = np.zeros((2, 2, 2))
     bad[0, 0, 0] = np.inf
     with pytest.raises(FloatingPointError, match="step 0"):
-        teon_step(np.zeros((2, 2, 2)), bad, OptimizerState(), policy)
+        ortho_step(np.zeros((2, 2, 2)), bad, OptimizerState(), policy, policy.eta)
+
+
+def test_ortho_step_rejects_adamw_and_muon_beyond_depth_one():
+    w1, w2 = np.zeros((2, 3, 1)), np.zeros((2, 3, 2))
+    with pytest.raises(ValueError, match="muon or teon policy"):
+        ortho_step(w1, np.ones((2, 3, 1)), OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
+    with pytest.raises(ValueError, match="K=1"):
+        ortho_step(w2, np.ones((2, 3, 2)), OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
+    # the depth-1 stack takes either policy, and deeper stacks take teon
+    ortho_step(w1, np.ones((2, 3, 1)), OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
+    ortho_step(w1, np.ones((2, 3, 1)), OptimizerState(), UpdatePolicy.teon(2, 0.1), 0.1)
+    ortho_step(w2, np.ones((2, 3, 2)), OptimizerState(), UpdatePolicy.teon(2, 0.1), 0.1)
 
 
 # --------------------------------------------------------------- adamw_step
@@ -284,14 +303,14 @@ def test_teon_errors():
 def test_adamw_zero_gradient_is_noop():
     w = np.linspace(-1, 1, 5)
     state = OptimizerState()
-    out = adamw_step(w, np.zeros(5), state, UpdatePolicy.adamw(0.1))
+    out = adamw_step(w, np.zeros(5), state, UpdatePolicy.adamw(0.1), 0.1)
     np.testing.assert_array_equal(out, w)
     assert state.t == 1
 
 
 def test_adamw_first_step_magnitude():
     policy = UpdatePolicy.adamw(0.01)
-    out = adamw_step(np.zeros(3), np.full(3, 3.0), OptimizerState(), policy)
+    out = adamw_step(np.zeros(3), np.full(3, 3.0), OptimizerState(), policy, policy.eta)
     np.testing.assert_allclose(out, -0.01 * 3.0 / (3.0 + 1e-8), rtol=1e-12)
     assert np.all(np.abs(out) <= 0.01)
 
@@ -304,7 +323,7 @@ def test_adamw_matches_scalar_recursion():
     state = OptimizerState()
     ref, m, v = 0.7, 0.0, 0.0
     for t, g in enumerate(gs, start=1):
-        w = adamw_step(w, np.array([g]), state, policy)
+        w = adamw_step(w, np.array([g]), state, policy, policy.eta)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref = (1 - eta * lam) * ref
@@ -317,14 +336,14 @@ def test_adamw_errors():
     policy = UpdatePolicy.adamw(0.1)
     state = OptimizerState()
     with pytest.raises(ValueError):
-        adamw_step(np.zeros(3), np.zeros(4), state, policy)
-    adamw_step(np.zeros(3), np.ones(3), state, policy)
+        adamw_step(np.zeros(3), np.zeros(4), state, policy, policy.eta)
+    adamw_step(np.zeros(3), np.ones(3), state, policy, policy.eta)
     with pytest.raises(ValueError, match="moment buffer"):
-        adamw_step(np.zeros(4), np.ones(4), state, policy)
+        adamw_step(np.zeros(4), np.ones(4), state, policy, policy.eta)
     with pytest.raises(ValueError):
-        adamw_step(np.zeros(3), np.zeros(3), OptimizerState(), UpdatePolicy.muon(0.1))
+        adamw_step(np.zeros(3), np.zeros(3), OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
     with pytest.raises(FloatingPointError, match="step 0"):
-        adamw_step(np.zeros(3), np.array([1.0, np.nan, 0.0]), OptimizerState(), policy)
+        adamw_step(np.zeros(3), np.array([1.0, np.nan, 0.0]), OptimizerState(), policy, policy.eta)
 
 
 # ------------------------------------------------------------- build_groups
@@ -432,19 +451,47 @@ def test_apply_group_step_matches_direct_calls():
 
     stack = np.stack([ref["l0"], ref["l1"]], axis=2)
     gstack = np.stack([grads["l0"], grads["l1"]], axis=2)
-    new = teon_step(stack, gstack, OptimizerState(), groups[0].policy)
+    new = ortho_step(stack, gstack, OptimizerState(), groups[0].policy, groups[0].policy.eta)
     np.testing.assert_array_equal(weights["l0"], new[:, :, 0])
     np.testing.assert_array_equal(weights["l1"], new[:, :, 1])
     head_group = [g for g in groups if g.id == "head"][0]
     np.testing.assert_array_equal(
         weights["head"],
-        muon_step(ref["head"], grads["head"], OptimizerState(), head_group.policy),
+        _lone(ref["head"], grads["head"], OptimizerState(), head_group.policy),
     )
     bias_group = [g for g in groups if g.id == "bias"][0]
     np.testing.assert_array_equal(
         weights["bias"],
-        adamw_step(ref["bias"], grads["bias"], OptimizerState(), bias_group.policy),
+        adamw_step(
+            ref["bias"], grads["bias"], OptimizerState(), bias_group.policy, bias_group.policy.eta
+        ),
     )
+
+
+def test_apply_group_step_lr_factor_equals_a_policy_with_the_stepped_eta():
+    rng = np.random.default_rng(10)
+    layout = [
+        LayoutEntry("l0", "W", (3, 4), 0),
+        LayoutEntry("l1", "W", (3, 4), 1),
+        LayoutEntry("head", "OUT", (2, 3), None),
+        LayoutEntry("bias", "bias", (2,), None),
+    ]
+    policy = UpdatePolicy.teon(1, 0.1, mu=0.5, weight_decay=0.05)
+    groups = build_groups(layout, 2, {"W"}, policy=policy)
+    assert sorted(g.kind for g in groups) == [MATRIX_SINGLE, TENSOR_GROUP, VECTOR_ADAMW]
+    weights = {e.name: rng.standard_normal(e.shape) for e in layout}
+    ref = dict(weights)
+    states = {g.id: OptimizerState() for g in groups}
+    ref_states = {g.id: OptimizerState() for g in groups}
+    for factor in (0.3, 0.77, 1.0, 0.1):
+        grads = {e.name: rng.standard_normal(e.shape) for e in layout}
+        for g in groups:
+            apply_group_step(weights, grads, g, states[g.id], lr_factor=factor)
+            stepped = replace(g.policy, eta=g.policy.eta * factor)
+            ref_group = ParamGroup(g.id, g.kind, g.members, g.shapes, stepped)
+            apply_group_step(ref, grads, ref_group, ref_states[g.id])
+        for nm in weights:
+            np.testing.assert_array_equal(weights[nm], ref[nm])
 
 
 @pytest.mark.parametrize("planted", ["b1.k", "b0.o"])

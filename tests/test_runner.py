@@ -1,5 +1,8 @@
 """Training loop: schedules, metric aggregation, CSV determinism, sweeps."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -260,6 +263,38 @@ eta = 1e200
     )
     with pytest.raises(FloatingPointError, match=r"non-finite loss at step [1-9]"):
         run(cfg)
+
+
+@pytest.mark.parametrize("log_every", [10, 7])
+def test_run_nan_gradient_names_group_and_step_on_logged_and_unlogged_steps(
+    tmp_path, monkeypatch, log_every
+):
+    # step 10 is a logged step at log_every=10 and an unlogged one at 7
+    import teon.runner as runner
+
+    ini = Path(__file__).resolve().parents[1] / "configs" / "deep_linear_muon.ini"
+    cfg = parse_config_text(ini.read_text(encoding="utf-8"))
+    cfg = replace(cfg, out_path=str(tmp_path), log_every=log_every)
+    original = runner.make_task
+
+    def planting(*args, **kwargs):
+        task = original(*args, **kwargs)
+        clean, calls = task.loss_and_grads, []
+
+        def loss_and_grads(weights):
+            loss, grads = clean(weights)
+            if len(calls) == 10:
+                grads["w3"][0, 0] = np.nan
+            calls.append(1)
+            return loss, grads
+
+        task.loss_and_grads = loss_and_grads
+        return task
+
+    monkeypatch.setattr(runner, "make_task", planting)
+    pattern = r"group 'w3' at optimizer step 10: non-finite gradient"
+    with pytest.raises(FloatingPointError, match=pattern):
+        run(cfg, write=False)
 
 
 def test_run_alignment_interval_longer_than_run_gives_header_only(tmp_path):
