@@ -24,13 +24,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius, svd
+from .linalg import svd
 
 __all__ = [
     "AlignmentRecord",
     "DEGENERATE_SIGMA_GAP",
     "top_singular_alignment",
-    "stable_rank",
     "track_run",
     "default_alignment_pairs",
 ]
@@ -107,15 +106,6 @@ def _top_pair(x, memo: dict | None):
     if memo is not None:
         memo[id(x)] = (x, top)
     return top
-
-
-def stable_rank(m: np.ndarray) -> float:
-    """||M||_F^2 / sigma_1^2; lies in [1, rank(M)]."""
-    m = as_matrix(m)
-    top = float(np.linalg.svd(m, compute_uv=False)[0])
-    if top == 0.0:
-        raise ValueError("stable_rank is undefined for the zero matrix")
-    return frobenius(m) ** 2 / top**2
 
 
 def default_alignment_pairs(layout) -> list[tuple[str, str, str]]:

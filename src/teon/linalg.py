@@ -57,15 +57,6 @@ def as_tensor3(t, *, dtype=np.float64) -> np.ndarray:
     return a
 
 
-def stack_slices(slices) -> np.ndarray:
-    """Stack a list of same-shaped matrices [X1..XK] into an (m, n, K) tensor."""
-    mats = [as_matrix(s) for s in slices]
-    shapes = {s.shape for s in mats}
-    if len(shapes) != 1:
-        raise ValueError(f"all slices must share one shape, got {sorted(shapes)}")
-    return np.stack(mats, axis=2)
-
-
 def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     """Unfold an (m, n, K) tensor along `mode` in {1, 2, 3} (block layout)."""
     t = np.asarray(t)

@@ -35,7 +35,6 @@ from .ortho import ortho_exact
 __all__ = [
     "NormKind",
     "norm",
-    "nuclear",
     "primal_norm_batch",
     "ComparabilityReport",
     "check_comparability",
@@ -98,10 +97,6 @@ class NormKind:
     def label(self) -> str:
         base = self.family if self.family == MUON else f"{self.family}{self.mode}"
         return base + ("_dual" if self.dual else "")
-
-
-def nuclear(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def norm(t: np.ndarray, kind: NormKind) -> float:

@@ -5,38 +5,28 @@ approximate path runs an odd quintic iteration
 
     X_{t+1} = a*X + b*X(X^T X) + c*X(X^T X)^2,    X_0 = M / ||M||_F
 
-whose per-step coefficient triples come from bundled text presets (``cubic``,
-``you``, ``jordan``, ``polar-express``) or a user directory set through the
-``TEON_PRESET_DIR`` environment variable. Ortho(0) is defined as 0 so that
-optimizers are no-ops on dead gradients.
+whose per-step coefficient triples come from the named schedules in
+``PRESETS`` (``cubic``, ``you``, ``jordan``, ``polar-express``) or from rows
+passed as ``schedule=``; an unknown name is an error. Ortho(0) is defined as
+0 so that optimizers are no-ops on dead gradients.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .linalg import as_matrix, svd
 
 __all__ = [
-    "KNOWN_PRESETS",
+    "PRESETS",
     "OrthoScheme",
-    "load_preset",
-    "parse_preset_text",
-    "preset_dir",
     "ortho_exact",
     "ortho_ns",
     "ortho_error",
     "apply_ortho",
 ]
-
-KNOWN_PRESETS = ("cubic", "you", "jordan", "polar-express")
-
-CUBIC_ROW = (1.5, -0.5, 0.0)
 
 # Sanity guard on each triple: p(1) = a + b + c should sit near 1. The tuned
 # schedules intentionally overshoot (the aggressive opening rows reach
@@ -46,67 +36,44 @@ P1_TOLERANCE = 1.1
 
 Triple = tuple[float, float, float]
 
-
-def preset_dir() -> Path:
-    """Directory holding ``<name>.txt`` coefficient tables.
-
-    ``TEON_PRESET_DIR`` overrides the bundled data; resolution happens at
-    call time so tests can repoint it.
-    """
-    override = os.environ.get("TEON_PRESET_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "presets"
-
-
-def parse_preset_text(text: str, *, source: str = "<preset>") -> list[Triple]:
-    """Parse preset grammar: '#' comments, whitespace-separated a b c floats."""
-    rows: list[Triple] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{source}:{lineno}: expected 'a b c', got {raw!r}")
-        try:
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-        except ValueError as e:
-            raise ValueError(f"{source}:{lineno}: non-numeric coefficient in {raw!r}") from e
-    if not rows:
-        raise ValueError(f"{source}: preset file must contain at least one coefficient row")
-    return rows
+# Named NS schedules, fitted to a step count by `_resolve_schedule`.
+PRESETS: dict[str, tuple[Triple, ...]] = {
+    # Textbook polar iteration p(x) = 1.5x - 0.5x^3: monotone convergence on (0, 1].
+    "cubic": ((1.5, -0.5, 0.0),),
+    # You's five-step varying quintic, aggressive rows first (kellerjordan.github.io/posts/muon).
+    "you": (
+        (4.0848, -6.8946, 2.9270),
+        (3.9505, -6.3029, 2.6377),
+        (3.7418, -5.5913, 2.3037),
+        (2.8769, -3.1427, 1.2046),
+        (2.8366, -3.0525, 1.2012),
+    ),
+    # Jordan's constant quintic for ~5 steps (kellerjordan.github.io/posts/muon).
+    "jordan": ((3.4445, -4.7750, 2.0315),),
+    # Polar Express optimal per-step schedule (arXiv:2505.16932); last row is its fixed point.
+    "polar-express": (
+        (8.28721201814563, -23.595886519098837, 17.300387312530933),
+        (4.107059111542203, -2.9478499167379106, 0.5448431082926601),
+        (3.9486908534822946, -2.908902115962949, 0.5518191394370137),
+        (3.3184196573706015, -2.488488024314874, 0.51004894012372),
+        (2.300652019954817, -1.6689039845747493, 0.4188073119525673),
+        (1.891301407787398, -1.2679958271945868, 0.37680408948524835),
+        (1.8750014808534479, -1.2500016453999487, 0.3750001645474248),
+        (1.875, -1.25, 0.375),
+    ),
+}
 
 
-def load_preset(name: str) -> list[Triple]:
-    """Load a coefficient table by name.
-
-    A missing file falls back to the analytically safe cubic row (with a
-    warning) so builds without the tuned tables still work; a present but
-    malformed file raises, because silently replacing a user's data would
-    mask the mistake.
-    """
-    path = preset_dir() / f"{name}.txt"
-    if not path.is_file():
-        warnings.warn(
-            f"preset {name!r} not found at {path}; falling back to the cubic iteration",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return [CUBIC_ROW]
-    return parse_preset_text(path.read_text(), source=str(path))
-
-
-def _resolve_schedule(rows: list[Triple], steps: int) -> tuple[Triple, ...]:
+def _resolve_schedule(rows: tuple[Triple, ...], steps: int) -> tuple[Triple, ...]:
     # One row broadcasts; longer tables are truncated to `steps` or padded by
     # repeating their final row (the tuned tables end in a fixed-point row).
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if len(rows) == 1:
-        return tuple(rows) * steps
+        return rows * steps
     if steps <= len(rows):
-        return tuple(rows[:steps])
-    return tuple(rows) + (rows[-1],) * (steps - len(rows))
+        return rows[:steps]
+    return rows + (rows[-1],) * (steps - len(rows))
 
 
 @dataclass(frozen=True)
@@ -158,14 +125,17 @@ class OrthoScheme:
         preset: str | None = None,
         schedule: list[Triple] | None = None,
     ) -> "OrthoScheme":
-        """Build an NS scheme from a named preset or explicit rows."""
+        """Build an NS scheme from a name in ``PRESETS`` or explicit rows."""
         if (preset is None) == (schedule is None):
             raise ValueError("give exactly one of preset= or schedule=")
         if preset is not None:
-            rows = load_preset(preset)
-            name = preset if preset in KNOWN_PRESETS else "custom"
+            if preset not in PRESETS:
+                raise ValueError(
+                    f"unknown Newton-Schulz preset {preset!r}; valid: {sorted(PRESETS)}"
+                )
+            rows, name = PRESETS[preset], preset
         else:
-            rows = [tuple(float(v) for v in row) for row in schedule]
+            rows = tuple(tuple(float(v) for v in row) for row in schedule)
             name = "custom"
         return cls(
             kind=cls.NEWTON_SCHULZ,

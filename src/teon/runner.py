@@ -34,7 +34,6 @@ __all__ = [
     "MetricsRecord",
     "RunResult",
     "schedule_factor",
-    "schedule_lr",
     "gradient_metrics",
     "run",
     "sweep",
@@ -74,10 +73,6 @@ def schedule_factor(step: int, total: int, kind: str, warmup_ratio: float) -> fl
     if kind == "cosine":
         return 0.5 * (1.0 + float(np.cos(np.pi * x)))
     return 1.0 - x
-
-
-def schedule_lr(step: int, total: int, peak: float, kind: str, warmup_ratio: float) -> float:
-    return peak * schedule_factor(step, total, kind, warmup_ratio)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import stack_slices
 from .norms import build_max_gain_tensor
 from .optim import LayoutEntry
 
@@ -67,7 +66,7 @@ class QuadraticTask:
         return {f"layer{k}": np.zeros((self.m, self.n)) for k in range(self.K)}
 
     def loss_and_grads(self, weights: dict):
-        w = stack_slices([weights[f"layer{k}"] for k in range(self.K)])
+        w = np.stack([weights[f"layer{k}"] for k in range(self.K)], axis=2)
         d = w - self.target
         loss = 0.5 * float(np.sum(self.curvature * d * d))
         g = self.curvature * d
@@ -96,7 +95,7 @@ class AlignedQuadraticTask:
         return {f"layer{k}": np.zeros((self.m, self.n)) for k in range(self.K)}
 
     def loss_and_grads(self, weights: dict):
-        w = stack_slices([weights[f"layer{k}"] for k in range(self.K)])
+        w = np.stack([weights[f"layer{k}"] for k in range(self.K)], axis=2)
         d = w - self.target
         loss = 0.5 * float(np.sum(d * d))
         return loss, {f"layer{k}": d[:, :, k] for k in range(self.K)}
@@ -167,13 +166,8 @@ class MicroAttentionTask:
         batch: int,
         blocks: int,
         seed: int,
-        heads: int = 1,
     ):
-        _positive(dim=dim, seq=seq, batch=batch, blocks=blocks, heads=heads)
-        if dim % heads != 0:
-            raise ValueError(f"dim must be divisible by heads, got {dim} % {heads}")
-        if heads != 1:
-            raise ValueError("only single-head attention is implemented")
+        _positive(dim=dim, seq=seq, batch=batch, blocks=blocks)
         if blocks < 2:
             raise ValueError(f"need at least 2 blocks, got {blocks}")
         rng = np.random.default_rng([seed, 83])

@@ -85,6 +85,29 @@ def test_run_command_rejects_bad_config(tmp_path, capsys):
     assert "unknown key 'bogus'" in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unknown_ns_preset_fails_before_any_run(tmp_path, capsys, command):
+    cdir = tmp_path / "cfgs"
+    cdir.mkdir()
+    (cdir / "typo.ini").write_text(
+        GOOD_INI.format(out=tmp_path / "out").replace(
+            "mode = 1", "mode = 1\nscheme = newton_schulz\nns_preset = jordn"
+        ),
+        encoding="utf-8",
+    )
+    if command == "run":
+        argv = ["run", "--config", str(cdir / "typo.ini")]
+    else:
+        argv = ["sweep", "--config-dir", str(cdir), "--out", str(tmp_path / "sw")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "[optimizer] unknown Newton-Schulz preset 'jordn'" in lines[0]
+    assert "run.metrics_path" not in captured.out
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_run_command_missing_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
     assert "error:" in capsys.readouterr().err

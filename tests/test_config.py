@@ -192,11 +192,10 @@ def test_unknown_scheme():
         parse_config_text(bad)
 
 
-def test_unknown_ns_preset_warns_and_falls_back_to_cubic():
+def test_unknown_ns_preset_is_a_config_error():
     bad = MINIMAL.replace("mode = 1", "mode = 1\nscheme = newton_schulz\nns_preset = bogus")
-    with pytest.warns(RuntimeWarning, match="preset 'bogus' not found"):
-        cfg = parse_config_text(bad)
-    assert cfg.policy.scheme.schedule == ((1.5, -0.5, 0.0),) * 5
+    with pytest.raises(ValueError, match=r"\[optimizer\] unknown Newton-Schulz preset 'bogus'"):
+        parse_config_text(bad)
 
 
 def test_runconfig_validation_surface():

@@ -4,13 +4,11 @@ import pytest
 from teon.diagnostics import (
     AlignmentRecord,
     default_alignment_pairs,
-    stable_rank,
     top_singular_alignment,
     track_run,
 )
 from teon.norms import build_max_gain_tensor
 from teon.optim import LayoutEntry
-from teon.ortho import ortho_exact
 
 
 def _rotation(n, seed):
@@ -94,15 +92,6 @@ def test_degenerate_gap_flagged():
     rec = top_singular_alignment(np.eye(3), np.eye(3))
     assert rec.degenerate
     assert rec.sigma_gap <= 1e-12
-
-
-def test_stable_rank():
-    assert stable_rank(np.outer([1.0, 2.0], [3.0, 4.0, 5.0])) == pytest.approx(1.0, abs=1e-12)
-    assert stable_rank(np.eye(7)) == pytest.approx(7.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        stable_rank(np.zeros((3, 3)))
-    a = np.random.default_rng(3).standard_normal((6, 6))
-    assert stable_rank(ortho_exact(a)) == pytest.approx(6.0, abs=1e-8)
 
 
 def test_default_alignment_pairs_counts():

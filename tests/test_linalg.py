@@ -10,7 +10,6 @@ from teon.linalg import (
     frobenius,
     inner,
     matricize,
-    stack_slices,
     svd,
 )
 
@@ -38,17 +37,12 @@ def test_as_tensor3_rejects_inf():
         as_tensor3(t)
 
 
-def test_stack_slices_shape_mismatch():
-    with pytest.raises(ValueError):
-        stack_slices([np.ones((2, 2)), np.ones((2, 3))])
-
-
 # ------------------------------------------------------------- matricization
 
 
 def test_mode1_worked_example():
     # hand-enumerated 2x2x2 case
-    t = stack_slices([np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]])])
+    t = np.stack([np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]])], axis=2)
     expected = np.array([[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]])
     np.testing.assert_array_equal(matricize(t, 1), expected)
     np.testing.assert_array_equal(fold(expected, 1, (2, 2, 2)), t)
@@ -64,7 +58,7 @@ def test_mode2_is_transposed_blocks():
 
 
 def test_mode3_rows_are_rowmajor_vecs():
-    t = stack_slices([np.array([[2.0]]), np.array([[3.0]])])
+    t = np.stack([np.array([[2.0]]), np.array([[3.0]])], axis=2)
     np.testing.assert_array_equal(matricize(t, 3), np.array([[2.0], [3.0]]))
     rng = np.random.default_rng(1)
     t = random_tensor(rng, 2, 3, 4)

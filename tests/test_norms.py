@@ -15,7 +15,6 @@ from teon.norms import (
     norm,
     ntr_step_muon,
     ntr_step_teon,
-    nuclear,
     primal_norm_batch,
     sample_dual_lower_bound,
 )
@@ -407,8 +406,3 @@ def test_max_gain_deterministic_in_seed():
     np.testing.assert_array_equal(a, b)
     c = build_max_gain_tensor(5, 5, 3, mode=1, seed=43)
     assert not np.array_equal(a, c)
-
-
-def test_nuclear_helper():
-    a = np.diag([3.0, 2.0, 0.0])
-    assert nuclear(a) == pytest.approx(5.0, abs=1e-12)

@@ -1,18 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from teon.linalg import svd
 from teon.ortho import (
-    CUBIC_ROW,
-    KNOWN_PRESETS,
+    PRESETS,
     OrthoScheme,
     apply_ortho,
-    load_preset,
     ortho_error,
     ortho_exact,
     ortho_ns,
-    parse_preset_text,
 )
 
 
@@ -172,31 +171,42 @@ def test_error_ordering_across_aspect_ratios():
 
 
 def test_known_presets_load_with_expected_heads():
-    rows = {name: load_preset(name) for name in KNOWN_PRESETS}
-    assert rows["cubic"] == [(1.5, -0.5, 0.0)]
-    assert rows["jordan"] == [(3.4445, -4.7750, 2.0315)]
-    assert len(rows["you"]) == 5
-    assert rows["you"][0] == (4.0848, -6.8946, 2.9270)
-    assert rows["you"][-1] == (2.8366, -3.0525, 1.2012)
-    assert len(rows["polar-express"]) == 8
-    assert rows["polar-express"][0][0] == pytest.approx(8.28721201814563)
-    assert rows["polar-express"][-1] == (1.875, -1.25, 0.375)
+    assert sorted(PRESETS) == ["cubic", "jordan", "polar-express", "you"]
+    assert PRESETS["cubic"] == ((1.5, -0.5, 0.0),)
+    assert PRESETS["jordan"] == ((3.4445, -4.7750, 2.0315),)
+    assert len(PRESETS["you"]) == 5
+    assert PRESETS["you"][0] == (4.0848, -6.8946, 2.9270)
+    assert PRESETS["you"][-1] == (2.8366, -3.0525, 1.2012)
+    assert len(PRESETS["polar-express"]) == 8
+    assert PRESETS["polar-express"][0][0] == pytest.approx(8.28721201814563)
+    assert PRESETS["polar-express"][-1] == (1.875, -1.25, 0.375)
 
 
-def test_preset_parse_grammar():
-    rows = parse_preset_text("# header\n 1.5  -0.5 0.0  # trailing\n\n2 -1 0\n")
-    assert rows == [(1.5, -0.5, 0.0), (2.0, -1.0, 0.0)]
-    with pytest.raises(ValueError, match="a b c"):
-        parse_preset_text("1.0 2.0\n")
-    with pytest.raises(ValueError, match="non-numeric"):
-        parse_preset_text("a b c\n")
-    with pytest.raises(ValueError, match="at least one"):
-        parse_preset_text("# only comments\n")
+def test_preset_schedules_match_the_transcribed_tables():
+    # sha256 of every named schedule resolved at 1..12 steps: pins each
+    # transcribed coefficient, middle rows included; a changed digit changes it.
+    text = "\n".join(
+        repr(OrthoScheme.newton_schulz(s, preset=p))
+        for p in ("cubic", "jordan", "you", "polar-express")
+        for s in range(1, 13)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4681568349100e0283cf0787a7a6386724ad08910f3045ffc8f85c49ccc83fa1"
+    )
+
+
+def test_unknown_preset_raises_and_lists_valid_names():
+    with pytest.raises(ValueError) as exc:
+        OrthoScheme.newton_schulz(5, preset="bogus")
+    msg = str(exc.value)
+    assert msg.startswith("unknown Newton-Schulz preset 'bogus'")
+    for name in PRESETS:
+        assert repr(name) in msg
 
 
 def test_schedule_resolution_semantics():
     one = OrthoScheme.newton_schulz(4, preset="cubic")
-    assert one.schedule == (CUBIC_ROW,) * 4
+    assert one.schedule == PRESETS["cubic"] * 4
     trunc = OrthoScheme.newton_schulz(2, preset="you")
     assert len(trunc.schedule) == 2
     assert trunc.schedule[0] == (4.0848, -6.8946, 2.9270)
@@ -215,25 +225,10 @@ def test_scheme_validation():
     with pytest.raises(ValueError):
         OrthoScheme(kind="banana")
     with pytest.raises(ValueError):
-        OrthoScheme.newton_schulz(2, preset="cubic", schedule=[CUBIC_ROW])
-    # every bundled preset passes the constructor guard at its design depth
-    for name in KNOWN_PRESETS:
+        OrthoScheme.newton_schulz(2, preset="cubic", schedule=list(PRESETS["cubic"]))
+    # every named preset passes the constructor guard at its design depth
+    for name in PRESETS:
         OrthoScheme.newton_schulz(5, preset=name)
-
-
-def test_preset_dir_override_and_fallback(tmp_path, monkeypatch):
-    (tmp_path / "house.txt").write_text("# local rows\n1.4 -0.4 0.0\n1.5 -0.5 0.0\n")
-    monkeypatch.setenv("TEON_PRESET_DIR", str(tmp_path))
-    scheme = OrthoScheme.newton_schulz(2, preset="house")
-    assert scheme.preset_name == "custom"
-    assert scheme.schedule == ((1.4, -0.4, 0.0), (1.5, -0.5, 0.0))
-    # bundled names are shadowed by the override dir: missing file -> cubic + warning
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        rows = load_preset("jordan")
-    assert rows == [CUBIC_ROW]
-    (tmp_path / "bad.txt").write_text("1 2\n")
-    with pytest.raises(ValueError):
-        load_preset("bad")
 
 
 def test_apply_ortho_dispatch():

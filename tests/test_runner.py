@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from teon.config import RunConfig, parse_config_text
-from teon.linalg import stack_slices, svd
+from teon.linalg import svd
 from teon.norms import NormKind, norm
 from teon.optim import VECTOR_ADAMW, UpdatePolicy, build_groups
 from teon.runner import (
@@ -21,7 +21,6 @@ from teon.runner import (
     gradient_metrics,
     run,
     schedule_factor,
-    schedule_lr,
     sweep,
 )
 from teon.tasks import make_task
@@ -87,11 +86,6 @@ def test_in_run_rates_stay_positive_and_decay_monotonically():
         assert all(a >= b for a, b in zip(post, post[1:]))
 
 
-def test_schedule_lr_scales_peak():
-    assert schedule_lr(0, 10, 0.3, "constant", 0.0) == 0.3
-    assert schedule_lr(5, 10, 0.3, "linear_warmup", 0.0) == 0.3 * 0.5
-
-
 def test_schedule_factor_validation():
     with pytest.raises(ValueError, match="unknown schedule"):
         schedule_factor(0, 10, "step", 0.0)
@@ -130,7 +124,7 @@ def test_gradient_metrics_against_direct_norms():
     mp, td, md, depth = gradient_metrics(grads, groups)
     assert depth == 2
 
-    stacks = [stack_slices([grads[nm] for nm in g.members]) for g in groups]
+    stacks = [np.stack([grads[nm] for nm in g.members], axis=2) for g in groups]
     assert mp == max(norm(s, NormKind.muon()) for s in stacks)
     assert td == pytest.approx(
         sum(norm(s, NormKind.teon(1, dual=True)) for s in stacks), rel=1e-15
@@ -516,7 +510,7 @@ def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, depth
     for g in groups:
         if g.kind == VECTOR_ADAMW:
             continue
-        stack = stack_slices([grads[nm] for nm in g.members])
+        stack = np.stack([grads[nm] for nm in g.members], axis=2)
         mp = max(mp, norm(stack, NormKind.muon()))
         td += norm(stack, NormKind.teon(1, dual=True))
         md += norm(stack, NormKind.muon(dual=True))

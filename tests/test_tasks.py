@@ -241,10 +241,6 @@ def test_micro_attention_fd_gate_rejects_one_percent_error_at_dim64_blocks6():
 
 
 def test_micro_attention_validation():
-    with pytest.raises(ValueError, match="single-head"):
-        MicroAttentionTask(dim=4, seq=2, batch=2, blocks=2, seed=0, heads=2)
-    with pytest.raises(ValueError, match="divisible"):
-        MicroAttentionTask(dim=4, seq=2, batch=2, blocks=2, seed=0, heads=3)
     with pytest.raises(ValueError, match="2 blocks"):
         MicroAttentionTask(dim=4, seq=2, batch=2, blocks=1, seed=0)
     with pytest.raises(ValueError):
