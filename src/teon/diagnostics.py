@@ -7,8 +7,9 @@ sigma_1 - sigma_2 is tiny the top vectors are basis-ambiguous inside the
 leading singular subspace; such records are flagged via `degenerate` (gap
 below 1e-8) and should be filtered, never asserted on.
 
-`track_run` samples momentum buffers every `every` steps and emits one
-AlignmentRecord per configured pair, matching the CSV row layout
+The training loop (`teon.runner.run`) samples the momentum buffers every
+`align_every` steps and emits one AlignmentRecord per pair from
+`default_alignment_pairs`, matching the CSV row layout
 `step,pair_id,left_align,right_align,sigma_gap`.
 
 Cost model: a matrix usually sits in several pairs (`b1.q` in Q0-Q1, Q1-Q2,
@@ -20,8 +21,6 @@ then decomposed by one SVD per sampled step, however many pairs it is in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
 import numpy as np
 
 from .linalg import svd
@@ -30,7 +29,6 @@ __all__ = [
     "AlignmentRecord",
     "DEGENERATE_SIGMA_GAP",
     "top_singular_alignment",
-    "track_run",
     "default_alignment_pairs",
 ]
 
@@ -134,23 +132,3 @@ def default_alignment_pairs(layout) -> list[tuple[str, str, str]]:
                 pairs.append((f"{ra}{blk}-{rb}{blk}", roles[ra].name, roles[rb].name))
     return pairs
 
-
-def track_run(
-    snapshots: Iterable[tuple[int, dict]],
-    pairs: list[tuple[str, str, str]],
-    every: int,
-) -> Iterator[AlignmentRecord]:
-    """Emit alignment records for each configured pair on sampled steps.
-
-    `snapshots` yields (step, buffers) where buffers maps parameter name to
-    the momentum matrix at that step; steps divisible by `every` are sampled.
-    """
-    if every < 1:
-        raise ValueError(f"sampling interval must be >= 1, got {every}")
-    for step, buffers in snapshots:
-        if step % every != 0:
-            continue
-        memo: dict = {}
-        for pair_id, name_a, name_b in pairs:
-            a, b = buffers[name_a], buffers[name_b]
-            yield top_singular_alignment(a, b, step=step, pair_id=pair_id, memo=memo)

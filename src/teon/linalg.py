@@ -27,8 +27,6 @@ __all__ = [
     "as_tensor3",
     "matricize",
     "fold",
-    "inner",
-    "frobenius",
     "svd",
 ]
 
@@ -91,20 +89,6 @@ def fold(x: np.ndarray, mode: int, shape: tuple[int, int, int]) -> np.ndarray:
     return x.reshape(k, m, n).transpose(1, 2, 0)
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product; shapes must agree exactly."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"inner product needs equal shapes, got {a.shape} vs {b.shape}")
-    return float(np.vdot(a, b))
-
-
-def frobenius(t: np.ndarray) -> float:
-    """Frobenius norm, invariant under matricization mode."""
-    return float(np.linalg.norm(np.asarray(t)))
-
-
 class SvdResult(NamedTuple):
     """Thin SVD A = U diag(sigma) V^T with r = min(m, n).
 
@@ -115,9 +99,6 @@ class SvdResult(NamedTuple):
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
 
 
 def svd(a: np.ndarray) -> SvdResult:

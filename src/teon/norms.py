@@ -6,14 +6,15 @@ For a stacked tensor X in R^{m x n x K} with slices X^(k):
 * teon-i primal sigma_1(M_i(X));        teon-i dual ||M_i(X)||_nuclear
 
 where M_i is the mode-i block matricization from :mod:`teon.linalg`.
-The module provides the norms, the comparability checks
+The module provides the norms, the comparability check
 
     ||.||_muon <= ||.||_teon-i <= sqrt(K) ||.||_muon          (i = 1, 2)
     ||.||_teon-i,* <= ||.||_muon,* <= sqrt(K) ||.||_teon-i,*
 
-trust-region steepest-descent steps, evaluators for the convergence bounds,
-an empirical smoothness-ratio estimator, and the rank-1 construction that
-attains the sqrt(K) gap exactly.
+trust-region steepest-descent steps, the evaluator of the convergence bound,
+and the rank-1 construction that attains the sqrt(K) gap exactly. These are
+what `teon check`, the training loop and `teon construct-maxgain` run; the
+sampling oracles that test them live with the tests.
 
 Orientation of the maximal-gain construction: with the block layout,
 M_1([u v^(k)T]_k) = u [v^(1)T ... v^(K)T], so the mode-1 operator norm picks
@@ -35,19 +36,13 @@ from .ortho import ortho_exact
 __all__ = [
     "NormKind",
     "norm",
-    "primal_norm_batch",
     "ComparabilityReport",
     "check_comparability",
     "ntr_step_teon",
     "ntr_step_muon",
     "BoundInputs",
     "eval_ntr_bound",
-    "convergence_bound_pair",
-    "SmoothnessReport",
-    "estimate_smoothness_ratio",
     "build_max_gain_tensor",
-    "dual_ascent_direction",
-    "sample_dual_lower_bound",
     "format_value",
 ]
 
@@ -62,10 +57,6 @@ def format_value(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
-
-
-def kv_lines(prefix: str, items) -> list[str]:
-    return [f"{prefix}{key}={format_value(val)}" for key, val in items]
 
 
 @dataclass(frozen=True)
@@ -94,10 +85,6 @@ class NormKind:
     def teon(cls, mode: int, dual: bool = False) -> "NormKind":
         return cls(TEON, mode, dual)
 
-    def label(self) -> str:
-        base = self.family if self.family == MUON else f"{self.family}{self.mode}"
-        return base + ("_dual" if self.dual else "")
-
 
 def norm(t: np.ndarray, kind: NormKind) -> float:
     """Evaluate the selected norm of an (m, n, K) tensor."""
@@ -108,30 +95,6 @@ def norm(t: np.ndarray, kind: NormKind) -> float:
         return float(s.sum()) if kind.dual else float(s.max())
     s = np.linalg.svd(matricize(t, kind.mode), compute_uv=False)
     return float(s.sum()) if kind.dual else float(s.max())
-
-
-def primal_norm_batch(ts: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Primal norms of a batch of tensors, shape (S, m, n, K) -> (S,).
-
-    Uses Gram eigenvalues instead of per-sample SVDs so rejection-sampling
-    oracles stay cheap. Matches :func:`norm` to LAPACK accuracy.
-    """
-    if kind.dual:
-        raise ValueError("primal_norm_batch handles primal norms only")
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.ndim != 4:
-        raise ValueError(f"expected (S, m, n, K), got shape {ts.shape}")
-    if kind.family == MUON:
-        g = np.einsum("sijk,sljk->skil", ts, ts)
-        ev = np.linalg.eigvalsh(g)[..., -1]  # (S, K)
-        return np.sqrt(np.maximum(ev.max(axis=1), 0.0))
-    if kind.mode == 1:
-        g = np.einsum("sijk,sljk->sil", ts, ts)
-    elif kind.mode == 2:
-        g = np.einsum("sijk,silk->sjl", ts, ts)
-    else:
-        g = np.einsum("sijk,sijl->skl", ts, ts)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0))
 
 
 # ------------------------------------------------------------- comparability
@@ -156,24 +119,6 @@ class ComparabilityReport:
     dual_lower_slack: float
     dual_upper_slack: float
     violation: bool
-
-    def lines(self) -> list[str]:
-        return kv_lines(
-            "comparability.",
-            [
-                ("mode", self.mode),
-                ("k", self.k),
-                ("muon_primal", self.muon_primal),
-                ("teon_primal", self.teon_primal),
-                ("muon_dual", self.muon_dual),
-                ("teon_dual", self.teon_dual),
-                ("primal_lower_slack", self.primal_lower_slack),
-                ("primal_upper_slack", self.primal_upper_slack),
-                ("dual_lower_slack", self.dual_lower_slack),
-                ("dual_upper_slack", self.dual_upper_slack),
-                ("violation", self.violation),
-            ],
-        )
 
 
 def check_comparability(t: np.ndarray, mode: int) -> ComparabilityReport:
@@ -224,50 +169,6 @@ def ntr_step_muon(g: np.ndarray, eta: float) -> np.ndarray:
     return out
 
 
-def dual_ascent_direction(g: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Feasible direction with primal norm <= 1 achieving <g, y> = dual norm.
-
-    These are the Hoelder certificates: the (negated) steepest-descent
-    directions at eta = 1.
-    """
-    g = as_tensor3(g)
-    if kind.family == MUON:
-        return -ntr_step_muon(g, 1.0)
-    return -ntr_step_teon(g, kind.mode, 1.0)
-
-
-def sample_dual_lower_bound(
-    g: np.ndarray, kind: NormKind, samples: int, seed: int
-) -> tuple[float, float]:
-    """Sampled lower bound for the dual norm: max over feasible y of <g, y>.
-
-    Returns (sampled_max, dual_value). The sample mixture contains plain
-    Gaussian directions plus perturbations of the Hoelder certificate, all
-    normalized to unit primal norm, so the bound is tight enough to be a
-    meaningful check rather than a vacuous one. Every sampled value must sit
-    at or below the closed-form dual norm.
-    """
-    g = as_tensor3(g)
-    rng = np.random.default_rng(seed)
-    primal = NormKind(kind.family, kind.mode, dual=False)
-    dual_value = norm(g, NormKind(kind.family, kind.mode, dual=True))
-    cert = dual_ascent_direction(g, primal)
-    noise = rng.standard_normal((samples, *g.shape))
-    eps = np.zeros(samples)
-    # a third of the budget probes around the certificate
-    eps[: samples // 3] = np.repeat([0.0, 0.05, 0.2], samples // 9 + 1)[: samples // 3]
-    ys = np.where(
-        (eps > 0)[:, None, None, None],
-        cert[None] + eps[:, None, None, None] * noise,
-        noise,
-    )
-    ys[0] = cert
-    norms = primal_norm_batch(ys, primal)
-    norms = np.where(norms == 0, 1.0, norms)
-    vals = np.einsum("ijk,sijk->s", g, ys) / norms
-    return float(vals.max()), dual_value
-
-
 # ------------------------------------------------------------------- bounds
 
 
@@ -312,139 +213,6 @@ def eval_ntr_bound(b: BoundInputs) -> float:
         + b.L * b.eta * mom
         + 2.0 * (1.0 - b.mu) * b.rho * b.sigma / b.T
         + b.rho * b.sigma * np.sqrt((1.0 - b.mu) / (1.0 + b.mu))
-    )
-
-
-def convergence_bound_pair(
-    delta0: float, T: int, L_teon: float, L_muon: float
-) -> tuple[float, float]:
-    """(sqrt(2 L_teon delta0 / T), sqrt(2 L_muon delta0 / T)).
-
-    The smoothness constants must satisfy 0 < L_teon <= L_muon; their ratio
-    sqrt(L_muon / L_teon) is the bound-level gain and lies in [1, sqrt(K)]
-    whenever L_muon <= K * L_teon.
-    """
-    if delta0 < 0:
-        raise ValueError("delta0 must be nonnegative")
-    if T < 1:
-        raise ValueError("T must be a positive integer")
-    if not 0 < L_teon <= L_muon:
-        raise ValueError(
-            f"need 0 < L_teon <= L_muon, got L_teon={L_teon}, L_muon={L_muon}"
-        )
-    return (
-        float(np.sqrt(2.0 * L_teon * delta0 / T)),
-        float(np.sqrt(2.0 * L_muon * delta0 / T)),
-    )
-
-
-# ------------------------------------------------------- smoothness estimate
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    """Empirical max of R(X, Y) = ||grad f(X) - grad f(Y)||_* / ||X - Y||
-    under two norm families. Values are sampled lower bounds of the true
-    smoothness constants (suprema), never the constants themselves.
-    """
-
-    kind_a: str
-    kind_b: str
-    samples: int
-    max_ratio_a: float
-    max_ratio_b: float
-    ratio_of_maxes: float
-    bound_gain: float
-    sandwich_checked: bool
-    sandwich_ok: bool
-    degenerate: bool
-
-    def lines(self) -> list[str]:
-        return kv_lines(
-            "smoothness.",
-            [
-                ("kind_a", self.kind_a),
-                ("kind_b", self.kind_b),
-                ("samples", self.samples),
-                ("empirical_max_ratio_a", self.max_ratio_a),
-                ("empirical_max_ratio_b", self.max_ratio_b),
-                ("empirical_ratio_of_maxes", self.ratio_of_maxes),
-                ("empirical_bound_gain", self.bound_gain),
-                ("sandwich_checked", self.sandwich_checked),
-                ("sandwich_ok", self.sandwich_ok),
-                ("degenerate", self.degenerate),
-            ],
-        )
-
-
-def _ratio(df: np.ndarray, dx: np.ndarray, kind: NormKind) -> float:
-    num = norm(df, NormKind(kind.family, kind.mode, dual=True))
-    den = norm(dx, NormKind(kind.family, kind.mode, dual=False))
-    return num / den
-
-
-def estimate_smoothness_ratio(
-    f,
-    samples: int,
-    kind_a: NormKind,
-    kind_b: NormKind,
-    seed: int,
-    pair_sampler=None,
-) -> SmoothnessReport:
-    """Sample pairs (X, Y), compute the gradient-Lipschitz ratio under both
-    norm kinds, and report the empirical maxima.
-
-    `f` exposes `shape` (m, n, K) and `gradient(t)`. When the two kinds are
-    a (teon-i, muon) pairing the per-sample sandwich
-    R_teon <= R_muon <= K * R_teon is asserted sample by sample.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    shape = tuple(f.shape)
-    k = shape[2]
-
-    def default_sampler(r):
-        return r.standard_normal(shape), r.standard_normal(shape)
-
-    draw = pair_sampler or default_sampler
-    families = {kind_a.family, kind_b.family}
-    sandwich_checked = families == {MUON, TEON}
-    ratios_a: list[float] = []
-    ratios_b: list[float] = []
-    sandwich_ok = True
-    for _ in range(samples):
-        x, y = draw(rng)
-        dx = x - y
-        if not np.any(dx):
-            continue
-        df = f.gradient(x) - f.gradient(y)
-        ra = _ratio(df, dx, kind_a)
-        rb = _ratio(df, dx, kind_b)
-        ratios_a.append(ra)
-        ratios_b.append(rb)
-        if sandwich_checked:
-            r_teon, r_muon = (ra, rb) if kind_a.family == TEON else (rb, ra)
-            tol = 1e-9 * max(1.0, r_muon)
-            if not (r_teon <= r_muon + tol and r_muon <= k * r_teon + tol):
-                sandwich_ok = False
-    if not ratios_a:
-        raise ValueError("all sampled pairs were identical; nothing to estimate")
-    max_a = max(ratios_a)
-    max_b = max(ratios_b)
-    degenerate = max_a == 0.0 and max_b == 0.0
-    ratio = max_b / max_a if max_a > 0 else float("nan")
-    return SmoothnessReport(
-        kind_a=kind_a.label(),
-        kind_b=kind_b.label(),
-        samples=len(ratios_a),
-        max_ratio_a=max_a,
-        max_ratio_b=max_b,
-        ratio_of_maxes=ratio,
-        bound_gain=float(np.sqrt(ratio)) if ratio == ratio else float("nan"),
-        sandwich_checked=sandwich_checked,
-        sandwich_ok=sandwich_ok,
-        degenerate=degenerate,
     )
 
 

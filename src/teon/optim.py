@@ -182,10 +182,6 @@ class ParamGroup:
     def depth(self) -> int:
         return len(self.members)
 
-    @property
-    def slice_shape(self) -> tuple[int, ...]:
-        return self.shapes[0]
-
 
 @dataclass
 class OptimizerState:
@@ -372,10 +368,8 @@ def build_groups(
                 )
                 stacked.update(e.name for e in chunk)
         lone_policy = policy.as_muon()
-    elif policy.optimizer == MUON:
-        lone_policy = policy
     else:
-        lone_policy = policy  # adamw everywhere
+        lone_policy = policy  # muon, or adamw everywhere
 
     for e in matrices:
         if e.name in stacked:

@@ -24,7 +24,6 @@ __all__ = [
     "OrthoScheme",
     "ortho_exact",
     "ortho_ns",
-    "ortho_error",
     "apply_ortho",
 ]
 
@@ -170,14 +169,15 @@ def ortho_ns(m: np.ndarray, scheme: OrthoScheme) -> np.ndarray:
     transposed = m.shape[0] > m.shape[1]
     x = m.T if transposed else m
     x = x / np.linalg.norm(x)
-    for t, (a, b, c) in enumerate(scheme.schedule):
-        # row Gram: X(X^T X) == (X X^T)X, and rows <= cols here
-        g = x @ x.T
-        x = a * x + (b * g + c * (g @ g)) @ x
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(
-                f"Newton-Schulz produced non-finite values at step {t}"
-            )
+    try:
+        # the input is finite, so the first op to make an inf or NaN raises
+        with np.errstate(over="raise", invalid="raise"):
+            for t, (a, b, c) in enumerate(scheme.schedule):
+                # row Gram: X(X^T X) == (X X^T)X, and rows <= cols here
+                g = x @ x.T
+                x = a * x + (b * g + c * (g @ g)) @ x
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"Newton-Schulz diverged at step {t}: {exc}") from exc
     return x.T if transposed else x
 
 
@@ -187,7 +187,3 @@ def apply_ortho(m: np.ndarray, scheme: OrthoScheme) -> np.ndarray:
         return ortho_exact(m)
     return ortho_ns(m, scheme)
 
-
-def ortho_error(m: np.ndarray, scheme: OrthoScheme) -> float:
-    """Frobenius distance between the scheme's output and the exact polar factor."""
-    return float(np.linalg.norm(apply_ortho(m, scheme) - ortho_exact(m)))

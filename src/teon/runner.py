@@ -171,12 +171,18 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
 
     for t in range(cfg.steps):
         tic = time.perf_counter() if cfg.log_timing else None
-        loss, grads = task.loss_and_grads(weights)
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"non-finite loss at step {t}")
-        factor = schedule_factor(t, cfg.steps, cfg.schedule, cfg.warmup_ratio)
-        for g in groups:
-            apply_group_step(weights, grads, g, states[g.id], lr_factor=factor)
+        # an overflow or NaN raises where it happens, whatever the warning
+        # filters; a NaN already in the weights still reaches the loss check
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                loss, grads = task.loss_and_grads(weights)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"non-finite loss at step {t}: {exc}") from exc
+            if not np.isfinite(loss):
+                raise FloatingPointError(f"non-finite loss at step {t}")
+            factor = schedule_factor(t, cfg.steps, cfg.schedule, cfg.warmup_ratio)
+            for g in groups:
+                apply_group_step(weights, grads, g, states[g.id], lr_factor=factor)
         if (t % cfg.log_every == 0) or (t == cfg.steps - 1):
             # after the updates, so a non-finite gradient is first rejected
             # by the group that holds it, naming the group and step

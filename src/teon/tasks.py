@@ -36,7 +36,6 @@ __all__ = [
     "MicroAttentionTask",
     "make_task",
     "finite_difference_check",
-    "per_parameter_fd_errors",
 ]
 
 TASK_NAMES = ("quadratic", "aligned_quadratic", "deep_linear", "micro_attention")
@@ -316,21 +315,3 @@ def finite_difference_check(
         worst = max(worst, abs(fd - analytic) / max(1.0, abs(analytic)))
     return worst
 
-
-def per_parameter_fd_errors(
-    task, weights: dict, *, directions: int = 3, h: float = 1e-5, seed: int = 0
-) -> dict:
-    """Like finite_difference_check but one parameter at a time, so a wrong
-    gradient cannot hide behind a dominant one."""
-    rng = np.random.default_rng([seed, 86])
-    _, grads = task.loss_and_grads(weights)
-    errors = {}
-    for key, w in weights.items():
-        worst = 0.0
-        for _ in range(directions):
-            delta = rng.standard_normal(w.shape)
-            analytic = float(np.sum(grads[key] * delta))
-            fd = _richardson_difference(task, weights, {key: delta}, h)
-            worst = max(worst, abs(fd - analytic) / max(1.0, abs(analytic)))
-        errors[key] = worst
-    return errors

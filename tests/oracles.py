@@ -1,0 +1,103 @@
+"""Reference oracles the tests hold the library to. They restate the
+paper's claims as directly as possible and validate nothing."""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from teon.diagnostics import top_singular_alignment
+from teon.norms import NormKind, norm, ntr_step_muon, ntr_step_teon
+from teon.tasks import _richardson_difference
+
+
+def primal_norm_batch(ts, kind):
+    """Primal norms of an (S, m, n, K) batch from top Gram eigenvalues."""
+    if kind.family == "muon":
+        g = np.einsum("sijk,sljk->skil", ts, ts)
+        ev = np.linalg.eigvalsh(g)[..., -1].max(axis=1)
+    else:
+        spec = {1: "sijk,sljk->sil", 2: "sijk,silk->sjl", 3: "sijk,sijl->skl"}[kind.mode]
+        ev = np.linalg.eigvalsh(np.einsum(spec, ts, ts))[..., -1]
+    return np.sqrt(np.maximum(ev, 0.0))
+
+
+def dual_ascent_direction(g, kind):
+    """The Hoelder certificate: primal norm <= 1 and <g, y> = dual norm of g."""
+    if kind.family == "muon":
+        return -ntr_step_muon(g, 1.0)
+    return -ntr_step_teon(g, kind.mode, 1.0)
+
+
+def sample_dual_lower_bound(g, kind, samples, seed):
+    """(max of <g, y> over sampled unit-primal-norm y, the dual norm of g).
+    A third of the samples perturb the certificate, the rest are Gaussian."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((samples, *g.shape))
+    eps = np.zeros(samples)
+    eps[: samples // 3] = np.repeat([0.0, 0.05, 0.2], samples // 9 + 1)[: samples // 3]
+    cert = dual_ascent_direction(g, kind)
+    ys = np.where((eps > 0)[:, None, None, None], cert + eps[:, None, None, None] * noise, noise)
+    ys[0] = cert
+    norms = primal_norm_batch(ys, kind)
+    vals = np.einsum("ijk,sijk->s", g, ys) / np.where(norms == 0, 1.0, norms)
+    return float(vals.max()), norm(g, NormKind(kind.family, kind.mode, dual=True))
+
+
+def convergence_bound_pair(delta0, T, L_teon, L_muon):
+    """(sqrt(2 L_teon delta0 / T), sqrt(2 L_muon delta0 / T))."""
+    return float(np.sqrt(2.0 * L_teon * delta0 / T)), float(np.sqrt(2.0 * L_muon * delta0 / T))
+
+
+class Smoothness(NamedTuple):
+    max_teon: float
+    max_muon: float
+    sandwich_ok: bool
+
+
+def estimate_smoothness_ratio(f, samples, mode, seed, pair_sampler=None):
+    """Sampled maxima of ||grad f(X) - grad f(Y)||_* / ||X - Y|| under the
+    teon-`mode` and muon norms, and whether R_teon <= R_muon <= K R_teon on
+    every pair. `f` exposes `shape` and `gradient(t)`."""
+    rng = np.random.default_rng(seed)
+    max_teon = max_muon = 0.0
+    sandwich_ok = True
+    for _ in range(samples):
+        if pair_sampler is None:
+            x, y = rng.standard_normal(f.shape), rng.standard_normal(f.shape)
+        else:
+            x, y = pair_sampler(rng)
+        dx, df = x - y, f.gradient(x) - f.gradient(y)
+        r_teon = norm(df, NormKind.teon(mode, dual=True)) / norm(dx, NormKind.teon(mode))
+        r_muon = norm(df, NormKind.muon(dual=True)) / norm(dx, NormKind.muon())
+        max_teon, max_muon = max(max_teon, r_teon), max(max_muon, r_muon)
+        tol = 1e-9 * max(1.0, r_muon)
+        sandwich_ok &= r_teon <= r_muon + tol and r_muon <= f.shape[2] * r_teon + tol
+    return Smoothness(max_teon, max_muon, sandwich_ok)
+
+
+def track_run(snapshots, pairs, every):
+    """Alignment records of each (pair_id, name_a, name_b) on the snapshot
+    steps divisible by `every`, one memo per sampled step."""
+    for step, buffers in snapshots:
+        if step % every == 0:
+            memo = {}
+            for pair_id, a, b in pairs:
+                yield top_singular_alignment(
+                    buffers[a], buffers[b], step=step, pair_id=pair_id, memo=memo
+                )
+
+
+def per_parameter_fd_errors(task, weights, *, directions=3, h=1e-5, seed=0):
+    """Worst relative finite-difference error per parameter, one parameter at
+    a time, so a wrong gradient cannot hide behind a dominant one."""
+    rng = np.random.default_rng([seed, 86])
+    _, grads = task.loss_and_grads(weights)
+    errors = {}
+    for key, w in weights.items():
+        errors[key] = 0.0
+        for _ in range(directions):
+            delta = rng.standard_normal(w.shape)
+            analytic = float(np.sum(grads[key] * delta))
+            fd = _richardson_difference(task, weights, {key: delta}, h)
+            errors[key] = max(errors[key], abs(fd - analytic) / max(1.0, abs(analytic)))
+    return errors

@@ -33,6 +33,24 @@ mode = 1
 stack_set = W
 """
 
+# Muon at eta = 1e200: the first update is finite, the step-1 forward overflows.
+DIVERGING_INI = """
+[run]
+task = deep_linear
+steps = 5
+seed = 0
+out_path = {out}
+
+[task]
+depth = 2
+width = 6
+batch = 4
+
+[optimizer]
+optimizer = muon
+eta = 1e200
+"""
+
 
 def test_check_command_passes(capsys):
     assert main(["check"]) == 0
@@ -128,31 +146,11 @@ def test_sweep_command(tmp_path, capsys):
     assert (tmp_path / "sw" / "summary.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_sweep_command_exits_1_when_a_run_fails(tmp_path, capsys):
     cdir = tmp_path / "cfgs"
     cdir.mkdir()
     (cdir / "a.ini").write_text(GOOD_INI.format(out=tmp_path / "ignored"), "utf-8")
-    (cdir / "b.ini").write_text(
-        f"""
-[run]
-task = deep_linear
-steps = 5
-seed = 0
-out_path = {tmp_path / 'x'}
-
-[task]
-depth = 2
-width = 6
-batch = 4
-
-[optimizer]
-optimizer = muon
-eta = 1e200
-""",
-        "utf-8",
-    )
+    (cdir / "b.ini").write_text(DIVERGING_INI.format(out=tmp_path / "x"), "utf-8")
     assert main(["sweep", "--config-dir", str(cdir), "--out", str(tmp_path / "sw")]) == 1
     out = capsys.readouterr().out
     assert "sweep.runs=2" in out
@@ -245,21 +243,48 @@ def test_module_entry_point_runs():
     assert "maxgain.ratio=" in proc.stdout
 
 
-def _sweep_csvs(out, threads):
+def _teon(*args, flags=(), **env):
+    """Run `python [flags] -m teon args` on this checkout's sources."""
     src = str(Path(teon.__file__).resolve().parents[1])
     env = dict(
         os.environ,
-        OPENBLAS_NUM_THREADS=str(threads),
-        OMP_NUM_THREADS=str(threads),
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        **env,
     )
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    proc = subprocess.run(
-        [sys.executable, "-m", "teon", "sweep", "--config-dir", str(configs), "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "teon", *args],
         capture_output=True,
         text=True,
         timeout=300,
         env=env,
+    )
+
+
+def test_diverging_run_reads_the_same_under_warnings_as_errors(tmp_path):
+    cdir = tmp_path / "cfgs"
+    cdir.mkdir()
+    (cdir / "blow.ini").write_text(DIVERGING_INI.format(out=tmp_path / "run"), "utf-8")
+    runs, sweeps = [], []
+    for flags in ((), ("-W", "error")):
+        proc = _teon("run", "--config", str(cdir / "blow.ini"), flags=flags)
+        assert proc.returncode == 1
+        runs.append(proc.stderr.splitlines())
+        out = tmp_path / f"sweep{len(sweeps)}"
+        proc = _teon("sweep", "--config-dir", str(cdir), "--out", str(out), flags=flags)
+        assert proc.returncode == 1
+        (row,) = (out / "summary.csv").read_text().splitlines()[2:]
+        sweeps.append(row.split(",")[6:])
+    assert runs[0] == runs[1] and sweeps[0] == sweeps[1]
+    (line,) = runs[0]
+    assert line.startswith("error: non-finite loss at step 1: overflow")
+    assert sweeps[0][0] == "failed" and sweeps[0][-1] == line[len("error: "):]
+
+
+def _sweep_csvs(out, threads):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    proc = _teon(
+        "sweep", "--config-dir", str(configs), "--out", str(out),
+        OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
     )
     assert proc.returncode == 0, proc.stderr
     assert "sweep.failed=0" in proc.stdout.splitlines()

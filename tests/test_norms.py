@@ -2,21 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teon.linalg import frobenius, inner, matricize
+from oracles import (
+    convergence_bound_pair,
+    dual_ascent_direction,
+    estimate_smoothness_ratio,
+    primal_norm_batch,
+    sample_dual_lower_bound,
+)
+from teon.linalg import matricize
 from teon.norms import (
     BoundInputs,
     NormKind,
     build_max_gain_tensor,
     check_comparability,
-    convergence_bound_pair,
-    dual_ascent_direction,
-    estimate_smoothness_ratio,
     eval_ntr_bound,
     norm,
     ntr_step_muon,
     ntr_step_teon,
-    primal_norm_batch,
-    sample_dual_lower_bound,
 )
 
 ALL_PRIMAL = [NormKind.muon(), NormKind.teon(1), NormKind.teon(2), NormKind.teon(3)]
@@ -52,8 +54,6 @@ def test_normkind_validation():
         NormKind("muon", mode=1)
     with pytest.raises(ValueError):
         NormKind.teon(4)
-    assert NormKind.muon(dual=True).label() == "muon_dual"
-    assert NormKind.teon(2).label() == "teon2"
 
 
 # -------------------------------------------------------------------- norms
@@ -119,8 +119,6 @@ def test_primal_norm_batch_matches_norm():
         batch = primal_norm_batch(ts, kind)
         ref = np.array([norm(ts[i], kind) for i in range(len(ts))])
         np.testing.assert_allclose(batch, ref, rtol=1e-10, atol=1e-12)
-    with pytest.raises(ValueError):
-        primal_norm_batch(ts, NormKind.muon(dual=True))
 
 
 # ------------------------------------------------------------ comparability
@@ -147,7 +145,7 @@ def test_comparability_holds_on_random_tensors(m, n, k, mode, seed):
     ):
         assert s >= -1e-9 * scale
     # rho = 1: both primal norms sit below the Frobenius norm
-    f = frobenius(t)
+    f = np.linalg.norm(t)
     assert rep.muon_primal <= f + 1e-9 * scale
     assert rep.teon_primal <= f + 1e-9 * scale
 
@@ -164,9 +162,7 @@ def test_comparability_zero_tensor_and_report_lines():
     rep = check_comparability(np.zeros((2, 3, 4)), 2)
     assert not rep.violation
     assert rep.primal_lower_slack == rep.dual_upper_slack == 0.0
-    lines = rep.lines()
-    assert "comparability.violation=false" in lines
-    assert any(line.startswith("comparability.muon_primal=") for line in lines)
+    assert (rep.mode, rep.k, rep.muon_primal, rep.teon_dual) == (2, 4, 0.0, 0.0)
     with pytest.raises(ValueError):
         check_comparability(np.zeros((2, 2, 2)), 3)
 
@@ -187,11 +183,11 @@ def test_ntr_objective_equals_minus_eta_dual(m, n, k, seed):
     for mode in (1, 2, 3):
         step = ntr_step_teon(g, mode, eta)
         dual = norm(g, NormKind.teon(mode, dual=True))
-        assert inner(g, step) == pytest.approx(-eta * dual, abs=1e-8 * max(1.0, dual))
+        assert np.vdot(g, step) == pytest.approx(-eta * dual, abs=1e-8 * max(1.0, dual))
         assert norm(step, NormKind.teon(mode)) <= eta * (1 + 1e-9)
     step = ntr_step_muon(g, eta)
     dual = norm(g, NormKind.muon(dual=True))
-    assert inner(g, step) == pytest.approx(-eta * dual, abs=1e-8 * max(1.0, dual))
+    assert np.vdot(g, step) == pytest.approx(-eta * dual, abs=1e-8 * max(1.0, dual))
     assert norm(step, NormKind.muon()) <= eta * (1 + 1e-9)
 
 
@@ -219,7 +215,7 @@ def test_ntr_beats_sampled_directions_small():
                 step = ntr_step_muon(g, eta)
             else:
                 step = ntr_step_teon(g, kind.mode, eta)
-            achieved = inner(g, step)
+            achieved = np.vdot(g, step)
             norms = primal_norm_batch(samples, kind)
             vals = eta * np.einsum("ijk,sijk->s", g, samples) / norms
             # Hoelder: no feasible direction does better than the polar step
@@ -257,7 +253,7 @@ def test_dual_ascent_direction_is_feasible_certificate():
     for kind in ALL_PRIMAL:
         y = dual_ascent_direction(g, kind)
         assert norm(y, kind) <= 1 + 1e-9
-        assert inner(g, y) == pytest.approx(
+        assert np.vdot(g, y) == pytest.approx(
             norm(g, NormKind(kind.family, kind.mode, dual=True)), rel=1e-10
         )
 
@@ -310,10 +306,6 @@ def test_convergence_bound_pair():
     K = 6
     lo, hi = convergence_bound_pair(1.0, 10, 1.3, K * 1.3)
     assert hi / lo == pytest.approx(np.sqrt(K), rel=1e-12)
-    with pytest.raises(ValueError):
-        convergence_bound_pair(1.0, 10, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        convergence_bound_pair(1.0, 0, 1.0, 2.0)
 
 
 # -------------------------------------------------------- smoothness ratios
@@ -321,19 +313,15 @@ def test_convergence_bound_pair():
 
 def test_smoothness_quadratic_sandwich():
     f = _Quad((3, 4, 3))
-    rep = estimate_smoothness_ratio(f, 60, NormKind.teon(1), NormKind.muon(), seed=5)
-    assert rep.sandwich_checked and rep.sandwich_ok
-    assert not rep.degenerate
-    assert 1.0 - 1e-9 <= rep.ratio_of_maxes <= 3.0 + 1e-9
-    assert any(line.startswith("smoothness.empirical_bound_gain=") for line in rep.lines())
+    rep = estimate_smoothness_ratio(f, 60, 1, seed=5)
+    assert rep.sandwich_ok
+    assert rep.max_teon > 0
+    assert 1.0 - 1e-9 <= rep.max_muon / rep.max_teon <= 3.0 + 1e-9
 
 
 def test_smoothness_constant_objective_degenerate():
-    rep = estimate_smoothness_ratio(
-        _Const((2, 2, 2)), 20, NormKind.teon(2), NormKind.muon(), seed=6
-    )
-    assert rep.degenerate
-    assert rep.max_ratio_a == rep.max_ratio_b == 0.0
+    rep = estimate_smoothness_ratio(_Const((2, 2, 2)), 20, 2, seed=6)
+    assert rep.max_teon == rep.max_muon == 0.0
 
 
 def test_smoothness_cone_restricted_gain_is_sqrt_k():
@@ -347,27 +335,11 @@ def test_smoothness_cone_restricted_gain_is_sqrt_k():
         c1, c2 = rng.standard_normal(2)
         return c1 * g_star, c2 * g_star
 
-    rep = estimate_smoothness_ratio(
-        f, 40, NormKind.teon(2), NormKind.muon(), seed=12, pair_sampler=cone_sampler
-    )
+    rep = estimate_smoothness_ratio(f, 40, 2, seed=12, pair_sampler=cone_sampler)
     assert rep.sandwich_ok
-    assert rep.max_ratio_a == pytest.approx(1.0, rel=1e-9)
-    assert rep.max_ratio_b == pytest.approx(K, rel=1e-9)
-    assert rep.bound_gain == pytest.approx(np.sqrt(K), rel=1e-9)
-
-
-def test_smoothness_estimator_validation():
-    with pytest.raises(ValueError):
-        estimate_smoothness_ratio(_Quad((2, 2, 2)), 0, NormKind.muon(), NormKind.teon(1), 0)
-
-    def identical_sampler(rng):
-        t = np.ones((2, 2, 2))
-        return t, t
-
-    with pytest.raises(ValueError, match="identical"):
-        estimate_smoothness_ratio(
-            _Quad((2, 2, 2)), 5, NormKind.muon(), NormKind.teon(1), 0, identical_sampler
-        )
+    assert rep.max_teon == pytest.approx(1.0, rel=1e-9)
+    assert rep.max_muon == pytest.approx(K, rel=1e-9)
+    assert np.sqrt(rep.max_muon / rep.max_teon) == pytest.approx(np.sqrt(K), rel=1e-9)
 
 
 # ----------------------------------------------------------- max-gain build

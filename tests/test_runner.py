@@ -233,8 +233,6 @@ eta = 0.1
     assert all(r.wall_ms > 0.0 for r in res2.metrics)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_run_nonfinite_loss_aborts_with_step_index(tmp_path):
     cfg = parse_config_text(
         f"""
@@ -403,8 +401,6 @@ def test_sweep_identical_configs_share_hash_distinct_ids(tmp_path):
     assert rows[0].split(",")[7:] == rows[1].split(",")[7:]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_sweep_records_failures_and_continues(tmp_path):
     bad = parse_config_text(
         f"""
@@ -472,7 +468,8 @@ def test_one_sampled_step_decomposes_each_paired_buffer_once(tmp_path, monkeypat
 
 def test_alignment_csv_matches_track_run_over_the_same_snapshots(tmp_path, monkeypatch):
     import teon.runner as runner
-    from teon.diagnostics import default_alignment_pairs, track_run
+    from oracles import track_run
+    from teon.diagnostics import default_alignment_pairs
 
     every = 2
     snapshots = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import per_parameter_fd_errors
 from teon.norms import build_max_gain_tensor
 from teon.tasks import (
     AlignedQuadraticTask,
@@ -9,7 +10,6 @@ from teon.tasks import (
     QuadraticTask,
     finite_difference_check,
     make_task,
-    per_parameter_fd_errors,
 )
 
 ALL_SMALL_TASKS = [
