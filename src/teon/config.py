@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .optim import ADAMW, MUON, STACK_TOKENS, TEON, UpdatePolicy
+from .optim import ADAMW, MUON, TEON, UpdatePolicy, expand_stack_set
 from .ortho import OrthoScheme
 from .tasks import TASK_NAMES
 
@@ -122,11 +122,7 @@ class RunConfig:
             raise ValueError("constant schedule takes no warmup_ratio")
         if self.group_k < 1:
             raise ValueError(f"grouping K must be >= 1, got {self.group_k}")
-        for token in self.stack_set:
-            if token not in STACK_TOKENS:
-                raise ValueError(
-                    f"unknown stack_set token {token!r}; valid: {sorted(STACK_TOKENS)}"
-                )
+        expand_stack_set(self.stack_set)
         for key, val in self.task_params.items():
             if isinstance(val, int) and val < 1:
                 raise ValueError(f"task dimension {key} must be positive, got {val}")
@@ -188,13 +184,7 @@ def _build_policies(opt: dict, present: set, source: str):
             banned = {"mode", "mu", "momentum_style", "scheme", "ns_steps", "ns_preset"}
             for key in sorted(banned & present):
                 raise ValueError(f"{source}: [optimizer] {key} does not apply to adamw")
-            main = UpdatePolicy.adamw(
-                opt["eta"],
-                weight_decay=opt["weight_decay"],
-                adam_betas=betas,
-                adam_eps=opt["adam_eps"],
-            )
-            return main, adamw_policy
+            return replace(adamw_policy, eta=opt["eta"]), adamw_policy
         if opt["scheme"] == "exact":
             for key in sorted({"ns_steps", "ns_preset"} & present):
                 raise ValueError(

@@ -4,8 +4,8 @@
 the top singular vectors of two same-shaped matrices. Singular vectors carry
 an arbitrary sign, so absolute values are the only well-defined choice. When
 sigma_1 - sigma_2 is tiny the top vectors are basis-ambiguous inside the
-leading singular subspace; such records are flagged via `degenerate` (gap
-below 1e-8) and should be filtered, never asserted on.
+leading singular subspace; the derived `degenerate` (gap below 1e-8)
+flags such records, which should be filtered, never asserted on.
 
 The training loop (`teon.runner.run`) samples the momentum buffers every
 `align_every` steps and emits one AlignmentRecord per pair from
@@ -42,7 +42,6 @@ class AlignmentRecord:
     left_align: float
     right_align: float
     sigma_gap: float
-    degenerate: bool
 
     def __post_init__(self):
         if not -1e-12 <= self.left_align <= 1 + 1e-12:
@@ -51,6 +50,11 @@ class AlignmentRecord:
             raise ValueError(f"right_align out of [0,1]: {self.right_align}")
         if self.sigma_gap < 0:
             raise ValueError(f"sigma_gap must be nonnegative: {self.sigma_gap}")
+
+    @property
+    def degenerate(self) -> bool:
+        """The top singular pair is basis-ambiguous: gap below DEGENERATE_SIGMA_GAP."""
+        return self.sigma_gap < DEGENERATE_SIGMA_GAP
 
     def csv_row(self) -> str:
         return (
@@ -82,15 +86,7 @@ def top_singular_alignment(
         raise ValueError(f"alignment needs equal shapes, got {shape_a} vs {shape_b}")
     left = float(abs(np.dot(ua, ub)))
     right = float(abs(np.dot(va, vb)))
-    sigma_gap = min(gap_a, gap_b)
-    return AlignmentRecord(
-        step=step,
-        pair_id=pair_id,
-        left_align=left,
-        right_align=right,
-        sigma_gap=sigma_gap,
-        degenerate=sigma_gap < DEGENERATE_SIGMA_GAP,
-    )
+    return AlignmentRecord(step, pair_id, left, right, min(gap_a, gap_b))
 
 
 def _top_pair(x, memo: dict | None):

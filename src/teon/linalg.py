@@ -31,27 +31,24 @@ __all__ = [
 ]
 
 
-def as_matrix(a, *, dtype=np.float64) -> np.ndarray:
-    """Validate and return `a` as a 2-D float array with finite entries."""
-    m = np.asarray(a, dtype=dtype)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return m
+def as_matrix(a) -> np.ndarray:
+    """Validate and return `a` as a 2-D float64 array with finite entries."""
+    return _validated(a, 2, "a 2-D matrix")
 
 
-def as_tensor3(t, *, dtype=np.float64) -> np.ndarray:
-    """Validate and return `t` as an (m, n, K) float array with finite entries."""
-    a = np.asarray(t, dtype=dtype)
-    if a.ndim != 3:
-        raise ValueError(f"expected an (m, n, K) tensor, got ndim={a.ndim}")
+def as_tensor3(t) -> np.ndarray:
+    """Validate and return `t` as an (m, n, K) float64 array with finite entries."""
+    return _validated(t, 3, "an (m, n, K) tensor")
+
+
+def _validated(a, ndim: int, what: str) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != ndim:
+        raise ValueError(f"expected {what}, got ndim={a.ndim}")
     if min(a.shape) < 1:
-        raise ValueError(f"tensor dimensions must be positive, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("tensor entries must be finite (no NaN/Inf)")
+        raise ValueError(f"{what} needs positive dimensions, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} needs finite entries (no NaN/Inf)")
     return a
 
 

@@ -52,8 +52,6 @@ TEON = "teon"
 
 def format_value(x) -> str:
     """Render a metric value for key=value report lines (17 significant digits)."""
-    if isinstance(x, bool):
-        return str(x).lower()
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
@@ -159,14 +157,12 @@ def ntr_step_teon(g: np.ndarray, mode: int, eta: float) -> np.ndarray:
 
 
 def ntr_step_muon(g: np.ndarray, eta: float) -> np.ndarray:
-    """Steepest-descent step under the muon norm ball: per-slice polar factors."""
+    """Steepest-descent step under the muon norm ball: per-slice polar
+    factors, i.e. the K=1 mode-1 teon step of each slice."""
     g = as_tensor3(g)
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    out = np.empty_like(g)
-    for k in range(g.shape[2]):
-        out[:, :, k] = -eta * ortho_exact(g[:, :, k])
-    return out
+    return np.concatenate(
+        [ntr_step_teon(s, 1, eta) for s in np.split(g, g.shape[2], axis=2)], axis=2
+    )
 
 
 # ------------------------------------------------------------------- bounds

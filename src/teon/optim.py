@@ -21,6 +21,11 @@ starting at 1:
     m_t = b1 * m_{t-1} + (1 - b1) * g          v_t = b2 * v_{t-1} + (1 - b2) * g^2
     w  <- (1 - eta * lambda) * w
     w  <- w - eta * (m_t / (1 - b1^t)) / (sqrt(v_t / (1 - b2^t)) + eps)
+
+`build_groups` partitions a layout into ParamGroups, whose kind follows from
+policy and shapes: a teon policy gives a tensor group (of any depth), a 1-D
+member a vector group, anything else a lone matrix. `expand_stack_set` alone
+expands and checks the `stack_set` tokens that pick the stacked roles.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
     "LayoutEntry",
     "ortho_step",
     "adamw_step",
+    "expand_stack_set",
     "build_groups",
     "apply_group_step",
 ]
@@ -145,38 +151,37 @@ class ParamGroup:
     """
 
     id: str
-    kind: str
     members: tuple[str, ...]
     shapes: tuple[tuple[int, ...], ...]
     policy: UpdatePolicy
 
     def __post_init__(self):
-        if self.kind not in (TENSOR_GROUP, MATRIX_SINGLE, VECTOR_ADAMW):
-            raise ValueError(f"unknown group kind {self.kind!r}")
         if not self.members:
             raise ValueError(f"group {self.id!r} has no members")
         if len(self.members) != len(self.shapes):
             raise ValueError(f"group {self.id!r}: members/shapes length mismatch")
         if len(set(self.members)) != len(self.members):
             raise ValueError(f"group {self.id!r} repeats a member")
-        if self.kind == TENSOR_GROUP:
-            if self.policy.optimizer != TEON:
-                raise ValueError(f"group {self.id!r}: tensor groups require a teon policy")
+        if self.policy.optimizer == TEON:
             if len(set(self.shapes)) != 1 or len(self.shapes[0]) != 2:
                 raise ValueError(
                     f"group {self.id!r}: stacked members must share one (m, n) shape, "
                     f"got {self.shapes}"
                 )
-        elif self.kind == MATRIX_SINGLE:
-            if len(self.members) != 1 or len(self.shapes[0]) != 2:
-                raise ValueError(f"group {self.id!r}: matrix groups hold one (m, n) matrix")
-            if self.policy.optimizer not in (MUON, ADAMW):
-                raise ValueError(f"group {self.id!r}: lone matrices use muon or adamw")
-        else:
-            if len(self.members) != 1 or len(self.shapes[0]) != 1:
-                raise ValueError(f"group {self.id!r}: vector groups hold one 1-D parameter")
-            if self.policy.optimizer != ADAMW:
-                raise ValueError(f"group {self.id!r}: vectors use adamw")
+        elif len(self.members) != 1:
+            raise ValueError(f"group {self.id!r}: muon and adamw groups hold one parameter")
+        elif len(self.shapes[0]) not in (1, 2):
+            raise ValueError(f"group {self.id!r}: only 1-D and 2-D shapes, got {self.shapes}")
+        elif len(self.shapes[0]) == 1 and self.policy.optimizer != ADAMW:
+            raise ValueError(f"group {self.id!r}: vectors use adamw")
+
+    @property
+    def kind(self) -> str:
+        """TENSOR_GROUP under a teon policy, else VECTOR_ADAMW for a 1-D
+        member and MATRIX_SINGLE for a matrix."""
+        if self.policy.optimizer == TEON:
+            return TENSOR_GROUP
+        return VECTOR_ADAMW if len(self.shapes[0]) == 1 else MATRIX_SINGLE
 
     @property
     def depth(self) -> int:
@@ -195,7 +200,7 @@ class OptimizerState:
 
 
 def _reject_nonfinite(g: np.ndarray, t: int):
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise FloatingPointError(f"non-finite gradient rejected at step {t}")
 
 
@@ -291,15 +296,18 @@ class LayoutEntry:
     block: int | None = None
 
 
-def _expand_stack_set(stack_set) -> tuple[str, ...]:
-    roles: list[str] = []
-    for token in stack_set:
+def expand_stack_set(stack_set) -> tuple[str, ...]:
+    """The matrix roles that the `stack_set` tokens cover, in token order.
+    An unknown or repeated token raises ValueError."""
+    tokens = list(stack_set)
+    for i, token in enumerate(tokens):
         if token not in STACK_TOKENS:
             raise ValueError(
                 f"unknown stack_set token {token!r}; valid: {sorted(STACK_TOKENS)}"
             )
-        roles.extend(STACK_TOKENS[token])
-    return tuple(roles)
+        if token in tokens[:i]:
+            raise ValueError(f"stack_set repeats token {token!r}")
+    return tuple(role for token in tokens for role in STACK_TOKENS[token])
 
 
 def build_groups(
@@ -341,8 +349,7 @@ def build_groups(
     stacked: set[str] = set()
 
     if policy.optimizer == TEON:
-        roles = _expand_stack_set(stack_set)
-        for role in roles:
+        for role in expand_stack_set(stack_set):
             blocked = [e for e in matrices if e.role == role and e.block is not None]
             blocked.sort(key=lambda e: e.block)
             seen_blocks = [e.block for e in blocked]
@@ -357,15 +364,7 @@ def build_groups(
                         f"stacked members must share one shape, got {shapes}"
                     )
                 gid = f"{role.lower()}.blocks{chunk[0].block}-{chunk[-1].block}"
-                groups.append(
-                    ParamGroup(
-                        gid,
-                        TENSOR_GROUP,
-                        tuple(e.name for e in chunk),
-                        shapes,
-                        policy,
-                    )
-                )
+                groups.append(ParamGroup(gid, tuple(e.name for e in chunk), shapes, policy))
                 stacked.update(e.name for e in chunk)
         lone_policy = policy.as_muon()
     else:
@@ -374,9 +373,9 @@ def build_groups(
     for e in matrices:
         if e.name in stacked:
             continue
-        groups.append(ParamGroup(e.name, MATRIX_SINGLE, (e.name,), (e.shape,), lone_policy))
+        groups.append(ParamGroup(e.name, (e.name,), (e.shape,), lone_policy))
     for e in vectors:
-        groups.append(ParamGroup(e.name, VECTOR_ADAMW, (e.name,), (e.shape,), adamw_policy))
+        groups.append(ParamGroup(e.name, (e.name,), (e.shape,), adamw_policy))
     return groups
 
 

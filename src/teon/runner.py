@@ -108,7 +108,6 @@ class RunResult:
     metrics: list
     alignment: list
     summary: dict
-    final_weights: dict
     metrics_path: Path | None = None
     alignment_path: Path | None = None
 
@@ -210,7 +209,7 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
         "best_muon_dual": min(r.grad_muon_dual for r in metrics),
         "max_group_depth": max(g.depth for g in groups),
     }
-    result = RunResult(cfg, metrics, alignment, summary, weights)
+    result = RunResult(cfg, metrics, alignment, summary)
     if write:
         out = Path(cfg.out_path)
         out.mkdir(parents=True, exist_ok=True)

@@ -38,8 +38,6 @@ __all__ = [
     "finite_difference_check",
 ]
 
-TASK_NAMES = ("quadratic", "aligned_quadratic", "deep_linear", "micro_attention")
-
 
 def _positive(**dims):
     for key, val in dims.items():
@@ -267,19 +265,20 @@ class MicroAttentionTask:
         return loss, grads
 
 
+_TASKS = {
+    cls.name: cls
+    for cls in (QuadraticTask, AlignedQuadraticTask, DeepLinearTask, MicroAttentionTask)
+}
+TASK_NAMES = tuple(_TASKS)
+
+
 def make_task(name: str, seed: int, **params):
     """Instantiate a task by name; parameter names are task-specific and
     unknown ones are rejected."""
-    builders = {
-        "quadratic": QuadraticTask,
-        "aligned_quadratic": AlignedQuadraticTask,
-        "deep_linear": DeepLinearTask,
-        "micro_attention": MicroAttentionTask,
-    }
-    if name not in builders:
+    if name not in _TASKS:
         raise ValueError(f"unknown task {name!r}; valid: {TASK_NAMES}")
     try:
-        return builders[name](seed=seed, **params)
+        return _TASKS[name](seed=seed, **params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for task {name!r}: {exc}") from None
 

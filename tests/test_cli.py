@@ -103,27 +103,37 @@ def test_run_command_rejects_bad_config(tmp_path, capsys):
     assert "unknown key 'bogus'" in err
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_unknown_ns_preset_fails_before_any_run(tmp_path, capsys, command):
+def _assert_config_error_before_any_run(tmp_path, capsys, command, ini, message):
     cdir = tmp_path / "cfgs"
     cdir.mkdir()
-    (cdir / "typo.ini").write_text(
-        GOOD_INI.format(out=tmp_path / "out").replace(
-            "mode = 1", "mode = 1\nscheme = newton_schulz\nns_preset = jordn"
-        ),
-        encoding="utf-8",
-    )
+    (cdir / "bad.ini").write_text(ini, encoding="utf-8")
     if command == "run":
-        argv = ["run", "--config", str(cdir / "typo.ini")]
+        argv = ["run", "--config", str(cdir / "bad.ini")]
     else:
         argv = ["sweep", "--config-dir", str(cdir), "--out", str(tmp_path / "sw")]
     assert main(argv) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "[optimizer] unknown Newton-Schulz preset 'jordn'" in lines[0]
+    assert "bad.ini" in lines[0] and message in lines[0]
     assert "run.metrics_path" not in captured.out
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unknown_ns_preset_fails_before_any_run(tmp_path, capsys, command):
+    ini = GOOD_INI.format(out=tmp_path / "out").replace(
+        "mode = 1", "mode = 1\nscheme = newton_schulz\nns_preset = jordn"
+    )
+    message = "[optimizer] unknown Newton-Schulz preset 'jordn'"
+    _assert_config_error_before_any_run(tmp_path, capsys, command, ini, message)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_repeated_stack_set_token_fails_before_any_run(tmp_path, capsys, command):
+    ini = GOOD_INI.format(out=tmp_path / "out").replace("stack_set = W", "stack_set = W,W")
+    message = "stack_set repeats token 'W'"
+    _assert_config_error_before_any_run(tmp_path, capsys, command, ini, message)
 
 
 def test_run_command_missing_file(tmp_path, capsys):

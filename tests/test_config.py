@@ -206,6 +206,9 @@ def test_runconfig_validation_surface():
     grouped = MINIMAL + "\n[grouping]\nstack_set = QKV, WEIRD\n"
     with pytest.raises(ValueError, match="unknown stack_set token 'WEIRD'"):
         parse_config_text(grouped)
+    repeated = MINIMAL + "\n[grouping]\nstack_set = QKV, O, QKV\n"
+    with pytest.raises(ValueError, match="stack_set repeats token 'QKV'"):
+        parse_config_text(repeated)
     sched = MINIMAL + "\n[schedule]\nkind = constant\nwarmup_ratio = 0.2\n"
     with pytest.raises(ValueError, match="constant schedule takes no warmup_ratio"):
         parse_config_text(sched)

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import track_run
 from teon.diagnostics import (
+    DEGENERATE_SIGMA_GAP,
     AlignmentRecord,
     default_alignment_pairs,
     top_singular_alignment,
@@ -83,9 +84,17 @@ def test_alignment_shape_error_and_record_validation():
     with pytest.raises(ValueError):
         top_singular_alignment(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
-        AlignmentRecord(0, "p", 1.5, 0.0, 0.0, False)
+        AlignmentRecord(0, "p", 1.5, 0.0, 0.0)
     with pytest.raises(ValueError):
-        AlignmentRecord(0, "p", 0.0, 0.0, -1.0, False)
+        AlignmentRecord(0, "p", 0.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "gap,degenerate",
+    [(0.0, True), (DEGENERATE_SIGMA_GAP / 2, True), (DEGENERATE_SIGMA_GAP, False), (1.0, False)],
+)
+def test_degenerate_follows_sigma_gap(gap, degenerate):
+    assert AlignmentRecord(3, "p", 0.5, 0.5, gap).degenerate is degenerate
 
 
 def test_degenerate_gap_flagged():

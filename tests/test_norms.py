@@ -10,6 +10,7 @@ from oracles import (
     sample_dual_lower_bound,
 )
 from teon.linalg import matricize
+from teon.ortho import ortho_exact
 from teon.norms import (
     BoundInputs,
     NormKind,
@@ -194,6 +195,14 @@ def test_ntr_objective_equals_minus_eta_dual(m, n, k, seed):
 def test_ntr_step_k1_teon_equals_muon():
     g = np.random.default_rng(2).standard_normal((4, 3, 1))
     np.testing.assert_array_equal(ntr_step_teon(g, 1, 0.5), ntr_step_muon(g, 0.5))
+
+
+def test_ntr_step_muon_is_the_per_slice_polar_step_bitwise():
+    g = np.random.default_rng(5).standard_normal((4, 3, 3))
+    g[:, :, 1] = 0.0
+    step = ntr_step_muon(g, 0.7)
+    for k in range(3):
+        assert step[:, :, k].tobytes() == (-0.7 * ortho_exact(g[:, :, k])).tobytes()
 
 
 def test_ntr_muon_identical_slices_symmetric():

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teon.norms import build_max_gain_tensor
 from teon.optim import (
@@ -12,6 +13,7 @@ from teon.optim import (
     EMA,
     MATRIX_SINGLE,
     MUON,
+    STACK_TOKENS,
     TENSOR_GROUP,
     TEON,
     VECTOR_ADAMW,
@@ -82,23 +84,37 @@ def test_policy_defaults_and_as_muon():
         UpdatePolicy.adamw(0.01).as_muon()
 
 
+@pytest.mark.parametrize(
+    "shapes,policy,kind",
+    [
+        (((2, 3),), UpdatePolicy.teon(1, 0.1), TENSOR_GROUP),
+        (((2, 3), (2, 3)), UpdatePolicy.teon(2, 0.1), TENSOR_GROUP),
+        (((2, 3),), UpdatePolicy.muon(0.1), MATRIX_SINGLE),
+        (((2, 3),), UpdatePolicy.adamw(0.1), MATRIX_SINGLE),
+        (((3,),), UpdatePolicy.adamw(0.1), VECTOR_ADAMW),
+    ],
+)
+def test_param_group_kind_follows_policy_and_shapes(shapes, policy, kind):
+    members = tuple(f"p{i}" for i in range(len(shapes)))
+    assert ParamGroup("g", members, shapes, policy).kind == kind
+
+
 def test_param_group_validation():
     teon_p = UpdatePolicy.teon(1, 0.1)
     muon_p = UpdatePolicy.muon(0.1)
-    adam_p = UpdatePolicy.adamw(0.1)
-    with pytest.raises(ValueError):
-        ParamGroup("g", TENSOR_GROUP, ("a", "b"), ((2, 2), (2, 3)), teon_p)
-    with pytest.raises(ValueError):
-        ParamGroup("g", TENSOR_GROUP, ("a", "b"), ((2, 2), (2, 2)), muon_p)
-    with pytest.raises(ValueError):
-        ParamGroup("g", MATRIX_SINGLE, ("a", "b"), ((2, 2), (2, 2)), muon_p)
-    with pytest.raises(ValueError):
-        ParamGroup("g", VECTOR_ADAMW, ("a",), ((2, 2),), adam_p)
-    with pytest.raises(ValueError):
-        ParamGroup("g", VECTOR_ADAMW, ("a",), ((3,),), muon_p)
-    with pytest.raises(ValueError):
-        ParamGroup("g", TENSOR_GROUP, ("a", "a"), ((2, 2), (2, 2)), teon_p)
-    g = ParamGroup("g", TENSOR_GROUP, ("a", "b"), ((2, 3), (2, 3)), teon_p)
+    with pytest.raises(ValueError, match="hold one parameter"):
+        ParamGroup("g", ("a", "b"), ((2, 2), (2, 2)), muon_p)
+    with pytest.raises(ValueError, match="share one"):
+        ParamGroup("g", ("a",), ((3,),), teon_p)
+    with pytest.raises(ValueError, match="share one"):
+        ParamGroup("g", ("a", "b"), ((2, 2), (2, 3)), teon_p)
+    with pytest.raises(ValueError, match="vectors use adamw"):
+        ParamGroup("g", ("a",), ((3,),), muon_p)
+    with pytest.raises(ValueError, match="only 1-D and 2-D shapes"):
+        ParamGroup("g", ("a",), ((2, 2, 2),), muon_p)
+    with pytest.raises(ValueError, match="repeats a member"):
+        ParamGroup("g", ("a", "a"), ((2, 2), (2, 2)), teon_p)
+    g = ParamGroup("g", ("a", "b"), ((2, 3), (2, 3)), teon_p)
     assert g.depth == 2 and g.shapes[0] == (2, 3)
 
 
@@ -420,6 +436,8 @@ def test_build_groups_errors():
         build_groups([], 2, {"QKV"}, policy=teon_p)
     with pytest.raises(ValueError, match="stack_set"):
         build_groups(layout, 2, {"ATTN"}, policy=teon_p)
+    with pytest.raises(ValueError, match="stack_set repeats token 'QKV'"):
+        build_groups(layout, 2, ["QKV", "O", "QKV"], policy=teon_p)
     with pytest.raises(ValueError):
         build_groups(layout, 0, {"QKV"}, policy=teon_p)
     with pytest.raises(ValueError, match="unique"):
@@ -432,6 +450,23 @@ def test_build_groups_errors():
         build_groups(ragged, 2, {"QKV"}, policy=teon_p)
     with pytest.raises(ValueError, match="adamw_policy"):
         build_groups(layout, 2, {"QKV"}, policy=teon_p, adamw_policy=UpdatePolicy.muon(0.1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    blocks=st.integers(1, 6),
+    k=st.integers(1, 4),
+    stack_set=st.lists(st.sampled_from(sorted(STACK_TOKENS)), unique=True),
+    optimizer=st.sampled_from([TEON, MUON, ADAMW]),
+)
+def test_build_groups_puts_every_entry_in_exactly_one_group(blocks, k, stack_set, optimizer):
+    layout = _transformer_layout(blocks)
+    policy = UpdatePolicy.teon(1, 0.1) if optimizer == TEON else UpdatePolicy(optimizer, 0.1)
+    groups = build_groups(layout, k, stack_set, policy=policy)
+    covered = sorted(m for g in groups for m in g.members)
+    assert covered == sorted(e.name for e in layout)
+    assert len({g.id for g in groups}) == len(groups)
+    assert all(g.depth <= k for g in groups)
 
 
 def test_apply_group_step_matches_direct_calls():
@@ -489,7 +524,7 @@ def test_apply_group_step_lr_factor_equals_a_policy_with_the_stepped_eta():
         for g in groups:
             apply_group_step(weights, grads, g, states[g.id], lr_factor=factor)
             stepped = replace(g.policy, eta=g.policy.eta * factor)
-            ref_group = ParamGroup(g.id, g.kind, g.members, g.shapes, stepped)
+            ref_group = ParamGroup(g.id, g.members, g.shapes, stepped)
             apply_group_step(ref, grads, ref_group, ref_states[g.id])
         for nm in weights:
             np.testing.assert_array_equal(weights[nm], ref[nm])
