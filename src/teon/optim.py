@@ -25,7 +25,12 @@ starting at 1:
 `build_groups` partitions a layout into ParamGroups, whose kind follows from
 policy and shapes: a teon policy gives a tensor group (of any depth), a 1-D
 member a vector group, anything else a lone matrix. `expand_stack_set` alone
-expands and checks the `stack_set` tokens that pick the stacked roles.
+expands and checks the `stack_set` tokens that pick the stacked roles, always
+in STACK_TOKENS order.
+
+A group's parameters live in one stack for a whole run (`stack_members`:
+(m, n, K) for matrices, (d, 1) for a vector); `member_views` maps each member
+name to its slice, a view, and `apply_group_step` overwrites the stack in place.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ __all__ = [
     "adamw_step",
     "expand_stack_set",
     "build_groups",
+    "stack_members",
+    "member_views",
     "apply_group_step",
 ]
 
@@ -297,8 +304,8 @@ class LayoutEntry:
 
 
 def expand_stack_set(stack_set) -> tuple[str, ...]:
-    """The matrix roles that the `stack_set` tokens cover, in token order.
-    An unknown or repeated token raises ValueError."""
+    """The matrix roles that the `stack_set` tokens cover, in STACK_TOKENS order
+    whatever the token order. An unknown or repeated token raises ValueError."""
     tokens = list(stack_set)
     for i, token in enumerate(tokens):
         if token not in STACK_TOKENS:
@@ -307,7 +314,7 @@ def expand_stack_set(stack_set) -> tuple[str, ...]:
             )
         if token in tokens[:i]:
             raise ValueError(f"stack_set repeats token {token!r}")
-    return tuple(role for token in tokens for role in STACK_TOKENS[token])
+    return tuple(r for token, roles in STACK_TOKENS.items() if token in tokens for r in roles)
 
 
 def build_groups(
@@ -379,30 +386,32 @@ def build_groups(
     return groups
 
 
+def stack_members(arrays: dict, group: ParamGroup) -> np.ndarray:
+    """The group's member arrays stacked on a new last axis: (m, n, K) for
+    matrices, (d, 1) for a vector."""
+    return np.stack([arrays[nm] for nm in group.members], axis=-1)
+
+
+def member_views(stacks: dict, groups) -> dict:
+    """Each member name mapped to its slice `stacks[g.id][..., i]`, a view;
+    groups whose stack is missing or None are skipped."""
+    live = [(g, stacks[g.id]) for g in groups if stacks.get(g.id) is not None]
+    return {nm: stack[..., i] for g, stack in live for i, nm in enumerate(g.members)}
+
+
 def apply_group_step(
-    weights: dict,
-    grads: dict,
-    group: ParamGroup,
-    state: OptimizerState,
-    lr_factor: float = 1.0,
+    params: dict, grads: dict, group: ParamGroup, state: OptimizerState, lr_factor=1.0
 ) -> None:
-    """Apply one group's update in place on the `weights` dict at step size
-    `group.policy.eta * lr_factor`; muon and teon groups go through
-    `ortho_step` as one (m, n, K) stack. A non-finite gradient or a diverging
-    Newton-Schulz run raises FloatingPointError naming the group and its
-    optimizer step."""
+    """Overwrite the stack `params[group.id]` in place with one update from
+    `grads[group.id]` at step size `group.policy.eta * lr_factor`: adamw
+    elementwise, muon and teon through `ortho_step`. A non-finite gradient
+    or a diverging Newton-Schulz run raises FloatingPointError naming the
+    group and its optimizer step, and leaves the stack untouched."""
     pol = group.policy
-    eta = pol.eta * lr_factor
+    step = adamw_step if pol.optimizer == ADAMW else ortho_step
     try:
-        if pol.optimizer == ADAMW:
-            nm = group.members[0]
-            weights[nm] = adamw_step(weights[nm], grads[nm], state, pol, eta)
-            return
-        ws = np.stack([weights[nm] for nm in group.members], axis=2)
-        gs = np.stack([grads[nm] for nm in group.members], axis=2)
-        new = ortho_step(ws, gs, state, pol, eta)
-        for i, nm in enumerate(group.members):
-            weights[nm] = new[:, :, i]
+        new = step(params[group.id], grads[group.id], state, pol, pol.eta * lr_factor)
     except FloatingPointError as exc:
         msg = f"group {group.id!r} at optimizer step {state.t}: {exc}"
         raise FloatingPointError(msg) from exc
+    params[group.id][...] = new

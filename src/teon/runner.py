@@ -8,6 +8,9 @@ the run summary as `# summary.key=value` comment lines.
 
 `wall_ms` is 0.0 unless the config sets log_timing=true — wall-clock values
 would break the byte-identical determinism contract.
+
+A run keeps each group's weights in one stack and hands the task views of it
+(`optim.member_views`); each step stacks the gradients once per group.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .config import SCHEDULES, RunConfig, config_hash
 from .diagnostics import AlignmentRecord, default_alignment_pairs, top_singular_alignment
 from .norms import NormKind, format_value, norm
 from .optim import VECTOR_ADAMW, OptimizerState, apply_group_step, build_groups
+from .optim import member_views, stack_members
 from .tasks import make_task
 
 __all__ = [
@@ -112,24 +116,21 @@ class RunResult:
     alignment_path: Path | None = None
 
 
-def gradient_metrics(grads: dict, groups) -> tuple[float, float, float, int]:
+def gradient_metrics(grads: dict, groups) -> tuple[float, float, float]:
     """(max slice spectral norm, sum of stacked nuclear duals, sum of
-    per-slice nuclear duals, max group depth) over all matrix groups."""
-    muon_primal = 0.0
-    teon1_dual = 0.0
-    muon_dual = 0.0
-    max_depth = 1
+    per-slice nuclear duals) over all matrix groups, from `grads` keyed by
+    group id to each group's gradient stack."""
+    muon_primal = teon1_dual = muon_dual = 0.0
     for g in groups:
         if g.kind == VECTOR_ADAMW:
             continue
-        stack = np.stack([grads[nm] for nm in g.members], axis=2)
+        stack = grads[g.id]
         # one value-only SVD of the slices gives both muon norms
         s = np.linalg.svd(stack.transpose(2, 0, 1), compute_uv=False)
         muon_primal = max(muon_primal, float(s.max()))
         teon1_dual += norm(stack, NormKind.teon(1, dual=True))
         muon_dual += float(s.sum())
-        max_depth = max(max_depth, g.depth)
-    return muon_primal, teon1_dual, muon_dual, max_depth
+    return muon_primal, teon1_dual, muon_dual
 
 
 def _check_record_sandwich(teon_dual: float, muon_dual: float, max_depth: int):
@@ -141,29 +142,17 @@ def _check_record_sandwich(teon_dual: float, muon_dual: float, max_depth: int):
         )
 
 
-def _momentum_views(groups, states) -> dict:
-    out = {}
-    for g in groups:
-        st = states[g.id]
-        if st.momentum is None:
-            continue
-        for i, nm in enumerate(g.members):
-            out[nm] = st.momentum[:, :, i]
-    return out
-
-
 def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
     """Execute one configured run; optionally persist the two CSV files."""
     task = make_task(cfg.task, cfg.seed, **cfg.task_params)
     weights = task.init_weights(np.random.default_rng([cfg.seed, 1]))
     groups = build_groups(
-        task.layout,
-        cfg.group_k,
-        cfg.stack_set,
-        policy=cfg.policy,
-        adamw_policy=cfg.adamw_policy,
+        task.layout, cfg.group_k, cfg.stack_set, policy=cfg.policy, adamw_policy=cfg.adamw_policy
     )
+    params = {g.id: stack_members(weights, g) for g in groups}
+    weights = member_views(params, groups)  # the task reads these views every step
     states = {g.id: OptimizerState() for g in groups}
+    max_depth = max(g.depth for g in groups)
     pairs = default_alignment_pairs(task.layout)
     metrics: list[MetricsRecord] = []
     alignment: list[AlignmentRecord] = []
@@ -179,18 +168,19 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
                 raise FloatingPointError(f"non-finite loss at step {t}: {exc}") from exc
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at step {t}")
+            grads = {g.id: stack_members(grads, g) for g in groups}
             factor = schedule_factor(t, cfg.steps, cfg.schedule, cfg.warmup_ratio)
             for g in groups:
-                apply_group_step(weights, grads, g, states[g.id], lr_factor=factor)
+                apply_group_step(params, grads, g, states[g.id], lr_factor=factor)
         if (t % cfg.log_every == 0) or (t == cfg.steps - 1):
             # after the updates, so a non-finite gradient is first rejected
             # by the group that holds it, naming the group and step
-            mp, td, md, kmax = gradient_metrics(grads, groups)
-            _check_record_sandwich(td, md, kmax)
+            mp, td, md = gradient_metrics(grads, groups)
+            _check_record_sandwich(td, md, max_depth)
             wall = (time.perf_counter() - tic) * 1000.0 if cfg.log_timing else 0.0
             metrics.append(MetricsRecord(t, loss, mp, td, md, cfg.policy.eta * factor, wall))
         if (t + 1) % cfg.align_every == 0 and pairs:
-            buffers = _momentum_views(groups, states)
+            buffers = member_views({g.id: states[g.id].momentum for g in groups}, groups)
             memo: dict = {}  # one SVD per buffer for this sampled step
             for pair_id, a, b in pairs:
                 if a in buffers and b in buffers:
@@ -207,7 +197,7 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
         "final_loss": metrics[-1].loss,
         "best_teon1_dual": min(r.grad_teon1_dual for r in metrics),
         "best_muon_dual": min(r.grad_muon_dual for r in metrics),
-        "max_group_depth": max(g.depth for g in groups),
+        "max_group_depth": max_depth,
     }
     result = RunResult(cfg, metrics, alignment, summary)
     if write:

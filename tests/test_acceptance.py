@@ -32,6 +32,8 @@ from teon.optim import (
     UpdatePolicy,
     apply_group_step,
     build_groups,
+    member_views,
+    stack_members,
 )
 from teon.ortho import OrthoScheme, apply_ortho, ortho_exact
 from teon.runner import run
@@ -211,13 +213,16 @@ def _first_reach(optimizer, eta, seed, cap=400):
     else:
         pol = UpdatePolicy.muon(eta, mu=0.0)
     groups = build_groups(task.layout, 4, ("W",), policy=pol)
+    params = {g.id: stack_members(w, g) for g in groups}
+    w = member_views(params, groups)
     states = {g.id: OptimizerState() for g in groups}
     for t in range(cap):
         loss, grads = task.loss_and_grads(w)
         if loss <= 1e-3:
             return t
+        grads = {g.id: stack_members(grads, g) for g in groups}
         for g in groups:
-            apply_group_step(w, grads, g, states[g.id])
+            apply_group_step(params, grads, g, states[g.id])
     return None
 
 

@@ -24,7 +24,10 @@ from teon.optim import (
     adamw_step,
     apply_group_step,
     build_groups,
+    expand_stack_set,
+    member_views,
     ortho_step,
+    stack_members,
 )
 from teon.ortho import OrthoScheme, ortho_exact
 
@@ -39,6 +42,17 @@ def _transformer_layout(blocks, dim=8, mlp=16):
     entries.append(LayoutEntry("readout", "OUT", (3, dim), None))
     entries.append(LayoutEntry("readout_bias", "bias", (3,), None))
     return entries
+
+
+def _random_stacks(layout, groups, seed):
+    """Per-group weight and gradient stacks of standard normal entries."""
+    rng = np.random.default_rng(seed)
+    weights = {e.name: rng.standard_normal(e.shape) for e in layout}
+    grads = {e.name: rng.standard_normal(e.shape) for e in layout}
+    return (
+        {g.id: stack_members(weights, g) for g in groups},
+        {g.id: stack_members(grads, g) for g in groups},
+    )
 
 
 def _lone(w, g, state, policy):
@@ -469,6 +483,61 @@ def test_build_groups_puts_every_entry_in_exactly_one_group(blocks, k, stack_set
     assert all(g.depth <= k for g in groups)
 
 
+def test_expand_stack_set_orders_roles_as_stack_tokens_whatever_the_token_order():
+    canonical = expand_stack_set(("QKV", "O"))
+    assert canonical == ("Q", "K", "V", "O")
+    assert expand_stack_set(("O", "QKV")) == canonical
+    assert expand_stack_set({"O", "QKV"}) == canonical
+    assert expand_stack_set(iter(["W", "MLP2", "QKV"])) == ("Q", "K", "V", "MLP2", "W")
+    assert expand_stack_set(()) == ()
+    with pytest.raises(ValueError, match="unknown stack_set token 'X'"):
+        expand_stack_set(("O", "X"))
+    with pytest.raises(ValueError, match="stack_set repeats token 'O'"):
+        expand_stack_set(["O", "QKV", "O"])
+
+
+def test_build_groups_order_does_not_follow_the_stack_set_order():
+    layout = _transformer_layout(3)
+    policy = UpdatePolicy.teon(1, 0.1)
+    orders = (("QKV", "O"), ("O", "QKV"), {"O", "QKV"})
+    ids = [[g.id for g in build_groups(layout, 2, order, policy=policy)] for order in orders]
+    assert ids[0] == ids[1] == ids[2]
+    assert ids[0][:2] == ["q.blocks0-1", "q.blocks2-2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    blocks=st.integers(1, 6),
+    k=st.integers(1, 4),
+    stack_set=st.lists(st.sampled_from(sorted(STACK_TOKENS)), unique=True),
+    optimizer=st.sampled_from([TEON, MUON, ADAMW]),
+)
+def test_member_views_are_slices_of_the_group_stacks(blocks, k, stack_set, optimizer):
+    layout = _transformer_layout(blocks)
+    policy = UpdatePolicy.teon(1, 0.1) if optimizer == TEON else UpdatePolicy(optimizer, 0.1)
+    groups = build_groups(layout, k, stack_set, policy=policy)
+    params, _ = _random_stacks(layout, groups, blocks * 10 + k)
+    views = member_views(params, groups)
+    assert sorted(views) == sorted(e.name for e in layout)
+    assert sum(g.depth for g in groups) == len(views)
+    for g in groups:
+        assert params[g.id].shape == g.shapes[0] + (g.depth,)
+        assert all(np.shares_memory(views[nm], params[g.id]) for nm in g.members)
+        restacked = stack_members(views, g)
+        assert restacked.shape == params[g.id].shape
+        assert restacked.tobytes() == params[g.id].tobytes()
+
+
+def test_member_views_skip_missing_and_none_stacks():
+    layout = _transformer_layout(1)
+    groups = build_groups(layout, 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
+    params, _ = _random_stacks(layout, groups, 3)
+    del params["q.blocks0-0"]
+    params["b0.o"] = None  # a lone matrix's group id is its name
+    views = member_views(params, groups)
+    assert sorted(views) == sorted(e.name for e in layout if e.name not in ("b0.q", "b0.o"))
+
+
 def test_apply_group_step_matches_direct_calls():
     rng = np.random.default_rng(9)
     layout = [
@@ -478,12 +547,14 @@ def test_apply_group_step_matches_direct_calls():
         LayoutEntry("bias", "bias", (2,), None),
     ]
     groups = build_groups(layout, 2, {"W"}, policy=UpdatePolicy.teon(1, 0.1, mu=0.5))
-    weights = {e.name: rng.standard_normal(e.shape) for e in layout}
+    ref = {e.name: rng.standard_normal(e.shape) for e in layout}
     grads = {e.name: rng.standard_normal(e.shape) for e in layout}
-    ref = {k: v.copy() for k, v in weights.items()}
+    params = {g.id: stack_members(ref, g) for g in groups}
+    gstacks = {g.id: stack_members(grads, g) for g in groups}
+    weights = member_views(params, groups)
     states = {g.id: OptimizerState() for g in groups}
     for g in groups:
-        apply_group_step(weights, grads, g, states[g.id])
+        apply_group_step(params, gstacks, g, states[g.id])
 
     stack = np.stack([ref["l0"], ref["l1"]], axis=2)
     gstack = np.stack([grads["l0"], grads["l1"]], axis=2)
@@ -516,18 +587,20 @@ def test_apply_group_step_lr_factor_equals_a_policy_with_the_stepped_eta():
     groups = build_groups(layout, 2, {"W"}, policy=policy)
     assert sorted(g.kind for g in groups) == [MATRIX_SINGLE, TENSOR_GROUP, VECTOR_ADAMW]
     weights = {e.name: rng.standard_normal(e.shape) for e in layout}
-    ref = dict(weights)
+    params = {g.id: stack_members(weights, g) for g in groups}
+    ref = {g.id: stack_members(weights, g) for g in groups}
     states = {g.id: OptimizerState() for g in groups}
     ref_states = {g.id: OptimizerState() for g in groups}
     for factor in (0.3, 0.77, 1.0, 0.1):
-        grads = {e.name: rng.standard_normal(e.shape) for e in layout}
+        drawn = {e.name: rng.standard_normal(e.shape) for e in layout}
+        grads = {g.id: stack_members(drawn, g) for g in groups}
         for g in groups:
-            apply_group_step(weights, grads, g, states[g.id], lr_factor=factor)
+            apply_group_step(params, grads, g, states[g.id], lr_factor=factor)
             stepped = replace(g.policy, eta=g.policy.eta * factor)
             ref_group = ParamGroup(g.id, g.members, g.shapes, stepped)
             apply_group_step(ref, grads, ref_group, ref_states[g.id])
-        for nm in weights:
-            np.testing.assert_array_equal(weights[nm], ref[nm])
+        for gid in params:
+            np.testing.assert_array_equal(params[gid], ref[gid])
 
 
 @pytest.mark.parametrize("planted", ["b1.k", "b0.o"])
@@ -535,31 +608,29 @@ def test_apply_group_step_names_group_and_step_of_a_nan_gradient(planted):
     # b1.k sits in a stacked teon group, b0.o is a lone muon matrix
     layout = _transformer_layout(2)
     groups = build_groups(layout, 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
-    rng = np.random.default_rng(11)
-    weights = {e.name: rng.standard_normal(e.shape) for e in layout}
-    grads = {e.name: rng.standard_normal(e.shape) for e in layout}
+    params, grads = _random_stacks(layout, groups, 11)
     states = {g.id: OptimizerState() for g in groups}
     for g in groups:
-        apply_group_step(weights, grads, g, states[g.id])
-    grads[planted][0, 0] = np.nan
+        apply_group_step(params, grads, g, states[g.id])
+    member_views(grads, groups)[planted][0, 0] = np.nan
     group = next(g for g in groups if planted in g.members)
     healthy = next(g for g in groups if g.kind == group.kind and g is not group)
-    apply_group_step(weights, grads, healthy, states[healthy.id])
+    apply_group_step(params, grads, healthy, states[healthy.id])
     pattern = rf"group '{re.escape(group.id)}' at optimizer step 1: non-finite gradient"
     with pytest.raises(FloatingPointError, match=pattern):
-        apply_group_step(weights, grads, group, states[group.id])
+        apply_group_step(params, grads, group, states[group.id])
 
 
 def _diverging_newton_schulz_step():
     scheme = OrthoScheme.newton_schulz(12, schedule=[(3.0, 400.0, -402.5)])
     layout = [LayoutEntry("l0", "W", (6, 6), 0), LayoutEntry("l1", "W", (6, 6), 1)]
     (group,) = build_groups(layout, 2, {"W"}, policy=UpdatePolicy.teon(1, 0.1, scheme=scheme))
-    rng = np.random.default_rng(8)
-    weights = {e.name: rng.standard_normal(e.shape) for e in layout}
-    grads = {e.name: rng.standard_normal(e.shape) for e in layout}
+    params, grads = _random_stacks(layout, [group], 8)
+    before = params[group.id].copy()
     pattern = r"group 'w\.blocks0-1' at optimizer step 0: Newton-Schulz diverged at step \d+: "
     with pytest.raises(FloatingPointError, match=pattern):
-        apply_group_step(weights, grads, group, OptimizerState())
+        apply_group_step(params, grads, group, OptimizerState())
+    assert params[group.id].tobytes() == before.tobytes()
 
 
 def test_apply_group_step_names_group_of_a_diverging_newton_schulz_run():
@@ -571,3 +642,16 @@ def test_diverging_newton_schulz_is_named_when_warnings_are_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _diverging_newton_schulz_step()
+
+
+@pytest.mark.parametrize("planted", ["b1.k", "b0.o", "readout_bias"])
+def test_a_raising_group_step_leaves_the_stack_unchanged(planted):
+    layout = _transformer_layout(2)
+    groups = build_groups(layout, 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
+    params, grads = _random_stacks(layout, groups, 12)
+    member_views(grads, groups)[planted][0] = np.inf
+    group = next(g for g in groups if planted in g.members)
+    before = params[group.id].copy()
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
+        apply_group_step(params, grads, group, OptimizerState())
+    assert params[group.id].tobytes() == before.tobytes()

@@ -9,7 +9,7 @@ import pytest
 from teon.config import RunConfig, parse_config_text
 from teon.linalg import svd
 from teon.norms import NormKind, norm
-from teon.optim import VECTOR_ADAMW, UpdatePolicy, build_groups
+from teon.optim import VECTOR_ADAMW, UpdatePolicy, build_groups, stack_members
 from teon.runner import (
     ALIGNMENT_COLUMNS,
     ALIGNMENT_HEADER,
@@ -121,7 +121,8 @@ def test_gradient_metrics_against_direct_norms():
         w += rng.standard_normal(w.shape)
     _, grads = task.loss_and_grads(weights)
     groups = build_groups(task.layout, 2, ("W",), policy=UpdatePolicy.teon(1, 0.1))
-    mp, td, md, depth = gradient_metrics(grads, groups)
+    mp, td, md = gradient_metrics({g.id: stack_members(grads, g) for g in groups}, groups)
+    depth = max(g.depth for g in groups)
     assert depth == 2
 
     stacks = [np.stack([grads[nm] for nm in g.members], axis=2) for g in groups]
@@ -466,23 +467,60 @@ def test_one_sampled_step_decomposes_each_paired_buffer_once(tmp_path, monkeypat
     assert len(calls) == 24
 
 
+def test_the_task_reads_the_same_weight_arrays_at_every_step(tmp_path, monkeypatch):
+    import teon.runner as runner
+
+    seen = []
+    original = runner.make_task
+
+    def make_task(*args, **kwargs):
+        task = original(*args, **kwargs)
+        loss_and_grads = task.loss_and_grads
+
+        def recording(weights):
+            seen.append({nm: (w, w.copy()) for nm, w in weights.items()})
+            return loss_and_grads(weights)
+
+        task.loss_and_grads = recording
+        return task
+
+    monkeypatch.setattr(runner, "make_task", make_task)
+    run(_attn_cfg(tmp_path, "teon", steps=3), write=False)
+    assert len(seen) == 3
+    first, last = seen[0], seen[-1]
+    assert all(step[nm][0] is w for step in seen[1:] for nm, (w, _) in first.items())
+    # the arrays are views of the updated stacks, so the values they read move
+    assert all(not np.array_equal(first[nm][1], last[nm][1]) for nm in first)
+
+
+def test_stack_set_order_leaves_the_csvs_unchanged(tmp_path):
+    text = (Path(__file__).parents[1] / "configs" / "micro_attention_teon.ini").read_text()
+    outputs = []
+    for order in ("QKV,O", "O,QKV"):
+        cfg = parse_config_text(text.replace("stack_set = QKV", f"stack_set = {order}"))
+        res = run(replace(cfg, out_path=str(tmp_path / order)))
+        outputs.append((res.metrics_path.read_bytes(), res.alignment_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_alignment_csv_matches_track_run_over_the_same_snapshots(tmp_path, monkeypatch):
     import teon.runner as runner
     from oracles import track_run
     from teon.diagnostics import default_alignment_pairs
 
     every = 2
-    snapshots = []
-    original = runner._momentum_views
+    original = runner.member_views
+    calls = []
 
-    def recording(groups, states):
-        views = original(groups, states)
-        step = every * (len(snapshots) + 1)
-        snapshots.append((step, {nm: v.copy() for nm, v in views.items()}))
+    def recording(stacks, groups):
+        views = original(stacks, groups)
+        calls.append({nm: v.copy() for nm, v in views.items()})
         return views
 
-    monkeypatch.setattr(runner, "_momentum_views", recording)
+    monkeypatch.setattr(runner, "member_views", recording)
     res = run(_attn_cfg(tmp_path, "teon", steps=6, align_every=every))
+    # the first call builds the weight views, each later one a sampled step's momenta
+    snapshots = [(every * k, views) for k, views in enumerate(calls[1:], start=1)]
     assert [s for s, _ in snapshots] == [2, 4, 6]
     pairs = default_alignment_pairs(
         make_task("micro_attention", 4, **res.config.task_params).layout
@@ -503,6 +541,7 @@ def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, depth
     _, grads = task.loss_and_grads(task.init_weights(np.random.default_rng(6)))
     policy = UpdatePolicy.teon(1, 0.1) if optimizer == "teon" else UpdatePolicy.muon(0.1)
     groups = build_groups(task.layout, 2, ("QKV", "MLP1"), policy=policy)
+    assert max(g.depth for g in groups) == depth
     mp = td = md = 0.0
     for g in groups:
         if g.kind == VECTOR_ADAMW:
@@ -511,4 +550,5 @@ def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, depth
         mp = max(mp, norm(stack, NormKind.muon()))
         td += norm(stack, NormKind.teon(1, dual=True))
         md += norm(stack, NormKind.muon(dual=True))
-    assert gradient_metrics(grads, groups) == (mp, td, md, depth)
+    stacks = {g.id: stack_members(grads, g) for g in groups}
+    assert gradient_metrics(stacks, groups) == (mp, td, md)
