@@ -106,6 +106,8 @@ def svd(a: np.ndarray) -> SvdResult:
     last bits can change with the thread count. Non-convergence is surfaced
     as a numerical error rather than returning garbage.
     """
+    # checked even after callers: on one -inf entry LAPACK returns non-finite
+    # factors or, for some 39x24 Gaussian matrices, not within 15 s
     a = as_matrix(a)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)

@@ -1,26 +1,24 @@
 """Parameter updates and layer grouping.
 
-Two update rules share this module. The orthogonalized rule, with gradient
-G, momentum buffer M (zero at t=0), step size eta and decay lambda:
+Each update rule returns a step. The orthogonalized rule, with gradient G,
+momentum buffer M (zero at t=0) and step size eta:
 
     M_t  =  mu * M_{t-1} + G_t                  momentum_style "accumulate"
     M_t  =  mu * M_{t-1} + (1 - mu) * G_t       momentum_style "ema"
-    W   <-  (1 - eta * lambda) * W              (decoupled, only if lambda > 0)
-    W   <-  W - eta * sqrt(m / n) * O_t
+    step =  eta * sqrt(m / n) * O_t
 
 For an (m, n, K) stack, O_t = fold(Ortho(matricize(M_t, mode)), mode) with
 mode in {1, 2}. The sqrt(m/n) factor always uses the SLICE dimensions even
 though the mode-1 matricization is m x nK — the scaling is per-layer, not
 per-unfolding. Muon is not a separate rule: a lone (m, n) matrix is the
 K=1 stack under mode 1, whose unfolding is the matrix itself, so
-O_t = Ortho(M_t). `ortho_step` is the one function that performs either.
+O_t = Ortho(M_t). `ortho_step` is the one function that computes either.
 
 The adamw rule (any parameter shape), with betas (b1, b2) and step count t
 starting at 1:
 
     m_t = b1 * m_{t-1} + (1 - b1) * g          v_t = b2 * v_{t-1} + (1 - b2) * g^2
-    w  <- (1 - eta * lambda) * w
-    w  <- w - eta * (m_t / (1 - b1^t)) / (sqrt(v_t / (1 - b2^t)) + eps)
+    step = eta * (m_t / (1 - b1^t)) / (sqrt(v_t / (1 - b2^t)) + eps)
 
 `build_groups` partitions a layout into ParamGroups, whose kind follows from
 policy and shapes: a teon policy gives a tensor group (of any depth), a 1-D
@@ -30,7 +28,8 @@ in STACK_TOKENS order.
 
 A group's parameters live in one stack for a whole run (`stack_members`:
 (m, n, K) for matrices, (d, 1) for a vector); `member_views` maps each member
-name to its slice, a view, and `apply_group_step` overwrites the stack in place.
+name to its slice, a view. `apply_group_step` alone touches the stack: in place,
+W <- (1 - eta * lambda) * W - step for every group (decay only if lambda > 0).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import as_matrix  # noqa: F401  perfbench/test_smoke.py reads this binding
-from .linalg import as_tensor3, fold, matricize
+from .linalg import fold, matricize
 from .ortho import OrthoScheme, apply_ortho
 
 __all__ = [
@@ -233,49 +232,42 @@ def _shrink(w: np.ndarray, weight_decay: float, eta: float) -> np.ndarray:
 
 
 def ortho_step(
-    ws: np.ndarray, gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
+    gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
 ) -> np.ndarray:
-    """One orthogonalized update of an (m, n, K) stack at step size `eta`:
-    orthogonalize the mode-`policy.mode` unfolding of the momentum tensor
-    (mode 1 for muon, whose stack has K=1) and fold back. Returns the new
-    (m, n, K) weights."""
+    """One orthogonalized step from an (m, n, K) gradient stack at step size
+    `eta`: orthogonalize the mode-`policy.mode` unfolding of the momentum
+    tensor (mode 1 for muon, whose stack has K=1), fold back, and return
+    `(eta * sqrt(m / n)) * O_t`."""
     if policy.optimizer == ADAMW:
         raise ValueError("ortho_step needs a muon or teon policy, got 'adamw'")
-    ws = as_tensor3(ws)
     gs = np.asarray(gs, dtype=np.float64)
-    if gs.shape != ws.shape:
-        raise ValueError(f"gradient shape {gs.shape} does not match weights {ws.shape}")
-    if policy.optimizer == MUON and ws.shape[2] != 1:
-        raise ValueError(f"a muon policy updates one matrix (K=1), got K={ws.shape[2]}")
+    if gs.ndim != 3:
+        raise ValueError(f"ortho_step needs an (m, n, K) gradient stack, got ndim={gs.ndim}")
+    if policy.optimizer == MUON and gs.shape[2] != 1:
+        raise ValueError(f"a muon policy updates one matrix (K=1), got K={gs.shape[2]}")
     _reject_nonfinite(gs, state.t)
     mode = policy.mode or 1
     buf = _momentum_update(state, gs, policy)
-    o = fold(apply_ortho(matricize(buf, mode), policy.scheme), mode, ws.shape)
-    m, n = ws.shape[0], ws.shape[1]  # slice dims, not the unfolded ones
-    scale = np.sqrt(m / n)
-    ws = _shrink(ws, policy.weight_decay, eta)
-    out = ws - (eta * scale) * o
+    o = fold(apply_ortho(matricize(buf, mode), policy.scheme), mode, gs.shape)
+    m, n = gs.shape[0], gs.shape[1]  # slice dims, not the unfolded ones
     state.t += 1
-    return out
+    return (eta * np.sqrt(m / n)) * o
 
 
 def adamw_step(
-    w: np.ndarray, g: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
+    g: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
 ) -> np.ndarray:
-    """Bias-corrected adaptive update with decoupled decay, step size `eta`; any shape."""
+    """Bias-corrected adaptive step of any shape at step size `eta`."""
     if policy.optimizer != ADAMW:
         raise ValueError(f"adamw_step needs an adamw policy, got {policy.optimizer!r}")
-    w = np.asarray(w, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != w.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match weights {w.shape}")
     _reject_nonfinite(g, state.t)
     if state.exp_avg is None:
-        state.exp_avg = np.zeros_like(w)
-        state.exp_avg_sq = np.zeros_like(w)
-    elif state.exp_avg.shape != w.shape:
+        state.exp_avg = np.zeros_like(g)
+        state.exp_avg_sq = np.zeros_like(g)
+    elif state.exp_avg.shape != g.shape:
         raise ValueError(
-            f"moment buffer shape {state.exp_avg.shape} does not match weights {w.shape}"
+            f"moment buffer shape {state.exp_avg.shape} does not match gradient shape {g.shape}"
         )
     b1, b2 = policy.adam_betas
     t = state.t + 1
@@ -283,10 +275,8 @@ def adamw_step(
     state.exp_avg_sq = b2 * state.exp_avg_sq + (1.0 - b2) * g * g
     num = state.exp_avg / (1.0 - b1**t)
     den = np.sqrt(state.exp_avg_sq / (1.0 - b2**t)) + policy.adam_eps
-    w = _shrink(w, policy.weight_decay, eta)
-    out = w - eta * (num / den)
     state.t = t
-    return out
+    return eta * (num / den)
 
 
 # ------------------------------------------------------------------ grouping
@@ -402,16 +392,19 @@ def member_views(stacks: dict, groups) -> dict:
 def apply_group_step(
     params: dict, grads: dict, group: ParamGroup, state: OptimizerState, lr_factor=1.0
 ) -> None:
-    """Overwrite the stack `params[group.id]` in place with one update from
-    `grads[group.id]` at step size `group.policy.eta * lr_factor`: adamw
-    elementwise, muon and teon through `ortho_step`. A non-finite gradient
-    or a diverging Newton-Schulz run raises FloatingPointError naming the
-    group and its optimizer step, and leaves the stack untouched."""
-    pol = group.policy
-    step = adamw_step if pol.optimizer == ADAMW else ortho_step
+    """Overwrite the stack `params[group.id]` in place with its decayed self
+    minus the step that `adamw_step` or `ortho_step` takes from `grads[group.id]`
+    at `eta = group.policy.eta * lr_factor`. A gradient of another shape raises
+    ValueError; a non-finite gradient or a diverging Newton-Schulz run raises
+    FloatingPointError naming the group and its optimizer step; either leaves
+    the stack untouched."""
+    pol, w, g = group.policy, params[group.id], grads[group.id]
+    if g.shape != w.shape:
+        raise ValueError(f"group {group.id!r}: gradient shape {g.shape} does not match {w.shape}")
+    rule = adamw_step if pol.optimizer == ADAMW else ortho_step
+    eta, t = pol.eta * lr_factor, state.t
     try:
-        new = step(params[group.id], grads[group.id], state, pol, pol.eta * lr_factor)
+        new = _shrink(w, pol.weight_decay, eta) - rule(g, state, pol, eta)
     except FloatingPointError as exc:
-        msg = f"group {group.id!r} at optimizer step {state.t}: {exc}"
-        raise FloatingPointError(msg) from exc
-    params[group.id][...] = new
+        raise FloatingPointError(f"group {group.id!r} at optimizer step {t}: {exc}") from exc
+    w[...] = new

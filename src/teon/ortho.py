@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, svd
+from .linalg import svd
 
 __all__ = [
     "PRESETS",
@@ -145,8 +145,7 @@ class OrthoScheme:
 
 
 def ortho_exact(m: np.ndarray) -> np.ndarray:
-    """Polar factor U V^T from the SVD; Ortho(0) := 0."""
-    m = as_matrix(m)
+    """Polar factor U V^T from the SVD; Ortho(0) := 0; `svd` rejects NaN/Inf."""
     if not m.any():
         return np.zeros_like(m)
     r = svd(m)
@@ -154,30 +153,35 @@ def ortho_exact(m: np.ndarray) -> np.ndarray:
 
 
 def ortho_ns(m: np.ndarray, scheme: OrthoScheme) -> np.ndarray:
-    """Newton-Schulz approximation of the polar factor.
+    """Newton-Schulz approximation of the polar factor of a 2-D array.
 
     Frobenius pre-normalization puts every singular value in (0, 1]; when
     rows > cols the iteration runs on the transpose so the Gram matrix has
     the short side. No renormalization between steps: the tuned presets
-    oscillate around 1 by design.
-    """
+    oscillate around 1 by design. NaN/Inf input, a norm out of float range or
+    an overflowing step raises FloatingPointError."""
     if scheme.kind != OrthoScheme.NEWTON_SCHULZ:
         raise ValueError("ortho_ns needs a newton_schulz scheme")
-    m = as_matrix(m)
     if not m.any():
         return np.zeros_like(m)
     transposed = m.shape[0] > m.shape[1]
     x = m.T if transposed else m
-    x = x / np.linalg.norm(x)
+    t = None
     try:
-        # the input is finite, so the first op to make an inf or NaN raises
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            # NaN sets no FP flag, so test the norm; a norm of 0 raises below
+            norm = np.linalg.norm(x)
+            if not np.isfinite(norm):
+                raise FloatingPointError(f"Frobenius norm is {norm}")
+            x = x / norm
+            # x is finite now, so the first op to make an inf or NaN raises
             for t, (a, b, c) in enumerate(scheme.schedule):
                 # row Gram: X(X^T X) == (X X^T)X, and rows <= cols here
                 g = x @ x.T
                 x = a * x + (b * g + c * (g @ g)) @ x
     except FloatingPointError as exc:
-        raise FloatingPointError(f"Newton-Schulz diverged at step {t}: {exc}") from exc
+        where = "cannot normalize its input" if t is None else f"diverged at step {t}"
+        raise FloatingPointError(f"Newton-Schulz {where}: {exc}") from exc
     return x.T if transposed else x
 
 

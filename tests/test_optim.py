@@ -56,8 +56,11 @@ def _random_stacks(layout, groups, seed):
 
 
 def _lone(w, g, state, policy):
-    """One update of a lone (m, n) matrix: the K=1 stack through the engine."""
-    return ortho_step(w[:, :, None], g[:, :, None], state, policy, policy.eta)[:, :, 0]
+    """One update of a lone (m, n) matrix: the K=1 stack through `apply_group_step`."""
+    params = {"w": w[:, :, None].copy()}
+    group = ParamGroup("w", ("w",), (w.shape,), policy)
+    apply_group_step(params, {"w": g[:, :, None]}, group, state)
+    return params["w"][:, :, 0]
 
 
 # ------------------------------------------------------------------- policy
@@ -225,8 +228,8 @@ def test_muon_shape_errors_and_buffer_stability():
     _lone(np.zeros((2, 3)), np.ones((2, 3)), state, policy)
     with pytest.raises(ValueError, match="momentum buffer"):
         _lone(np.zeros((3, 2)), np.ones((3, 2)), state, policy)
-    with pytest.raises(ValueError):
-        _lone(np.zeros((2, 2)), np.zeros((2, 2)), OptimizerState(), UpdatePolicy.adamw(0.1))
+    with pytest.raises(ValueError, match="muon or teon policy"):
+        ortho_step(np.zeros((2, 2, 1)), OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
 
 
 # ------------------------------------------------------ ortho_step, stacks (K>=1)
@@ -242,16 +245,16 @@ def test_teon_k1_matches_muon_bitwise(style, scheme):
     # the same engine under a muon and a teon mode-1 policy
     rng = np.random.default_rng(4)
     kw = dict(eta=0.07, mu=0.9, momentum_style=style, scheme=scheme, weight_decay=0.01)
-    muon_p = UpdatePolicy.muon(**kw)
-    teon_p = UpdatePolicy.teon(1, **kw)
-    wm = rng.standard_normal((3, 2, 1))
-    wt = wm.copy()
+    muon_g = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.muon(**kw))
+    teon_g = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.teon(1, **kw))
+    pm = {"w": rng.standard_normal((3, 2, 1))}
+    pt = {"w": pm["w"].copy()}
     sm, st = OptimizerState(), OptimizerState()
     for _ in range(20):
-        g = rng.standard_normal((3, 2, 1))
-        wm = ortho_step(wm, g, sm, muon_p, muon_p.eta)
-        wt = ortho_step(wt, g, st, teon_p, teon_p.eta)
-        np.testing.assert_array_equal(wt, wm)
+        g = {"w": rng.standard_normal((3, 2, 1))}
+        apply_group_step(pm, g, muon_g, sm)
+        apply_group_step(pt, g, teon_g, st)
+        np.testing.assert_array_equal(pt["w"], pm["w"])
 
 
 def test_teon_aligned_rank_one_family_exact_when_full_row_rank():
@@ -262,8 +265,8 @@ def test_teon_aligned_rank_one_family_exact_when_full_row_rank():
     gs = build_max_gain_tensor(m, n, K, mode=2, seed=5)
     eta = 0.5
     policy = UpdatePolicy.teon(1, eta, mu=0.0)
-    out = ortho_step(np.zeros((m, n, K)), gs, OptimizerState(), policy, policy.eta)
-    np.testing.assert_allclose(out, -eta * np.sqrt(m / n) * gs, atol=1e-10)
+    step = ortho_step(gs, OptimizerState(), policy, policy.eta)
+    np.testing.assert_allclose(step, eta * np.sqrt(m / n) * gs, atol=1e-10)
 
 
 def test_teon_aligned_rank_one_family_ns_when_rank_deficient():
@@ -275,8 +278,8 @@ def test_teon_aligned_rank_one_family_ns_when_rank_deficient():
     eta = 0.5
     scheme = OrthoScheme.newton_schulz(30, preset="cubic")
     policy = UpdatePolicy.teon(1, eta, mu=0.0, scheme=scheme)
-    out = ortho_step(np.zeros((m, n, K)), gs, OptimizerState(), policy, policy.eta)
-    np.testing.assert_allclose(out, -eta * np.sqrt(m / n) * gs, atol=1e-6)
+    step = ortho_step(gs, OptimizerState(), policy, policy.eta)
+    np.testing.assert_allclose(step, eta * np.sqrt(m / n) * gs, atol=1e-6)
 
 
 def test_teon_shared_left_family_scales_by_sqrt_k():
@@ -288,93 +291,110 @@ def test_teon_shared_left_family_scales_by_sqrt_k():
     eta = 0.25
     scheme = OrthoScheme.newton_schulz(5, preset="cubic")
     policy = UpdatePolicy.teon(1, eta, mu=0.0, scheme=scheme)
-    out = ortho_step(np.zeros((m, n, K)), gs, OptimizerState(), policy, policy.eta)
-    np.testing.assert_allclose(out, -eta * np.sqrt(m / n) * gs / np.sqrt(K), atol=1e-12)
+    step = ortho_step(gs, OptimizerState(), policy, policy.eta)
+    np.testing.assert_allclose(step, eta * np.sqrt(m / n) * gs / np.sqrt(K), atol=1e-12)
 
 
 def test_teon_identical_slices_symmetry():
     a = np.random.default_rng(8).standard_normal((3, 3))
     gs = np.stack([a, a, a], axis=2)
     policy = UpdatePolicy.teon(1, 1.0, mu=0.0)
-    out = ortho_step(np.zeros((3, 3, 3)), gs, OptimizerState(), policy, policy.eta)
-    np.testing.assert_allclose(out[:, :, 0], out[:, :, 1], atol=1e-12)
-    np.testing.assert_allclose(out[:, :, 0], out[:, :, 2], atol=1e-12)
+    step = ortho_step(gs, OptimizerState(), policy, policy.eta)
+    np.testing.assert_allclose(step[:, :, 0], step[:, :, 1], atol=1e-12)
+    np.testing.assert_allclose(step[:, :, 0], step[:, :, 2], atol=1e-12)
     # [A A A] has full row rank; its polar blocks are polar(A)/sqrt(3)
-    np.testing.assert_allclose(out[:, :, 0], -ortho_exact(a) / np.sqrt(3), atol=1e-10)
+    np.testing.assert_allclose(step[:, :, 0], ortho_exact(a) / np.sqrt(3), atol=1e-10)
 
 
 def test_teon_errors():
     policy = UpdatePolicy.teon(1, 0.1)
     muon_p = UpdatePolicy.muon(0.1)
+    group = ParamGroup("g", ("a", "b"), ((2, 2), (2, 2)), policy)
+    params, grads = {"g": np.zeros((2, 2, 2))}, {"g": np.zeros((2, 2, 3))}
     with pytest.raises(ValueError):
-        ortho_step(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)), OptimizerState(), policy, policy.eta)
+        apply_group_step(params, grads, group, OptimizerState())
     with pytest.raises(ValueError):
-        ortho_step(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), OptimizerState(), muon_p, 0.1)
+        ortho_step(np.zeros((2, 2, 2)), OptimizerState(), muon_p, 0.1)
+    with pytest.raises(ValueError, match="ndim=2"):
+        ortho_step(np.zeros((2, 2)), OptimizerState(), policy, policy.eta)
     bad = np.zeros((2, 2, 2))
     bad[0, 0, 0] = np.inf
     with pytest.raises(FloatingPointError, match="step 0"):
-        ortho_step(np.zeros((2, 2, 2)), bad, OptimizerState(), policy, policy.eta)
+        ortho_step(bad, OptimizerState(), policy, policy.eta)
 
 
 def test_ortho_step_rejects_adamw_and_muon_beyond_depth_one():
-    w1, w2 = np.zeros((2, 3, 1)), np.zeros((2, 3, 2))
+    g1, g2 = np.ones((2, 3, 1)), np.ones((2, 3, 2))
     with pytest.raises(ValueError, match="muon or teon policy"):
-        ortho_step(w1, np.ones((2, 3, 1)), OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
+        ortho_step(g1, OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
     with pytest.raises(ValueError, match="K=1"):
-        ortho_step(w2, np.ones((2, 3, 2)), OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
+        ortho_step(g2, OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
     # the depth-1 stack takes either policy, and deeper stacks take teon
-    ortho_step(w1, np.ones((2, 3, 1)), OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
-    ortho_step(w1, np.ones((2, 3, 1)), OptimizerState(), UpdatePolicy.teon(2, 0.1), 0.1)
-    ortho_step(w2, np.ones((2, 3, 2)), OptimizerState(), UpdatePolicy.teon(2, 0.1), 0.1)
+    ortho_step(g1, OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
+    ortho_step(g1, OptimizerState(), UpdatePolicy.teon(2, 0.1), 0.1)
+    ortho_step(g2, OptimizerState(), UpdatePolicy.teon(2, 0.1), 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_rules_reject_a_non_finite_gradient_at_step_0(bad):
+    g = np.ones((2, 3, 2))
+    g[1, 0, 1] = bad
+    rules = ((ortho_step, UpdatePolicy.teon(1, 0.1)), (adamw_step, UpdatePolicy.adamw(0.1)))
+    for rule, policy in rules:
+        state = OptimizerState()
+        with pytest.raises(FloatingPointError, match="step 0"):
+            rule(g, state, policy, policy.eta)
+        assert state.t == 0
 
 
 # --------------------------------------------------------------- adamw_step
 
 
 def test_adamw_zero_gradient_is_noop():
-    w = np.linspace(-1, 1, 5)
     state = OptimizerState()
-    out = adamw_step(w, np.zeros(5), state, UpdatePolicy.adamw(0.1), 0.1)
-    np.testing.assert_array_equal(out, w)
+    step = adamw_step(np.zeros(5), state, UpdatePolicy.adamw(0.1), 0.1)
+    np.testing.assert_array_equal(step, np.zeros(5))
     assert state.t == 1
 
 
 def test_adamw_first_step_magnitude():
     policy = UpdatePolicy.adamw(0.01)
-    out = adamw_step(np.zeros(3), np.full(3, 3.0), OptimizerState(), policy, policy.eta)
-    np.testing.assert_allclose(out, -0.01 * 3.0 / (3.0 + 1e-8), rtol=1e-12)
-    assert np.all(np.abs(out) <= 0.01)
+    step = adamw_step(np.full(3, 3.0), OptimizerState(), policy, policy.eta)
+    np.testing.assert_allclose(step, 0.01 * 3.0 / (3.0 + 1e-8), rtol=1e-12)
+    assert np.all(np.abs(step) <= 0.01)
 
 
 def test_adamw_matches_scalar_recursion():
+    # through apply_group_step, where the decay lives
     eta, (b1, b2), eps, lam = 0.05, (0.9, 0.999), 1e-8, 0.1
     policy = UpdatePolicy.adamw(eta, adam_betas=(b1, b2), adam_eps=eps, weight_decay=lam)
-    gs = [0.4, -1.3, 2.2]
-    w = np.array([0.7])
+    group = ParamGroup("w", ("w",), ((1,),), policy)
+    params = {"w": np.array([[0.7]])}
     state = OptimizerState()
     ref, m, v = 0.7, 0.0, 0.0
-    for t, g in enumerate(gs, start=1):
-        w = adamw_step(w, np.array([g]), state, policy, policy.eta)
+    for t, g in enumerate([0.4, -1.3, 2.2], start=1):
+        apply_group_step(params, {"w": np.array([[g]])}, group, state)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref = (1 - eta * lam) * ref
         ref -= eta * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-    assert w[0] == pytest.approx(ref, abs=1e-12)
+    assert params["w"][0, 0] == pytest.approx(ref, abs=1e-12)
     assert state.t == 3
 
 
 def test_adamw_errors():
     policy = UpdatePolicy.adamw(0.1)
     state = OptimizerState()
+    group = ParamGroup("w", ("w",), ((3,),), policy)
     with pytest.raises(ValueError):
-        adamw_step(np.zeros(3), np.zeros(4), state, policy, policy.eta)
-    adamw_step(np.zeros(3), np.ones(3), state, policy, policy.eta)
+        apply_group_step({"w": np.zeros((3, 1))}, {"w": np.zeros((4, 1))}, group, state)
+    adamw_step(np.ones(3), state, policy, policy.eta)
     with pytest.raises(ValueError, match="moment buffer"):
-        adamw_step(np.zeros(4), np.ones(4), state, policy, policy.eta)
+        adamw_step(np.ones(4), state, policy, policy.eta)
     with pytest.raises(ValueError):
-        adamw_step(np.zeros(3), np.zeros(3), OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
+        adamw_step(np.zeros(3), OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
     with pytest.raises(FloatingPointError, match="step 0"):
-        adamw_step(np.zeros(3), np.array([1.0, np.nan, 0.0]), OptimizerState(), policy, policy.eta)
+        adamw_step(np.array([1.0, np.nan, 0.0]), OptimizerState(), policy, policy.eta)
 
 
 # ------------------------------------------------------------- build_groups
@@ -556,23 +576,18 @@ def test_apply_group_step_matches_direct_calls():
     for g in groups:
         apply_group_step(params, gstacks, g, states[g.id])
 
+    # no decay here, so each new stack is the old one minus the rule's step
     stack = np.stack([ref["l0"], ref["l1"]], axis=2)
     gstack = np.stack([grads["l0"], grads["l1"]], axis=2)
-    new = ortho_step(stack, gstack, OptimizerState(), groups[0].policy, groups[0].policy.eta)
+    new = stack - ortho_step(gstack, OptimizerState(), groups[0].policy, groups[0].policy.eta)
     np.testing.assert_array_equal(weights["l0"], new[:, :, 0])
     np.testing.assert_array_equal(weights["l1"], new[:, :, 1])
-    head_group = [g for g in groups if g.id == "head"][0]
-    np.testing.assert_array_equal(
-        weights["head"],
-        _lone(ref["head"], grads["head"], OptimizerState(), head_group.policy),
-    )
-    bias_group = [g for g in groups if g.id == "bias"][0]
-    np.testing.assert_array_equal(
-        weights["bias"],
-        adamw_step(
-            ref["bias"], grads["bias"], OptimizerState(), bias_group.policy, bias_group.policy.eta
-        ),
-    )
+    head_pol = next(g for g in groups if g.id == "head").policy
+    head_step = ortho_step(grads["head"][:, :, None], OptimizerState(), head_pol, head_pol.eta)
+    np.testing.assert_array_equal(weights["head"], ref["head"] - head_step[:, :, 0])
+    bias_policy = next(g for g in groups if g.id == "bias").policy
+    bias_step = adamw_step(grads["bias"], OptimizerState(), bias_policy, bias_policy.eta)
+    np.testing.assert_array_equal(weights["bias"], ref["bias"] - bias_step)
 
 
 def test_apply_group_step_lr_factor_equals_a_policy_with_the_stepped_eta():
@@ -655,3 +670,22 @@ def test_a_raising_group_step_leaves_the_stack_unchanged(planted):
     with pytest.raises(FloatingPointError, match="non-finite gradient"):
         apply_group_step(params, grads, group, OptimizerState())
     assert params[group.id].tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize(
+    "w_shape,g_shape",
+    [((2, 3, 2), (2, 3, 1)), ((2, 2, 1), (2, 3, 1))],
+    ids=["broadcastable", "mismatched"],
+)
+def test_apply_group_step_rejects_a_gradient_of_another_shape(w_shape, g_shape):
+    # an (m, n, 1) step would broadcast silently over an (m, n, 2) stack
+    m, n, k = w_shape
+    policy = UpdatePolicy.teon(1, 0.1, weight_decay=0.1)
+    group = ParamGroup("g", tuple(f"p{i}" for i in range(k)), ((m, n),) * k, policy)
+    params = {"g": np.random.default_rng(13).standard_normal(w_shape)}
+    before = params["g"].copy()
+    state = OptimizerState()
+    with pytest.raises(ValueError, match=r"group 'g': gradient shape"):
+        apply_group_step(params, {"g": np.ones(g_shape)}, group, state)
+    assert params["g"].tobytes() == before.tobytes()
+    assert state.t == 0 and state.momentum is None

@@ -113,6 +113,40 @@ def test_ns_nonfinite_raises_with_step_index():
         ortho_ns(a, scheme)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e-150, 1.0, 1e150, 1e200])
+def test_ns_is_scale_invariant_or_raises_but_never_returns_zeros(c):
+    # Ortho(cA) = Ortho(A); at 1e+-200 the Frobenius norm overflows or
+    # underflows to 0, and the normalization must raise rather than return x/inf = 0
+    a = np.random.default_rng(15).standard_normal((4, 6))
+    scheme = OrthoScheme.newton_schulz(5, preset="jordan")
+    if abs(np.log10(c)) > 160:
+        with pytest.raises(FloatingPointError, match="Newton-Schulz"):
+            ortho_ns(c * a, scheme)
+    else:
+        np.testing.assert_allclose(ortho_ns(c * a, scheme), ortho_ns(a, scheme), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_kernels_fail_closed_on_non_finite_input(bad):
+    # the kernels scan nothing: NS fails through its Frobenius norm, the exact
+    # path through svd's check
+    ns = OrthoScheme.newton_schulz(5, preset="jordan")
+    dense = np.random.default_rng(16).standard_normal((5, 3))
+    for a in (dense, dense.T, np.zeros((3, 4))):
+        a = a.copy()
+        a[1, 2] = bad
+        for call in (
+            lambda: ortho_ns(a, ns),
+            lambda: apply_ortho(a, ns),
+            lambda: apply_ortho(a, OrthoScheme.exact()),
+            lambda: ortho_exact(a),
+        ):
+            with pytest.raises((ValueError, FloatingPointError)):
+                call()
+        with pytest.raises(ValueError, match="finite"):
+            svd(a)
+
+
 def test_ns_jordan_five_step_error_band():
     # Calibrated envelope on a fixed corpus: the tuned 5-step regime leaves
     # singular values in an oscillation band around 1 instead of converging,
