@@ -138,13 +138,14 @@ def _k1_collapse(rng) -> CheckResult:
     g_seq = [rng.standard_normal((3, 2, 1)) for _ in range(8)]
     group_m = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.muon(0.1, weight_decay=0.01))
     group_t = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.teon(1, 0.1, weight_decay=0.01))
-    st_m, st_t = OptimizerState(), OptimizerState()
+    st_m, st_t = {"w": OptimizerState()}, {"w": OptimizerState()}
     for g in g_seq:
         apply_group_step(params_m, {"w": g}, group_m, st_m)
         apply_group_step(params_t, {"w": g}, group_t, st_t)
-        if not np.array_equal(params_t["w"], params_m["w"]):
+        pairs = ((params_t["w"], params_m["w"]), (st_t["w"].momentum, st_m["w"].momentum))
+        if any(a.tobytes() != b.tobytes() for a, b in pairs):
             return CheckResult("k1_collapse", False, "trajectories diverged")
-    return CheckResult("k1_collapse", True, "8 steps bitwise equal")
+    return CheckResult("k1_collapse", True, "8 steps bitwise equal (weights and momentum)")
 
 
 def _gradient_fd(seed: int) -> CheckResult:

@@ -1,7 +1,7 @@
 """Parameter updates and layer grouping.
 
-Each update rule returns a step. The orthogonalized rule, with gradient G,
-momentum buffer M (zero at t=0) and step size eta:
+Each update rule is pure: it returns the step and the next OptimizerState. The
+orthogonalized rule, with gradient G, momentum buffer M (zero at t=0) and step size eta:
 
     M_t  =  mu * M_{t-1} + G_t                  momentum_style "accumulate"
     M_t  =  mu * M_{t-1} + (1 - mu) * G_t       momentum_style "ema"
@@ -28,13 +28,15 @@ in STACK_TOKENS order.
 
 A group's parameters live in one stack for a whole run (`stack_members`:
 (m, n, K) for matrices, (d, 1) for a vector); `member_views` maps each member
-name to its slice, a view. `apply_group_step` alone touches the stack: in place,
-W <- (1 - eta * lambda) * W - step for every group (decay only if lambda > 0).
+name to its slice, a view. `apply_group_step` alone writes stacks and states:
+W <- (1 - eta * lambda) * W - step (decay only if lambda > 0), in place and
+committed with the new state once all of it has succeeded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,35 +196,15 @@ class ParamGroup:
         return len(self.members)
 
 
-@dataclass
-class OptimizerState:
-    """Per-group mutable state. Buffers are created as zeros on first use
-    (equivalent to zero init at t=0) and may never change shape."""
+class OptimizerState(NamedTuple):
+    """A group's immutable state after `t` committed steps: the rules return a
+    new one, which `apply_group_step` commits. Buffers are None until the first
+    step (equivalent to zeros at t=0) and may never change shape."""
 
     t: int = 0
     momentum: np.ndarray | None = None
     exp_avg: np.ndarray | None = None
     exp_avg_sq: np.ndarray | None = None
-
-
-def _reject_nonfinite(g: np.ndarray, t: int):
-    if not np.isfinite(g).all():
-        raise FloatingPointError(f"non-finite gradient rejected at step {t}")
-
-
-def _momentum_update(state: OptimizerState, g: np.ndarray, policy: UpdatePolicy) -> np.ndarray:
-    if state.momentum is None:
-        state.momentum = np.zeros_like(g)
-    elif state.momentum.shape != g.shape:
-        raise ValueError(
-            f"momentum buffer shape {state.momentum.shape} does not match "
-            f"gradient shape {g.shape}"
-        )
-    if policy.momentum_style == ACCUMULATE:
-        state.momentum = policy.mu * state.momentum + g
-    else:
-        state.momentum = policy.mu * state.momentum + (1.0 - policy.mu) * g
-    return state.momentum
 
 
 def _shrink(w: np.ndarray, weight_decay: float, eta: float) -> np.ndarray:
@@ -233,11 +215,11 @@ def _shrink(w: np.ndarray, weight_decay: float, eta: float) -> np.ndarray:
 
 def ortho_step(
     gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, OptimizerState]:
     """One orthogonalized step from an (m, n, K) gradient stack at step size
     `eta`: orthogonalize the mode-`policy.mode` unfolding of the momentum
     tensor (mode 1 for muon, whose stack has K=1), fold back, and return
-    `(eta * sqrt(m / n)) * O_t`."""
+    `(eta * sqrt(m / n)) * O_t` with the advanced state."""
     if policy.optimizer == ADAMW:
         raise ValueError("ortho_step needs a muon or teon policy, got 'adamw'")
     gs = np.asarray(gs, dtype=np.float64)
@@ -245,38 +227,43 @@ def ortho_step(
         raise ValueError(f"ortho_step needs an (m, n, K) gradient stack, got ndim={gs.ndim}")
     if policy.optimizer == MUON and gs.shape[2] != 1:
         raise ValueError(f"a muon policy updates one matrix (K=1), got K={gs.shape[2]}")
-    _reject_nonfinite(gs, state.t)
+    buf = state.momentum
+    if buf is None:
+        buf = np.zeros_like(gs)
+    elif buf.shape != gs.shape:
+        raise ValueError(
+            f"momentum buffer shape {buf.shape} does not match gradient shape {gs.shape}"
+        )
+    if policy.momentum_style == ACCUMULATE:
+        buf = policy.mu * buf + gs
+    else:
+        buf = policy.mu * buf + (1.0 - policy.mu) * gs
     mode = policy.mode or 1
-    buf = _momentum_update(state, gs, policy)
     o = fold(apply_ortho(matricize(buf, mode), policy.scheme), mode, gs.shape)
     m, n = gs.shape[0], gs.shape[1]  # slice dims, not the unfolded ones
-    state.t += 1
-    return (eta * np.sqrt(m / n)) * o
+    return (eta * np.sqrt(m / n)) * o, OptimizerState(state.t + 1, buf)
 
 
 def adamw_step(
     g: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
-) -> np.ndarray:
-    """Bias-corrected adaptive step of any shape at step size `eta`."""
+) -> tuple[np.ndarray, OptimizerState]:
+    """Bias-corrected adaptive step of any shape at step size `eta`, with the
+    advanced state."""
     if policy.optimizer != ADAMW:
         raise ValueError(f"adamw_step needs an adamw policy, got {policy.optimizer!r}")
     g = np.asarray(g, dtype=np.float64)
-    _reject_nonfinite(g, state.t)
-    if state.exp_avg is None:
-        state.exp_avg = np.zeros_like(g)
-        state.exp_avg_sq = np.zeros_like(g)
-    elif state.exp_avg.shape != g.shape:
-        raise ValueError(
-            f"moment buffer shape {state.exp_avg.shape} does not match gradient shape {g.shape}"
-        )
+    m, v = state.exp_avg, state.exp_avg_sq
+    if m is None:
+        m = v = np.zeros_like(g)
+    elif m.shape != g.shape:
+        raise ValueError(f"moment buffer shape {m.shape} does not match gradient shape {g.shape}")
     b1, b2 = policy.adam_betas
     t = state.t + 1
-    state.exp_avg = b1 * state.exp_avg + (1.0 - b1) * g
-    state.exp_avg_sq = b2 * state.exp_avg_sq + (1.0 - b2) * g * g
-    num = state.exp_avg / (1.0 - b1**t)
-    den = np.sqrt(state.exp_avg_sq / (1.0 - b2**t)) + policy.adam_eps
-    state.t = t
-    return eta * (num / den)
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    num = m / (1.0 - b1**t)
+    den = np.sqrt(v / (1.0 - b2**t)) + policy.adam_eps
+    return eta * (num / den), OptimizerState(t, exp_avg=m, exp_avg_sq=v)
 
 
 # ------------------------------------------------------------------ grouping
@@ -390,21 +377,27 @@ def member_views(stacks: dict, groups) -> dict:
 
 
 def apply_group_step(
-    params: dict, grads: dict, group: ParamGroup, state: OptimizerState, lr_factor=1.0
+    params: dict, grads: dict, group: ParamGroup, states: dict, lr_factor=1.0
 ) -> None:
-    """Overwrite the stack `params[group.id]` in place with its decayed self
-    minus the step that `adamw_step` or `ortho_step` takes from `grads[group.id]`
-    at `eta = group.policy.eta * lr_factor`. A gradient of another shape raises
-    ValueError; a non-finite gradient or a diverging Newton-Schulz run raises
-    FloatingPointError naming the group and its optimizer step; either leaves
-    the stack untouched."""
-    pol, w, g = group.policy, params[group.id], grads[group.id]
+    """The one place that writes a stack or a state. Checks that `grads[group.id]`
+    is finite and has the shape of `params[group.id]`, takes the `adamw_step` or
+    `ortho_step` from it and `states[group.id]` at `eta = group.policy.eta *
+    lr_factor` and applies decay and step; only then overwrites the stack in
+    place and stores the new state. A shape mismatch raises ValueError; a
+    non-finite gradient, a diverging Newton-Schulz run or an overflow raises
+    FloatingPointError naming the group and its committed optimizer step;
+    either leaves the stack and the state untouched."""
+    pol, w, g, state = group.policy, params[group.id], grads[group.id], states[group.id]
     if g.shape != w.shape:
         raise ValueError(f"group {group.id!r}: gradient shape {g.shape} does not match {w.shape}")
     rule = adamw_step if pol.optimizer == ADAMW else ortho_step
-    eta, t = pol.eta * lr_factor, state.t
+    eta = pol.eta * lr_factor
     try:
-        new = _shrink(w, pol.weight_decay, eta) - rule(g, state, pol, eta)
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient rejected at step {state.t}")
+        step, new_state = rule(g, state, pol, eta)
+        new = _shrink(w, pol.weight_decay, eta) - step
     except FloatingPointError as exc:
-        raise FloatingPointError(f"group {group.id!r} at optimizer step {t}: {exc}") from exc
+        raise FloatingPointError(f"group {group.id!r} at optimizer step {state.t}: {exc}") from exc
     w[...] = new
+    states[group.id] = new_state

@@ -171,7 +171,7 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
             grads = {g.id: stack_members(grads, g) for g in groups}
             factor = schedule_factor(t, cfg.steps, cfg.schedule, cfg.warmup_ratio)
             for g in groups:
-                apply_group_step(params, grads, g, states[g.id], lr_factor=factor)
+                apply_group_step(params, grads, g, states, lr_factor=factor)
         if (t % cfg.log_every == 0) or (t == cfg.steps - 1):
             # after the updates, so a non-finite gradient is first rejected
             # by the group that holds it, naming the group and step

@@ -222,7 +222,7 @@ def _first_reach(optimizer, eta, seed, cap=400):
             return t
         grads = {g.id: stack_members(grads, g) for g in groups}
         for g in groups:
-            apply_group_step(params, grads, g, states[g.id])
+            apply_group_step(params, grads, g, states)
     return None
 
 

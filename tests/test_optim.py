@@ -55,11 +55,13 @@ def _random_stacks(layout, groups, seed):
     )
 
 
-def _lone(w, g, state, policy):
-    """One update of a lone (m, n) matrix: the K=1 stack through `apply_group_step`."""
+def _lone(w, g, policy, states=None):
+    """One update of a lone (m, n) matrix: the K=1 stack through `apply_group_step`,
+    from `states["w"]` (a fresh state when `states` is None)."""
     params = {"w": w[:, :, None].copy()}
     group = ParamGroup("w", ("w",), (w.shape,), policy)
-    apply_group_step(params, {"w": g[:, :, None]}, group, state)
+    states = {"w": OptimizerState()} if states is None else states
+    apply_group_step(params, {"w": g[:, :, None]}, group, states)
     return params["w"][:, :, 0]
 
 
@@ -140,29 +142,29 @@ def test_param_group_validation():
 
 def test_muon_zero_gradient_zero_momentum_is_noop():
     w = np.arange(6, dtype=np.float64).reshape(2, 3)
-    state = OptimizerState()
-    out = _lone(w, np.zeros((2, 3)), state, UpdatePolicy.muon(0.3, mu=0.9))
+    states = {"w": OptimizerState()}
+    out = _lone(w, np.zeros((2, 3)), UpdatePolicy.muon(0.3, mu=0.9), states)
     np.testing.assert_array_equal(out, w)
-    assert state.t == 1
+    assert states["w"].t == 1
 
 
 def test_muon_positive_diagonal_step():
     w = np.zeros((2, 2))
     policy = UpdatePolicy.muon(1.0, mu=0.0)
-    out = _lone(w, np.diag([5.0, 3.0]), OptimizerState(), policy)
+    out = _lone(w, np.diag([5.0, 3.0]), policy)
     np.testing.assert_allclose(out, -np.eye(2), atol=1e-12)
 
 
 def test_muon_accumulate_two_constant_steps():
     g = np.random.default_rng(0).standard_normal((4, 4))
     policy = UpdatePolicy.muon(0.1, mu=0.95, momentum_style=ACCUMULATE)
-    state = OptimizerState()
+    states = {"w": OptimizerState()}
     w = np.zeros((4, 4))
-    w = _lone(w, g, state, policy)
-    w = _lone(w, g, state, policy)
-    np.testing.assert_allclose(state.momentum[:, :, 0], 1.95 * g, rtol=1e-14)
+    w = _lone(w, g, policy, states)
+    w = _lone(w, g, policy, states)
+    np.testing.assert_allclose(states["w"].momentum[:, :, 0], 1.95 * g, rtol=1e-14)
     # polar factor ignores the momentum magnitude
-    step_dir = _lone(np.zeros((4, 4)), g, OptimizerState(), policy)
+    step_dir = _lone(np.zeros((4, 4)), g, policy)
     np.testing.assert_allclose(w - step_dir, step_dir, atol=1e-10)
 
 
@@ -172,29 +174,29 @@ def test_momentum_closed_form(style):
     gs = [rng.standard_normal((3, 2)) for _ in range(5)]
     mu = 0.9
     policy = UpdatePolicy.muon(0.1, mu=mu, momentum_style=style)
-    state = OptimizerState()
+    states = {"w": OptimizerState()}
     w = np.zeros((3, 2))
     for g in gs:
-        w = _lone(w, g, state, policy)
+        w = _lone(w, g, policy, states)
     expected = sum(mu ** (4 - s) * gs[s] for s in range(5))
     if style == EMA:
         expected = (1 - mu) * expected
-    np.testing.assert_allclose(state.momentum[:, :, 0], expected, rtol=1e-12)
-    assert state.t == 5
+    np.testing.assert_allclose(states["w"].momentum[:, :, 0], expected, rtol=1e-12)
+    assert states["w"].t == 5
 
 
 def test_step_scale_invariance():
     g = np.random.default_rng(2).standard_normal((5, 7))
     w = np.zeros((5, 7))
     exact = UpdatePolicy.muon(0.2, mu=0.0)
-    a = _lone(w, g, OptimizerState(), exact)
-    b = _lone(w, 3.7 * g, OptimizerState(), exact)
+    a = _lone(w, g, exact)
+    b = _lone(w, 3.7 * g, exact)
     np.testing.assert_allclose(a, b, atol=1e-10)
     ns = UpdatePolicy.muon(0.2, mu=0.0, scheme=OrthoScheme.newton_schulz(5, preset="jordan"))
-    a = _lone(w, g, OptimizerState(), ns)
+    a = _lone(w, g, ns)
     # power-of-two scaling survives the Frobenius pre-normalization bit-for-bit
-    np.testing.assert_array_equal(a, _lone(w, 8.0 * g, OptimizerState(), ns))
-    np.testing.assert_allclose(a, _lone(w, 3.7 * g, OptimizerState(), ns), atol=1e-10)
+    np.testing.assert_array_equal(a, _lone(w, 8.0 * g, ns))
+    np.testing.assert_allclose(a, _lone(w, 3.7 * g, ns), atol=1e-10)
 
 
 def test_muon_weight_decay_order():
@@ -203,31 +205,31 @@ def test_muon_weight_decay_order():
     g = rng.standard_normal((3, 5))
     eta, lam = 0.1, 0.5
     policy = UpdatePolicy.muon(eta, mu=0.0, weight_decay=lam)
-    out = _lone(w0, g, OptimizerState(), policy)
+    out = _lone(w0, g, policy)
     expected = (1 - eta * lam) * w0 - eta * np.sqrt(3 / 5) * ortho_exact(g)
     np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-14)
 
 
 def test_muon_rejects_nan_with_step_index():
     policy = UpdatePolicy.muon(0.1)
-    state = OptimizerState()
+    states = {"w": OptimizerState()}
     w = np.zeros((2, 2))
     bad = np.array([[1.0, np.nan], [0.0, 0.0]])
     with pytest.raises(FloatingPointError, match="step 0"):
-        _lone(w, bad, state, policy)
-    w = _lone(w, np.eye(2), state, policy)
+        _lone(w, bad, policy, states)
+    w = _lone(w, np.eye(2), policy, states)
     with pytest.raises(FloatingPointError, match="step 1"):
-        _lone(w, bad, state, policy)
+        _lone(w, bad, policy, states)
 
 
 def test_muon_shape_errors_and_buffer_stability():
     policy = UpdatePolicy.muon(0.1)
-    state = OptimizerState()
+    states = {"w": OptimizerState()}
     with pytest.raises(ValueError):
-        _lone(np.zeros((2, 2)), np.zeros((2, 3)), state, policy)
-    _lone(np.zeros((2, 3)), np.ones((2, 3)), state, policy)
+        _lone(np.zeros((2, 2)), np.zeros((2, 3)), policy, states)
+    _lone(np.zeros((2, 3)), np.ones((2, 3)), policy, states)
     with pytest.raises(ValueError, match="momentum buffer"):
-        _lone(np.zeros((3, 2)), np.ones((3, 2)), state, policy)
+        _lone(np.zeros((3, 2)), np.ones((3, 2)), policy, states)
     with pytest.raises(ValueError, match="muon or teon policy"):
         ortho_step(np.zeros((2, 2, 1)), OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
 
@@ -249,12 +251,13 @@ def test_teon_k1_matches_muon_bitwise(style, scheme):
     teon_g = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.teon(1, **kw))
     pm = {"w": rng.standard_normal((3, 2, 1))}
     pt = {"w": pm["w"].copy()}
-    sm, st = OptimizerState(), OptimizerState()
+    sm, st = {"w": OptimizerState()}, {"w": OptimizerState()}
     for _ in range(20):
         g = {"w": rng.standard_normal((3, 2, 1))}
         apply_group_step(pm, g, muon_g, sm)
         apply_group_step(pt, g, teon_g, st)
-        np.testing.assert_array_equal(pt["w"], pm["w"])
+        assert pt["w"].tobytes() == pm["w"].tobytes()
+        assert st["w"].momentum.tobytes() == sm["w"].momentum.tobytes()
 
 
 def test_teon_aligned_rank_one_family_exact_when_full_row_rank():
@@ -265,7 +268,7 @@ def test_teon_aligned_rank_one_family_exact_when_full_row_rank():
     gs = build_max_gain_tensor(m, n, K, mode=2, seed=5)
     eta = 0.5
     policy = UpdatePolicy.teon(1, eta, mu=0.0)
-    step = ortho_step(gs, OptimizerState(), policy, policy.eta)
+    step, _ = ortho_step(gs, OptimizerState(), policy, policy.eta)
     np.testing.assert_allclose(step, eta * np.sqrt(m / n) * gs, atol=1e-10)
 
 
@@ -278,7 +281,7 @@ def test_teon_aligned_rank_one_family_ns_when_rank_deficient():
     eta = 0.5
     scheme = OrthoScheme.newton_schulz(30, preset="cubic")
     policy = UpdatePolicy.teon(1, eta, mu=0.0, scheme=scheme)
-    step = ortho_step(gs, OptimizerState(), policy, policy.eta)
+    step, _ = ortho_step(gs, OptimizerState(), policy, policy.eta)
     np.testing.assert_allclose(step, eta * np.sqrt(m / n) * gs, atol=1e-6)
 
 
@@ -291,7 +294,7 @@ def test_teon_shared_left_family_scales_by_sqrt_k():
     eta = 0.25
     scheme = OrthoScheme.newton_schulz(5, preset="cubic")
     policy = UpdatePolicy.teon(1, eta, mu=0.0, scheme=scheme)
-    step = ortho_step(gs, OptimizerState(), policy, policy.eta)
+    step, _ = ortho_step(gs, OptimizerState(), policy, policy.eta)
     np.testing.assert_allclose(step, eta * np.sqrt(m / n) * gs / np.sqrt(K), atol=1e-12)
 
 
@@ -299,7 +302,7 @@ def test_teon_identical_slices_symmetry():
     a = np.random.default_rng(8).standard_normal((3, 3))
     gs = np.stack([a, a, a], axis=2)
     policy = UpdatePolicy.teon(1, 1.0, mu=0.0)
-    step = ortho_step(gs, OptimizerState(), policy, policy.eta)
+    step, _ = ortho_step(gs, OptimizerState(), policy, policy.eta)
     np.testing.assert_allclose(step[:, :, 0], step[:, :, 1], atol=1e-12)
     np.testing.assert_allclose(step[:, :, 0], step[:, :, 2], atol=1e-12)
     # [A A A] has full row rank; its polar blocks are polar(A)/sqrt(3)
@@ -312,15 +315,11 @@ def test_teon_errors():
     group = ParamGroup("g", ("a", "b"), ((2, 2), (2, 2)), policy)
     params, grads = {"g": np.zeros((2, 2, 2))}, {"g": np.zeros((2, 2, 3))}
     with pytest.raises(ValueError):
-        apply_group_step(params, grads, group, OptimizerState())
+        apply_group_step(params, grads, group, {"g": OptimizerState()})
     with pytest.raises(ValueError):
         ortho_step(np.zeros((2, 2, 2)), OptimizerState(), muon_p, 0.1)
     with pytest.raises(ValueError, match="ndim=2"):
         ortho_step(np.zeros((2, 2)), OptimizerState(), policy, policy.eta)
-    bad = np.zeros((2, 2, 2))
-    bad[0, 0, 0] = np.inf
-    with pytest.raises(FloatingPointError, match="step 0"):
-        ortho_step(bad, OptimizerState(), policy, policy.eta)
 
 
 def test_ortho_step_rejects_adamw_and_muon_beyond_depth_one():
@@ -337,29 +336,45 @@ def test_ortho_step_rejects_adamw_and_muon_beyond_depth_one():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_rules_reject_a_non_finite_gradient_at_step_0(bad):
-    g = np.ones((2, 3, 2))
-    g[1, 0, 1] = bad
+    # apply_group_step checks the gradient once, for either rule
+    g = np.ones((2, 3, 1))
+    g[1, 0, 0] = bad
+    for policy in (UpdatePolicy.teon(1, 0.1), UpdatePolicy.adamw(0.1)):
+        group = ParamGroup("g", ("a",), ((2, 3),), policy)
+        params, states = {"g": np.zeros((2, 3, 1))}, {"g": OptimizerState()}
+        pattern = "group 'g' at optimizer step 0: non-finite gradient rejected at step 0"
+        with pytest.raises(FloatingPointError, match=pattern):
+            apply_group_step(params, {"g": g}, group, states)
+        assert states["g"] == OptimizerState() and not params["g"].any()
+
+
+def test_rules_are_pure_and_the_state_is_frozen():
+    g = np.random.default_rng(15).standard_normal((2, 3, 1))
     rules = ((ortho_step, UpdatePolicy.teon(1, 0.1)), (adamw_step, UpdatePolicy.adamw(0.1)))
     for rule, policy in rules:
-        state = OptimizerState()
-        with pytest.raises(FloatingPointError, match="step 0"):
-            rule(g, state, policy, policy.eta)
-        assert state.t == 0
+        _, state = rule(g, OptimizerState(), policy, policy.eta)
+        buffers = [b.tobytes() for b in state[1:] if b is not None]
+        _, new = rule(g, state, policy, policy.eta)
+        assert state.t == 1 and new.t == 2
+        assert [b.tobytes() for b in state[1:] if b is not None] == buffers
+        with pytest.raises(AttributeError):
+            state.t = 0
+        with pytest.raises(AttributeError):
+            state.momentum = None
 
 
 # --------------------------------------------------------------- adamw_step
 
 
 def test_adamw_zero_gradient_is_noop():
-    state = OptimizerState()
-    step = adamw_step(np.zeros(5), state, UpdatePolicy.adamw(0.1), 0.1)
+    step, state = adamw_step(np.zeros(5), OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
     np.testing.assert_array_equal(step, np.zeros(5))
     assert state.t == 1
 
 
 def test_adamw_first_step_magnitude():
     policy = UpdatePolicy.adamw(0.01)
-    step = adamw_step(np.full(3, 3.0), OptimizerState(), policy, policy.eta)
+    step, _ = adamw_step(np.full(3, 3.0), OptimizerState(), policy, policy.eta)
     np.testing.assert_allclose(step, 0.01 * 3.0 / (3.0 + 1e-8), rtol=1e-12)
     assert np.all(np.abs(step) <= 0.01)
 
@@ -370,31 +385,29 @@ def test_adamw_matches_scalar_recursion():
     policy = UpdatePolicy.adamw(eta, adam_betas=(b1, b2), adam_eps=eps, weight_decay=lam)
     group = ParamGroup("w", ("w",), ((1,),), policy)
     params = {"w": np.array([[0.7]])}
-    state = OptimizerState()
+    states = {"w": OptimizerState()}
     ref, m, v = 0.7, 0.0, 0.0
     for t, g in enumerate([0.4, -1.3, 2.2], start=1):
-        apply_group_step(params, {"w": np.array([[g]])}, group, state)
+        apply_group_step(params, {"w": np.array([[g]])}, group, states)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref = (1 - eta * lam) * ref
         ref -= eta * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
     assert params["w"][0, 0] == pytest.approx(ref, abs=1e-12)
-    assert state.t == 3
+    assert states["w"].t == 3
 
 
 def test_adamw_errors():
     policy = UpdatePolicy.adamw(0.1)
-    state = OptimizerState()
     group = ParamGroup("w", ("w",), ((3,),), policy)
+    states = {"w": OptimizerState()}
     with pytest.raises(ValueError):
-        apply_group_step({"w": np.zeros((3, 1))}, {"w": np.zeros((4, 1))}, group, state)
-    adamw_step(np.ones(3), state, policy, policy.eta)
+        apply_group_step({"w": np.zeros((3, 1))}, {"w": np.zeros((4, 1))}, group, states)
+    _, state = adamw_step(np.ones(3), OptimizerState(), policy, policy.eta)
     with pytest.raises(ValueError, match="moment buffer"):
         adamw_step(np.ones(4), state, policy, policy.eta)
     with pytest.raises(ValueError):
         adamw_step(np.zeros(3), OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
-    with pytest.raises(FloatingPointError, match="step 0"):
-        adamw_step(np.array([1.0, np.nan, 0.0]), OptimizerState(), policy, policy.eta)
 
 
 # ------------------------------------------------------------- build_groups
@@ -574,19 +587,20 @@ def test_apply_group_step_matches_direct_calls():
     weights = member_views(params, groups)
     states = {g.id: OptimizerState() for g in groups}
     for g in groups:
-        apply_group_step(params, gstacks, g, states[g.id])
+        apply_group_step(params, gstacks, g, states)
 
     # no decay here, so each new stack is the old one minus the rule's step
     stack = np.stack([ref["l0"], ref["l1"]], axis=2)
     gstack = np.stack([grads["l0"], grads["l1"]], axis=2)
-    new = stack - ortho_step(gstack, OptimizerState(), groups[0].policy, groups[0].policy.eta)
+    step, _ = ortho_step(gstack, OptimizerState(), groups[0].policy, groups[0].policy.eta)
+    new = stack - step
     np.testing.assert_array_equal(weights["l0"], new[:, :, 0])
     np.testing.assert_array_equal(weights["l1"], new[:, :, 1])
     head_pol = next(g for g in groups if g.id == "head").policy
-    head_step = ortho_step(grads["head"][:, :, None], OptimizerState(), head_pol, head_pol.eta)
+    head_step, _ = ortho_step(grads["head"][:, :, None], OptimizerState(), head_pol, head_pol.eta)
     np.testing.assert_array_equal(weights["head"], ref["head"] - head_step[:, :, 0])
     bias_policy = next(g for g in groups if g.id == "bias").policy
-    bias_step = adamw_step(grads["bias"], OptimizerState(), bias_policy, bias_policy.eta)
+    bias_step, _ = adamw_step(grads["bias"], OptimizerState(), bias_policy, bias_policy.eta)
     np.testing.assert_array_equal(weights["bias"], ref["bias"] - bias_step)
 
 
@@ -610,10 +624,10 @@ def test_apply_group_step_lr_factor_equals_a_policy_with_the_stepped_eta():
         drawn = {e.name: rng.standard_normal(e.shape) for e in layout}
         grads = {g.id: stack_members(drawn, g) for g in groups}
         for g in groups:
-            apply_group_step(params, grads, g, states[g.id], lr_factor=factor)
+            apply_group_step(params, grads, g, states, lr_factor=factor)
             stepped = replace(g.policy, eta=g.policy.eta * factor)
             ref_group = ParamGroup(g.id, g.members, g.shapes, stepped)
-            apply_group_step(ref, grads, ref_group, ref_states[g.id])
+            apply_group_step(ref, grads, ref_group, ref_states)
         for gid in params:
             np.testing.assert_array_equal(params[gid], ref[gid])
 
@@ -626,25 +640,32 @@ def test_apply_group_step_names_group_and_step_of_a_nan_gradient(planted):
     params, grads = _random_stacks(layout, groups, 11)
     states = {g.id: OptimizerState() for g in groups}
     for g in groups:
-        apply_group_step(params, grads, g, states[g.id])
+        apply_group_step(params, grads, g, states)
     member_views(grads, groups)[planted][0, 0] = np.nan
     group = next(g for g in groups if planted in g.members)
     healthy = next(g for g in groups if g.kind == group.kind and g is not group)
-    apply_group_step(params, grads, healthy, states[healthy.id])
+    apply_group_step(params, grads, healthy, states)
     pattern = rf"group '{re.escape(group.id)}' at optimizer step 1: non-finite gradient"
     with pytest.raises(FloatingPointError, match=pattern):
-        apply_group_step(params, grads, group, states[group.id])
+        apply_group_step(params, grads, group, states)
 
 
-def _diverging_newton_schulz_step():
+def _diverging_newton_schulz_group():
+    # the schedule diverges on any nonzero momentum; a zero gradient keeps it zero
     scheme = OrthoScheme.newton_schulz(12, schedule=[(3.0, 400.0, -402.5)])
     layout = [LayoutEntry("l0", "W", (6, 6), 0), LayoutEntry("l1", "W", (6, 6), 1)]
     (group,) = build_groups(layout, 2, {"W"}, policy=UpdatePolicy.teon(1, 0.1, scheme=scheme))
     params, grads = _random_stacks(layout, [group], 8)
+    zero = {group.id: np.zeros_like(grads[group.id])}
+    return group, params, (grads, 1.0), (zero, 1.0), "Newton-Schulz diverged"
+
+
+def _diverging_newton_schulz_step():
+    group, params, (grads, _), _, _ = _diverging_newton_schulz_group()
     before = params[group.id].copy()
     pattern = r"group 'w\.blocks0-1' at optimizer step 0: Newton-Schulz diverged at step \d+: "
     with pytest.raises(FloatingPointError, match=pattern):
-        apply_group_step(params, grads, group, OptimizerState())
+        apply_group_step(params, grads, group, {group.id: OptimizerState()})
     assert params[group.id].tobytes() == before.tobytes()
 
 
@@ -659,17 +680,67 @@ def test_diverging_newton_schulz_is_named_when_warnings_are_errors():
         _diverging_newton_schulz_step()
 
 
-@pytest.mark.parametrize("planted", ["b1.k", "b0.o", "readout_bias"])
-def test_a_raising_group_step_leaves_the_stack_unchanged(planted):
+def _planted_inf(planted):
+    # b1.k sits in a stacked teon group, b0.o is a lone muon matrix, readout_bias a vector
     layout = _transformer_layout(2)
     groups = build_groups(layout, 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
     params, grads = _random_stacks(layout, groups, 12)
-    member_views(grads, groups)[planted][0] = np.inf
+    bad = {gid: stack.copy() for gid, stack in grads.items()}
+    member_views(bad, groups)[planted][0] = np.inf
     group = next(g for g in groups if planted in g.members)
-    before = params[group.id].copy()
-    with pytest.raises(FloatingPointError, match="non-finite gradient"):
-        apply_group_step(params, grads, group, OptimizerState())
-    assert params[group.id].tobytes() == before.tobytes()
+    return group, params, (bad, 1.0), (grads, 1.0), "non-finite gradient rejected"
+
+
+def _adamw_square_overflow():
+    # (1 - b2) * g * g overflows after the first moment is already computed
+    group = ParamGroup("v", ("v",), ((4,),), UpdatePolicy.adamw(0.1))
+    rng = np.random.default_rng(14)
+    params, good = {"v": rng.standard_normal((4, 1))}, {"v": rng.standard_normal((4, 1))}
+    bad = {"v": np.full((4, 1), 1e200)}
+    return group, params, (bad, 1.0), (good, 1.0), "overflow encountered in multiply"
+
+
+def _subtraction_overflow():
+    # eta = 1e308: the rule's step is finite, W - step is not
+    group = ParamGroup("w", ("w",), ((2, 3),), UpdatePolicy.adamw(1.0))
+    params, grads = {"w": np.full((2, 3, 1), -1e308)}, {"w": np.ones((2, 3, 1))}
+    return group, params, (grads, 1e308), (grads, 1.0), "overflow encountered in subtract"
+
+
+FAILING_STEPS = {
+    "b1.k": lambda: _planted_inf("b1.k"),
+    "b0.o": lambda: _planted_inf("b0.o"),
+    "readout_bias": lambda: _planted_inf("readout_bias"),
+    "newton_schulz_divergence": _diverging_newton_schulz_group,
+    "adamw_square_overflow": _adamw_square_overflow,
+    "subtraction_overflow": _subtraction_overflow,
+}
+
+
+def _fingerprint(stack, state):
+    """The bytes of a stack and of every state field (None stays None)."""
+    return stack.tobytes(), state.t, *(None if b is None else b.tobytes() for b in state[1:])
+
+
+@pytest.mark.parametrize("case", list(FAILING_STEPS))
+def test_a_raising_group_step_leaves_the_stack_unchanged(case):
+    # ... and the state, so a retry counts only the retried gradient
+    group, params, (bad, bad_lr), (good, good_lr), message = FAILING_STEPS[case]()
+    ref = {group.id: params[group.id].copy()}
+    states, ref_states = {group.id: OptimizerState()}, {group.id: OptimizerState()}
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # as runner.run steps
+        apply_group_step(params, good, group, states, good_lr)  # the state now holds buffers
+        before = _fingerprint(params[group.id], states[group.id])
+        pattern = rf"group '{re.escape(group.id)}' at optimizer step (\d+): .*{message}"
+        with pytest.raises(FloatingPointError, match=pattern) as err:
+            apply_group_step(params, bad, group, states, bad_lr)
+        assert _fingerprint(params[group.id], states[group.id]) == before
+        assert int(re.search(pattern, str(err.value))[1]) == states[group.id].t == 1
+        apply_group_step(params, good, group, states, good_lr)
+        for _ in range(2):
+            apply_group_step(ref, good, group, ref_states, good_lr)
+    after = _fingerprint(params[group.id], states[group.id])
+    assert after == _fingerprint(ref[group.id], ref_states[group.id])
 
 
 @pytest.mark.parametrize(
@@ -684,8 +755,8 @@ def test_apply_group_step_rejects_a_gradient_of_another_shape(w_shape, g_shape):
     group = ParamGroup("g", tuple(f"p{i}" for i in range(k)), ((m, n),) * k, policy)
     params = {"g": np.random.default_rng(13).standard_normal(w_shape)}
     before = params["g"].copy()
-    state = OptimizerState()
+    states = {"g": OptimizerState()}
     with pytest.raises(ValueError, match=r"group 'g': gradient shape"):
-        apply_group_step(params, {"g": np.ones(g_shape)}, group, state)
+        apply_group_step(params, {"g": np.ones(g_shape)}, group, states)
     assert params["g"].tobytes() == before.tobytes()
-    assert state.t == 0 and state.momentum is None
+    assert states["g"] == OptimizerState()
