@@ -15,10 +15,11 @@ Four desk-scale tasks, all full-batch and deterministic in their seed:
                      plus a shared readout matrix and bias
 
 Every task exposes `layout` (named parameters with roles/blocks for
-grouping), `init_weights(rng)`, and `loss_and_grads(weights)`. Gradient
-correctness is checked by Richardson-extrapolated central finite
-differences; micro_attention runs that check at construction time and
-refuses to instantiate if it fails.
+grouping), `init_weights(rng)`, `loss_and_grads(weights)`, and
+`loss(weights)`, the forward half of `loss_and_grads` with a bitwise-equal
+loss. Gradient correctness is checked by Richardson-extrapolated central
+finite differences of `loss`; micro_attention runs that check at
+construction time and refuses to instantiate if it fails.
 """
 
 from __future__ import annotations
@@ -45,7 +46,16 @@ def _positive(**dims):
             raise ValueError(f"{key} must be a positive integer, got {val!r}")
 
 
-class QuadraticTask:
+class _Task:
+    """Each task's `_evaluate(weights)` returns `(loss, cache)`, the forward
+    pass that its `loss_and_grads` continues from `cache`; so `loss` costs no
+    backward pass and equals `loss_and_grads(weights)[0]` bitwise."""
+
+    def loss(self, weights: dict) -> float:
+        return self._evaluate(weights)[0]
+
+
+class QuadraticTask(_Task):
     """f(W) = 1/2 sum_k <H^(k) . (W^(k) - T^(k)), W^(k) - T^(k)> with
     elementwise curvature H in [0.5, 1.5]; gradient H . (W - T)."""
 
@@ -62,15 +72,18 @@ class QuadraticTask:
     def init_weights(self, rng) -> dict:
         return {f"layer{k}": np.zeros((self.m, self.n)) for k in range(self.K)}
 
-    def loss_and_grads(self, weights: dict):
+    def _evaluate(self, weights: dict):
         w = np.stack([weights[f"layer{k}"] for k in range(self.K)], axis=2)
         d = w - self.target
-        loss = 0.5 * float(np.sum(self.curvature * d * d))
+        return 0.5 * float(np.sum(self.curvature * d * d)), d
+
+    def loss_and_grads(self, weights: dict):
+        loss, d = self._evaluate(weights)
         g = self.curvature * d
         return loss, {f"layer{k}": g[:, :, k] for k in range(self.K)}
 
 
-class AlignedQuadraticTask:
+class AlignedQuadraticTask(_Task):
     """f(W) = 1/2 ||W - c G*||_F^2 where G* has shared right vector v and
     orthonormal left vectors u^(k); the gradient W - c G* stays on that cone
     along the whole trajectory from W=0."""
@@ -91,14 +104,17 @@ class AlignedQuadraticTask:
     def init_weights(self, rng) -> dict:
         return {f"layer{k}": np.zeros((self.m, self.n)) for k in range(self.K)}
 
-    def loss_and_grads(self, weights: dict):
+    def _evaluate(self, weights: dict):
         w = np.stack([weights[f"layer{k}"] for k in range(self.K)], axis=2)
         d = w - self.target
-        loss = 0.5 * float(np.sum(d * d))
+        return 0.5 * float(np.sum(d * d)), d
+
+    def loss_and_grads(self, weights: dict):
+        loss, d = self._evaluate(weights)
         return loss, {f"layer{k}": d[:, :, k] for k in range(self.K)}
 
 
-class DeepLinearTask:
+class DeepLinearTask(_Task):
     """Least squares through W^(N) ... W^(1) x with orthogonal-teacher
     targets. Exact layer gradients via backprop; depth 1 is plain linear
     regression with gradient (Wx - y) x^T / batch."""
@@ -125,13 +141,16 @@ class DeepLinearTask:
             for i in range(self.depth)
         }
 
-    def loss_and_grads(self, weights: dict):
+    def _evaluate(self, weights: dict):
         ws = [weights[f"w{i}"] for i in range(self.depth)]
         hs = [self.x]
         for w in ws:
             hs.append(w @ hs[-1])
         resid = hs[-1] - self.y
-        loss = 0.5 * float(np.sum(resid * resid)) / self.batch
+        return 0.5 * float(np.sum(resid * resid)) / self.batch, (ws, hs, resid)
+
+    def loss_and_grads(self, weights: dict):
+        loss, (ws, hs, resid) = self._evaluate(weights)
         delta = resid / self.batch
         grads = {}
         for i in reversed(range(self.depth)):
@@ -140,7 +159,7 @@ class DeepLinearTask:
         return loss, grads
 
 
-class MicroAttentionTask:
+class MicroAttentionTask(_Task):
     """Residual transformer blocks on a fixed synthetic regression target.
 
     Per block: single-head attention (scores q k^T / sqrt(dim), softmax over
@@ -148,8 +167,9 @@ class MicroAttentionTask:
     residual connections and no normalization. A readout matrix and bias are
     shared across the sequence. All gradients are hand-derived; the
     constructor runs a finite-difference gate (`finite_difference_check`,
-    3 directions) and raises if any directional derivative disagrees beyond
-    1e-4.
+    3 directions: one `loss_and_grads` call and 12 forward-only `loss`
+    calls) and raises if any directional derivative disagrees beyond 1e-4
+    or the error is not finite.
     """
 
     name = "micro_attention"
@@ -227,12 +247,16 @@ class MicroAttentionTask:
         pred = x @ weights["readout"].T + weights["readout_bias"]
         return pred.reshape(batch, seq, dim), x, caches
 
-    def loss_and_grads(self, weights: dict):
+    def _evaluate(self, weights: dict):
         pred, x_final, caches = self._forward(weights)
+        rows = self.batch * self.seq
+        resid = (pred - self.targets).reshape(rows, self.dim)
+        return 0.5 * float(np.sum(resid * resid)) / rows, (resid, x_final, caches)
+
+    def loss_and_grads(self, weights: dict):
+        loss, (resid, x_final, caches) = self._evaluate(weights)
         batch, seq, dim = self.batch, self.seq, self.dim
         rows = batch * seq
-        resid = (pred - self.targets).reshape(rows, dim)
-        loss = 0.5 * float(np.sum(resid * resid)) / rows
         dpred = resid / rows
         grads = {
             "readout": dpred.T @ x_final,
@@ -285,25 +309,35 @@ def make_task(name: str, seed: int, **params):
 
 def _richardson_difference(task, weights: dict, delta: dict, h: float) -> float:
     """Directional derivative of the loss along `delta` (keys not in `delta`
-    stay fixed) as the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the
-    central difference D(s) = (f(w + s delta) - f(w - s delta)) / 2s. This
-    cancels D's h^2 truncation term, which otherwise outgrows the gate's
-    bound on larger micro_attention stacks with correct gradients."""
+    stay fixed) from four forward-only `task.loss` evaluations: the Richardson
+    extrapolation (4 D(s/2) - D(s)) / 3 of the central difference
+    D(s) = (f(w + s delta) - f(w - s delta)) / 2s, at s = h / ||delta||_F so
+    that the weights move by h in Frobenius norm whatever the parameter count.
+    The extrapolation cancels D's s^2 truncation term; the scaling keeps the
+    s^4 term that remains from growing with the stack, where a fixed step
+    rejected a correct micro_attention gradient (dim 64, 6 blocks, seed 2)."""
 
     def central(step: float) -> float:
-        wp = dict(weights, **{key: weights[key] + step * d for key, d in delta.items()})
-        wm = dict(weights, **{key: weights[key] - step * d for key, d in delta.items()})
-        return (task.loss_and_grads(wp)[0] - task.loss_and_grads(wm)[0]) / (2.0 * step)
+        sd = {key: step * d for key, d in delta.items()}
+        wp = dict(weights, **{key: weights[key] + v for key, v in sd.items()})
+        wm = dict(weights, **{key: weights[key] - v for key, v in sd.items()})
+        return (task.loss(wp) - task.loss(wm)) / (2.0 * step)
 
-    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+    s = h / float(np.sqrt(sum(float(np.sum(d * d)) for d in delta.values())))
+    return (4.0 * central(s / 2.0) - central(s)) / 3.0
 
 
 def finite_difference_check(
     task, weights: dict, *, directions: int = 20, h: float = 1e-5, seed: int = 0
 ) -> float:
-    """Max relative error of <grad, delta> vs the Richardson-extrapolated
-    central difference at steps h and h/2 over random directions; each
-    direction costs four loss evaluations."""
+    """Max relative error of <grad, delta> vs `_richardson_difference` over
+    random Gaussian directions. The analytic gradient comes from one
+    `loss_and_grads` call; each direction adds four forward-only `loss`
+    evaluations. Returns inf as soon as a direction's error is not finite
+    (a NaN or inf gradient or loss), so an `err <= tol` gate fails closed."""
+    _positive(directions=directions)
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     rng = np.random.default_rng([seed, 85])
     _, grads = task.loss_and_grads(weights)
     worst = 0.0
@@ -311,6 +345,8 @@ def finite_difference_check(
         delta = {key: rng.standard_normal(w.shape) for key, w in weights.items()}
         analytic = sum(float(np.sum(grads[key] * delta[key])) for key in weights)
         fd = _richardson_difference(task, weights, delta, h)
-        worst = max(worst, abs(fd - analytic) / max(1.0, abs(analytic)))
+        err = abs(fd - analytic) / max(1.0, abs(analytic))
+        if not np.isfinite(err):
+            return float("inf")
+        worst = max(worst, err)
     return worst
-

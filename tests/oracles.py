@@ -7,7 +7,6 @@ import numpy as np
 
 from teon.diagnostics import top_singular_alignment
 from teon.norms import NormKind, norm, ntr_step_muon, ntr_step_teon
-from teon.tasks import _richardson_difference
 
 
 def primal_norm_batch(ts, kind):
@@ -87,6 +86,36 @@ def track_run(snapshots, pairs, every):
                 )
 
 
+def richardson_reference(task, weights, delta, h=1e-5):
+    """Richardson-extrapolated central difference (4 D(s/2) - D(s)) / 3 of the
+    loss along `delta` at s = h / ||delta||_F, every loss read from a full
+    `loss_and_grads` evaluation."""
+    s = h / float(np.sqrt(sum(float(np.sum(d * d)) for d in delta.values())))
+
+    def f(step):
+        moved = {key: weights[key] + step * d for key, d in delta.items()}
+        return task.loss_and_grads(dict(weights, **moved))[0]
+
+    def central(step):
+        return (f(step) - f(-step)) / (2.0 * step)
+
+    return (4.0 * central(s / 2.0) - central(s)) / 3.0
+
+
+def full_evaluation_fd_error(task, weights, *, directions, h=1e-5, seed=0):
+    """Max relative error of <grad, delta> vs `richardson_reference` over the
+    Gaussian directions `finite_difference_check` draws for `seed`."""
+    rng = np.random.default_rng([seed, 85])
+    _, grads = task.loss_and_grads(weights)
+    worst = 0.0
+    for _ in range(directions):
+        delta = {key: rng.standard_normal(w.shape) for key, w in weights.items()}
+        analytic = sum(float(np.sum(grads[key] * delta[key])) for key in weights)
+        fd = richardson_reference(task, weights, delta, h)
+        worst = max(worst, abs(fd - analytic) / max(1.0, abs(analytic)))
+    return worst
+
+
 def per_parameter_fd_errors(task, weights, *, directions=3, h=1e-5, seed=0):
     """Worst relative finite-difference error per parameter, one parameter at
     a time, so a wrong gradient cannot hide behind a dominant one."""
@@ -98,6 +127,6 @@ def per_parameter_fd_errors(task, weights, *, directions=3, h=1e-5, seed=0):
         for _ in range(directions):
             delta = rng.standard_normal(w.shape)
             analytic = float(np.sum(grads[key] * delta))
-            fd = _richardson_difference(task, weights, {key: delta}, h)
+            fd = richardson_reference(task, weights, {key: delta}, h)
             errors[key] = max(errors[key], abs(fd - analytic) / max(1.0, abs(analytic)))
     return errors

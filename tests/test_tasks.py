@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import per_parameter_fd_errors
+import teon.tasks
+from oracles import full_evaluation_fd_error, per_parameter_fd_errors
+from teon.checks import _gradient_fd
 from teon.norms import build_max_gain_tensor
 from teon.tasks import (
+    TASK_NAMES,
     AlignedQuadraticTask,
     DeepLinearTask,
     MicroAttentionTask,
@@ -25,6 +29,93 @@ def test_all_tasks_pass_finite_differences(name, params):
     task = make_task(name, seed=11, **params)
     weights = task.init_weights(np.random.default_rng(12))
     assert finite_difference_check(task, weights, directions=20, seed=13) <= 1e-5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(TASK_NAMES),
+    seed=st.integers(0, 2**31 - 1),
+    a=st.integers(1, 6),
+    b=st.integers(1, 6),
+    c=st.integers(1, 4),
+)
+def test_loss_is_the_loss_of_loss_and_grads_bitwise(name, seed, a, b, c):
+    params = {
+        "quadratic": dict(m=a, n=b, K=c),
+        "aligned_quadratic": dict(m=max(a, c), n=b, K=c),
+        "deep_linear": dict(depth=c, width=a, batch=b),
+        "micro_attention": dict(dim=a, seq=b, batch=c, blocks=2),
+    }[name]
+    task = make_task(name, seed, **params)
+    rng = np.random.default_rng(seed)
+    weights = {e.name: rng.standard_normal(e.shape) for e in task.layout}
+    loss = task.loss(weights)
+    assert type(loss) is float
+    assert loss == task.loss_and_grads(weights)[0]
+
+
+def test_every_task_class_defines_its_own_loss_and_grads():
+    # The benchmark's tracer wraps each class's own `loss_and_grads`.
+    for name in TASK_NAMES:
+        cls = teon.tasks._TASKS[name]
+        assert cls.name == name and "loss_and_grads" in vars(cls), name
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    ALL_SMALL_TASKS
+    + [
+        ("micro_attention", dict(dim=8, seq=3, batch=2, blocks=2)),
+        ("micro_attention", dict(dim=64, seq=16, batch=8, blocks=6)),
+    ],
+)
+def test_finite_difference_check_equals_the_full_evaluation_reference(name, params):
+    task = make_task(name, seed=2, **params)
+    weights = task.init_weights(np.random.default_rng(3))
+    err = finite_difference_check(task, weights, directions=3, seed=4)
+    assert err == full_evaluation_fd_error(task, weights, directions=3, seed=4)
+
+
+def test_micro_attention_fd_gate_rejects_a_nan_gradient():
+    class NanGrad(MicroAttentionTask):
+        def loss_and_grads(self, weights):
+            loss, grads = super().loss_and_grads(weights)
+            grads["b0.q"] = grads["b0.q"].copy()
+            grads["b0.q"][0, 0] = np.nan
+            return loss, grads
+
+    with pytest.raises(RuntimeError, match="max relative error inf"):
+        NanGrad(dim=4, seq=2, batch=2, blocks=2, seed=0)
+
+
+def test_check_battery_gradient_fd_fails_on_a_nan_gradient(monkeypatch):
+    honest = DeepLinearTask.loss_and_grads
+
+    def nan_grads(self, weights):
+        loss, grads = honest(self, weights)
+        return loss, dict(grads, w0=grads["w0"] * np.nan)
+
+    monkeypatch.setattr(DeepLinearTask, "loss_and_grads", nan_grads)
+    result = _gradient_fd(0)
+    assert not result.ok and result.detail == "max rel err inf"
+
+
+BAD_FD_ARGUMENTS = {
+    "directions=0": dict(directions=0),
+    "directions=-1": dict(directions=-1),
+    "h=0": dict(h=0.0),
+    "h=-1e-5": dict(h=-1e-5),
+    "h=nan": dict(h=float("nan")),
+    "h=inf": dict(h=float("inf")),
+}
+
+
+@pytest.mark.parametrize("kwargs", BAD_FD_ARGUMENTS.values(), ids=BAD_FD_ARGUMENTS)
+def test_finite_difference_check_rejects_bad_arguments(kwargs):
+    task = QuadraticTask(3, 2, 2, seed=0)
+    match = "a positive integer" if "directions" in kwargs else "finite and positive"
+    with pytest.raises(ValueError, match=match):
+        finite_difference_check(task, task.init_weights(None), **kwargs)
 
 
 def test_micro_attention_per_parameter_fd():
@@ -223,13 +314,16 @@ def test_micro_attention_gemm_backprop_matches_einsum_reference(dim, seq, batch,
         )
 
 
-def test_micro_attention_fd_gate_accepts_correct_gradient_at_dim64_blocks6():
-    # Plain central differences at h=1e-5 read 3.5e-3 here, above the 1e-4 bound.
-    task = make_task("micro_attention", 0, dim=64, seq=16, batch=8, blocks=6)
+@pytest.mark.parametrize("seed", range(4))
+def test_micro_attention_fd_gate_accepts_correct_gradient_at_dim64_blocks6(seed):
+    # With the step fixed at h instead of h / ||d||_F, seed 2 read 5.2e-4 here,
+    # above the 1e-4 bound.
+    task = make_task("micro_attention", seed, dim=64, seq=16, batch=8, blocks=6)
     assert isinstance(task, MicroAttentionTask)
 
 
-def test_micro_attention_fd_gate_rejects_one_percent_error_at_dim64_blocks6():
+@pytest.mark.parametrize("seed", range(4))
+def test_micro_attention_fd_gate_rejects_one_percent_error_at_dim64_blocks6(seed):
     class Scaled(MicroAttentionTask):
         def loss_and_grads(self, weights):
             loss, grads = super().loss_and_grads(weights)
@@ -237,7 +331,7 @@ def test_micro_attention_fd_gate_rejects_one_percent_error_at_dim64_blocks6():
             return loss, grads
 
     with pytest.raises(RuntimeError, match="gradient check failed"):
-        Scaled(dim=64, seq=16, batch=8, blocks=6, seed=0)
+        Scaled(dim=64, seq=16, batch=8, blocks=6, seed=seed)
 
 
 def test_micro_attention_validation():
