@@ -46,7 +46,7 @@ def _matricize_roundtrip(rng) -> CheckResult:
     worst = 0.0
     for _ in range(20):
         m, n, k = rng.integers(1, 9, size=3)
-        t = rng.standard_normal((m, n, k))
+        t = rng.standard_normal((k, m, n))
         for mode in (1, 2, 3):
             mat = matricize(t, mode)
             if not np.array_equal(fold(mat, mode, t.shape), t):
@@ -87,7 +87,7 @@ def _ns_matches_exact(rng) -> CheckResult:
 def _norm_sandwich(rng) -> CheckResult:
     for _ in range(40):
         m, n, k = rng.integers(1, 7, size=3)
-        t = rng.standard_normal((m, n, k))
+        t = rng.standard_normal((k, m, n))
         for mode in (1, 2):
             rep = check_comparability(t, mode)
             if rep.violation:
@@ -108,7 +108,7 @@ def _ntr_oracle(rng) -> CheckResult:
     worst = 0.0
     for _ in range(10):
         m, n, k = rng.integers(1, 5, size=3)
-        g = rng.standard_normal((m, n, k))
+        g = rng.standard_normal((k, m, n))
         eta = 0.3
         for kind, step_fn in (
             (NormKind.teon(1, dual=True), lambda g: ntr_step_teon(g, 1, eta)),
@@ -133,9 +133,9 @@ def _bound_identity() -> CheckResult:
 
 
 def _k1_collapse(rng) -> CheckResult:
-    w = rng.standard_normal((3, 2, 1))
+    w = rng.standard_normal((1, 3, 2))
     params_m, params_t = {"w": w}, {"w": w.copy()}
-    g_seq = [rng.standard_normal((3, 2, 1)) for _ in range(8)]
+    g_seq = [rng.standard_normal((1, 3, 2)) for _ in range(8)]
     group_m = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.muon(0.1, weight_decay=0.01))
     group_t = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.teon(1, 0.1, weight_decay=0.01))
     st_m, st_t = {"w": OptimizerState()}, {"w": OptimizerState()}

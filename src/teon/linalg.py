@@ -3,16 +3,16 @@
 Conventions used throughout the package:
 
 * a "matrix" is a 2-D float ndarray of shape (m, n);
-* a "tensor" is a 3-D float ndarray of shape (m, n, K) holding K stacked
-  slices, slice k being ``t[:, :, k]``;
+* a "tensor" is the paper's m x n x K tensor stored slice-major, as NumPy
+  stacks matrices: a 3-D float ndarray of shape (K, m, n), slice k ``t[k]``;
 * matricization uses contiguous block concatenation:
 
       mode 1:  [X1 X2 ... XK]          shape (m, n*K)
       mode 2:  [X1.T X2.T ... XK.T]    shape (n, m*K)
       mode 3:  row k = vec(Xk)         shape (K, m*n)   (row-major vec)
 
-Folding is the exact inverse; round-trips are bit-exact because only
-reshape/transpose/concatenate are involved, never arithmetic.
+Mode 3 is a plain reshape (a view). Folding is the exact inverse; round-trips
+are bit-exact because only reshape/transpose are involved, never arithmetic.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_tensor3(t) -> np.ndarray:
-    """Validate and return `t` as an (m, n, K) float64 array with finite entries."""
-    return _validated(t, 3, "an (m, n, K) tensor")
+    """Validate and return `t` as a (K, m, n) float64 array with finite entries."""
+    return _validated(t, 3, "a (K, m, n) tensor")
 
 
 def _validated(a, ndim: int, what: str) -> np.ndarray:
@@ -53,25 +53,25 @@ def _validated(a, ndim: int, what: str) -> np.ndarray:
 
 
 def matricize(t: np.ndarray, mode: int) -> np.ndarray:
-    """Unfold an (m, n, K) tensor along `mode` in {1, 2, 3} (block layout)."""
+    """Unfold a (K, m, n) tensor along `mode` in {1, 2, 3} (block layout)."""
     t = np.asarray(t)
     if t.ndim != 3:
-        raise ValueError(f"matricize expects an (m, n, K) tensor, got ndim={t.ndim}")
-    m, n, k = t.shape
+        raise ValueError(f"matricize expects a (K, m, n) tensor, got ndim={t.ndim}")
+    k, m, n = t.shape
     if mode == 1:
         # [X1 X2 ... XK]: (m, K, n) laid out row-major gives exactly the block row.
-        return t.transpose(0, 2, 1).reshape(m, k * n)
+        return t.transpose(1, 0, 2).reshape(m, k * n)
     if mode == 2:
-        return t.transpose(1, 2, 0).reshape(n, k * m)
+        return t.transpose(2, 0, 1).reshape(n, k * m)
     if mode == 3:
-        return t.transpose(2, 0, 1).reshape(k, m * n)
+        return t.reshape(k, m * n)
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
 
 def fold(x: np.ndarray, mode: int, shape: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`matricize`: rebuild the (m, n, K) tensor from an unfolding."""
+    """Inverse of :func:`matricize`: rebuild the (K, m, n) tensor from an unfolding."""
     x = np.asarray(x)
-    m, n, k = shape
+    k, m, n = shape
     expected = {1: (m, k * n), 2: (n, k * m), 3: (k, m * n)}.get(mode)
     if expected is None:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
@@ -80,10 +80,10 @@ def fold(x: np.ndarray, mode: int, shape: tuple[int, int, int]) -> np.ndarray:
             f"fold mode {mode} with shape {shape} needs a {expected} matrix, got {x.shape}"
         )
     if mode == 1:
-        return x.reshape(m, k, n).transpose(0, 2, 1)
+        return x.reshape(m, k, n).transpose(1, 0, 2)
     if mode == 2:
-        return x.reshape(n, k, m).transpose(2, 0, 1)
-    return x.reshape(k, m, n).transpose(1, 2, 0)
+        return x.reshape(n, k, m).transpose(1, 2, 0)
+    return x.reshape(k, m, n)
 
 
 class SvdResult(NamedTuple):

@@ -1,6 +1,6 @@
 """Muon/TEON norm geometry.
 
-For a stacked tensor X in R^{m x n x K} with slices X^(k):
+For a stacked tensor X in R^{m x n x K}, stored (K, m, n) with X^(k) = X[k]:
 
 * muon primal   max_k sigma_1(X^(k));   muon dual   sum_k ||X^(k)||_nuclear
 * teon-i primal sigma_1(M_i(X));        teon-i dual ||M_i(X)||_nuclear
@@ -85,11 +85,11 @@ class NormKind:
 
 
 def norm(t: np.ndarray, kind: NormKind) -> float:
-    """Evaluate the selected norm of an (m, n, K) tensor."""
+    """Evaluate the selected norm of a (K, m, n) tensor."""
     t = as_tensor3(t)
     if kind.family == MUON:
         # batched singular values across slices
-        s = np.linalg.svd(t.transpose(2, 0, 1), compute_uv=False)
+        s = np.linalg.svd(t, compute_uv=False)
         return float(s.sum()) if kind.dual else float(s.max())
     s = np.linalg.svd(matricize(t, kind.mode), compute_uv=False)
     return float(s.sum()) if kind.dual else float(s.max())
@@ -124,7 +124,7 @@ def check_comparability(t: np.ndarray, mode: int) -> ComparabilityReport:
     if mode not in (1, 2):
         raise ValueError(f"comparability is stated for modes 1 and 2, got {mode}")
     t = as_tensor3(t)
-    k = t.shape[2]
+    k = t.shape[0]
     root_k = np.sqrt(k)
     mp = norm(t, NormKind.muon())
     tp = norm(t, NormKind.teon(mode))
@@ -160,9 +160,7 @@ def ntr_step_muon(g: np.ndarray, eta: float) -> np.ndarray:
     """Steepest-descent step under the muon norm ball: per-slice polar
     factors, i.e. the K=1 mode-1 teon step of each slice."""
     g = as_tensor3(g)
-    return np.concatenate(
-        [ntr_step_teon(s, 1, eta) for s in np.split(g, g.shape[2], axis=2)], axis=2
-    )
+    return np.concatenate([ntr_step_teon(s, 1, eta) for s in np.split(g, len(g))])
 
 
 # ------------------------------------------------------------------- bounds
@@ -216,8 +214,8 @@ def eval_ntr_bound(b: BoundInputs) -> float:
 
 
 def build_max_gain_tensor(m: int, n: int, K: int, mode: int, seed: int) -> np.ndarray:
-    """Rank-1-slice tensor whose teon-`mode` norm is exactly sqrt(K) times
-    its muon norm.
+    """Rank-1-slice (K, m, n) tensor whose teon-`mode` norm is exactly
+    sqrt(K) times its muon norm.
 
     mode 1: one shared unit LEFT vector u, orthonormal right vectors v^(k)
             (QR of a seeded Gaussian), slices u v^(k)T; needs K <= n.
@@ -241,8 +239,8 @@ def build_max_gain_tensor(m: int, n: int, K: int, mode: int, seed: int) -> np.nd
         u = rng.standard_normal(m)
         u /= np.linalg.norm(u)
         vs = np.linalg.qr(rng.standard_normal((n, K)))[0]  # columns orthonormal
-        return u[:, None, None] * vs[None, :, :]
+        return u[None, :, None] * vs.T[:, None, :]
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     us = np.linalg.qr(rng.standard_normal((m, K)))[0]
-    return us[:, None, :] * v[None, :, None]
+    return us.T[:, :, None] * v[None, None, :]

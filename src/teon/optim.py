@@ -7,7 +7,7 @@ orthogonalized rule, with gradient G, momentum buffer M (zero at t=0) and step s
     M_t  =  mu * M_{t-1} + (1 - mu) * G_t       momentum_style "ema"
     step =  eta * sqrt(m / n) * O_t
 
-For an (m, n, K) stack, O_t = fold(Ortho(matricize(M_t, mode)), mode) with
+For a (K, m, n) stack, O_t = fold(Ortho(matricize(M_t, mode)), mode) with
 mode in {1, 2}. The sqrt(m/n) factor always uses the SLICE dimensions even
 though the mode-1 matricization is m x nK — the scaling is per-layer, not
 per-unfolding. Muon is not a separate rule: a lone (m, n) matrix is the
@@ -27,8 +27,8 @@ expands and checks the `stack_set` tokens that pick the stacked roles, always
 in STACK_TOKENS order.
 
 A group's parameters live in one stack for a whole run (`stack_members`:
-(m, n, K) for matrices, (d, 1) for a vector); `member_views` maps each member
-name to its slice, a view. `apply_group_step` alone writes stacks and states:
+(K, m, n) for matrices, (1, d) for a vector); `member_views` maps each member
+name to its C-contiguous slice. `apply_group_step` alone writes stacks and states:
 W <- (1 - eta * lambda) * W - step (decay only if lambda > 0), in place and
 committed with the new state once all of it has succeeded.
 """
@@ -118,16 +118,16 @@ class UpdatePolicy:
             raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
         if self.momentum_style not in (ACCUMULATE, EMA):
             raise ValueError(f"unknown momentum_style {self.momentum_style!r}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.optimizer == ADAMW:
             if self.scheme is not None:
                 raise ValueError("adamw does not orthogonalize; scheme must be None")
             b1, b2 = self.adam_betas
             if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
                 raise ValueError(f"adam_betas must lie in [0, 1), got {self.adam_betas}")
-            if self.adam_eps <= 0:
-                raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
+            if not (np.isfinite(self.adam_eps) and self.adam_eps > 0):
+                raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         elif self.scheme is None:
             object.__setattr__(self, "scheme", OrthoScheme.exact())
 
@@ -216,7 +216,7 @@ def _shrink(w: np.ndarray, weight_decay: float, eta: float) -> np.ndarray:
 def ortho_step(
     gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
 ) -> tuple[np.ndarray, OptimizerState]:
-    """One orthogonalized step from an (m, n, K) gradient stack at step size
+    """One orthogonalized step from a (K, m, n) gradient stack at step size
     `eta`: orthogonalize the mode-`policy.mode` unfolding of the momentum
     tensor (mode 1 for muon, whose stack has K=1), fold back, and return
     `(eta * sqrt(m / n)) * O_t` with the advanced state."""
@@ -224,9 +224,10 @@ def ortho_step(
         raise ValueError("ortho_step needs a muon or teon policy, got 'adamw'")
     gs = np.asarray(gs, dtype=np.float64)
     if gs.ndim != 3:
-        raise ValueError(f"ortho_step needs an (m, n, K) gradient stack, got ndim={gs.ndim}")
-    if policy.optimizer == MUON and gs.shape[2] != 1:
-        raise ValueError(f"a muon policy updates one matrix (K=1), got K={gs.shape[2]}")
+        raise ValueError(f"ortho_step needs a (K, m, n) gradient stack, got ndim={gs.ndim}")
+    k, m, n = gs.shape  # slice dims m, n, not the unfolded ones
+    if policy.optimizer == MUON and k != 1:
+        raise ValueError(f"a muon policy updates one matrix (K=1), got K={k}")
     buf = state.momentum
     if buf is None:
         buf = np.zeros_like(gs)
@@ -240,7 +241,6 @@ def ortho_step(
         buf = policy.mu * buf + (1.0 - policy.mu) * gs
     mode = policy.mode or 1
     o = fold(apply_ortho(matricize(buf, mode), policy.scheme), mode, gs.shape)
-    m, n = gs.shape[0], gs.shape[1]  # slice dims, not the unfolded ones
     return (eta * np.sqrt(m / n)) * o, OptimizerState(state.t + 1, buf)
 
 
@@ -364,16 +364,16 @@ def build_groups(
 
 
 def stack_members(arrays: dict, group: ParamGroup) -> np.ndarray:
-    """The group's member arrays stacked on a new last axis: (m, n, K) for
-    matrices, (d, 1) for a vector."""
-    return np.stack([arrays[nm] for nm in group.members], axis=-1)
+    """The group's member arrays stacked on a new first axis: (K, m, n) for
+    matrices, (1, d) for a vector."""
+    return np.stack([arrays[nm] for nm in group.members])
 
 
 def member_views(stacks: dict, groups) -> dict:
-    """Each member name mapped to its slice `stacks[g.id][..., i]`, a view;
+    """Each member name mapped to its slice `stacks[g.id][i]`, a view;
     groups whose stack is missing or None are skipped."""
     live = [(g, stacks[g.id]) for g in groups if stacks.get(g.id) is not None]
-    return {nm: stack[..., i] for g, stack in live for i, nm in enumerate(g.members)}
+    return {nm: stack[i] for g, stack in live for i, nm in enumerate(g.members)}
 
 
 def apply_group_step(

@@ -9,8 +9,8 @@ the run summary as `# summary.key=value` comment lines.
 `wall_ms` is 0.0 unless the config sets log_timing=true — wall-clock values
 would break the byte-identical determinism contract.
 
-A run keeps each group's weights in one stack and hands the task views of it
-(`optim.member_views`); each step stacks the gradients once per group.
+A run keeps each group's weights in one slice-major stack and hands the task
+its slices (`optim.member_views`); each step stacks the gradients once per group.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def gradient_metrics(grads: dict, groups) -> tuple[float, float, float]:
             continue
         stack = grads[g.id]
         # one value-only SVD of the slices gives both muon norms
-        s = np.linalg.svd(stack.transpose(2, 0, 1), compute_uv=False)
+        s = np.linalg.svd(stack, compute_uv=False)
         muon_primal = max(muon_primal, float(s.max()))
         teon1_dual += norm(stack, NormKind.teon(1, dual=True))
         muon_dual += float(s.sum())

@@ -98,7 +98,8 @@ class AlignedQuadraticTask(_Task):
             raise ValueError(f"c must be finite and nonzero, got {c}")
         self.m, self.n, self.K, self.c = m, n, K, float(c)
         self.gstar = build_max_gain_tensor(m, n, K, mode=2, seed=seed)
-        self.target = self.c * self.gstar
+        # kept (m, n, K): the loss sums in memory order, and (K, m, n) moves its last bits
+        self.target = self.c * self.gstar.transpose(1, 2, 0)
         self.layout = [LayoutEntry(f"layer{k}", "W", (m, n), k) for k in range(K)]
 
     def init_weights(self, rng) -> dict:

@@ -10,12 +10,12 @@ from teon.norms import NormKind, norm, ntr_step_muon, ntr_step_teon
 
 
 def primal_norm_batch(ts, kind):
-    """Primal norms of an (S, m, n, K) batch from top Gram eigenvalues."""
+    """Primal norms of an (S, K, m, n) batch from top Gram eigenvalues."""
     if kind.family == "muon":
-        g = np.einsum("sijk,sljk->skil", ts, ts)
+        g = np.einsum("skij,sklj->skil", ts, ts)
         ev = np.linalg.eigvalsh(g)[..., -1].max(axis=1)
     else:
-        spec = {1: "sijk,sljk->sil", 2: "sijk,silk->sjl", 3: "sijk,sijl->skl"}[kind.mode]
+        spec = {1: "skij,sklj->sil", 2: "skij,skil->sjl", 3: "skij,slij->skl"}[kind.mode]
         ev = np.linalg.eigvalsh(np.einsum(spec, ts, ts))[..., -1]
     return np.sqrt(np.maximum(ev, 0.0))
 
@@ -70,7 +70,7 @@ def estimate_smoothness_ratio(f, samples, mode, seed, pair_sampler=None):
         r_muon = norm(df, NormKind.muon(dual=True)) / norm(dx, NormKind.muon())
         max_teon, max_muon = max(max_teon, r_teon), max(max_muon, r_muon)
         tol = 1e-9 * max(1.0, r_muon)
-        sandwich_ok &= r_teon <= r_muon + tol and r_muon <= f.shape[2] * r_teon + tol
+        sandwich_ok &= r_teon <= r_muon + tol and r_muon <= f.shape[0] * r_teon + tol
     return Smoothness(max_teon, max_muon, sandwich_ok)
 
 

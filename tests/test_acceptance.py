@@ -60,7 +60,7 @@ def test_criterion_01_matricization_round_trip():
         for _ in range(1000):
             m, n = rng.integers(1, 17, size=2)
             k = rng.integers(1, 9)
-            t = rng.standard_normal((m, n, k))
+            t = rng.standard_normal((k, m, n))
             ft = np.linalg.norm(t)
             for mode in (1, 2, 3):
                 mat = matricize(t, mode)
@@ -93,7 +93,7 @@ def test_criterion_03_norm_lemma_suite():
         for _ in range(1000):
             m, n = rng.integers(1, 17, size=2)
             k = rng.integers(1, 9)
-            t = rng.standard_normal((m, n, k))
+            t = rng.standard_normal((k, m, n))
             frob = np.linalg.norm(t)
             for mode in (1, 2):
                 rep = check_comparability(t, mode)
@@ -111,7 +111,7 @@ def test_criterion_04_steepest_descent_oracle():
         eta = 0.7
         for _ in range(200):
             m, n, k = rng.integers(1, 4, size=3)
-            g = rng.standard_normal((m, n, k))
+            g = rng.standard_normal((k, m, n))
             for kind, step in (
                 (NormKind.teon(1), ntr_step_teon(g, 1, eta)),
                 (NormKind.muon(), ntr_step_muon(g, eta)),
@@ -119,7 +119,7 @@ def test_criterion_04_steepest_descent_oracle():
                 obj = float(np.sum(g * step))
                 dual = norm(g, replace(kind, dual=True))
                 assert abs(obj + eta * dual) <= 1e-8
-                cand = rng.standard_normal((10_000, m, n, k))
+                cand = rng.standard_normal((10_000, k, m, n))
                 norms = primal_norm_batch(cand, kind)
                 cand *= (eta / norms)[:, None, None, None]
                 sampled = np.einsum("ijk,sijk->s", g, cand)
@@ -246,7 +246,7 @@ def test_criterion_09_diagnostics_correctness():
             g = build_max_gain_tensor(8, 8, 4, 2, seed=seed)
             for i in range(4):
                 for j in range(i + 1, 4):
-                    rec = top_singular_alignment(g[:, :, i], g[:, :, j])
+                    rec = top_singular_alignment(g[i], g[j])
                     assert abs(rec.right_align - 1.0) <= 1e-8
                     assert rec.left_align <= 1e-8
         rng = np.random.default_rng(1009)

@@ -192,6 +192,15 @@ def test_unknown_scheme():
         parse_config_text(bad)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["weight_decay", "adam_eps"])
+def test_non_finite_weight_decay_or_adam_eps_is_a_config_error(key, value):
+    # NaN fails every comparison and inf passes a sign check: a NaN decay used
+    # to switch decay off silently, a NaN eps to fail only at step 1
+    with pytest.raises(ValueError, match=rf"\[optimizer\] {key} must be .*finite"):
+        parse_config_text(MINIMAL.replace("eta = 0.1", f"eta = 0.1\n{key} = {value}"))
+
+
 def test_unknown_ns_preset_is_a_config_error():
     bad = MINIMAL.replace("mode = 1", "mode = 1\nscheme = newton_schulz\nns_preset = bogus")
     with pytest.raises(ValueError, match=r"\[optimizer\] unknown Newton-Schulz preset 'bogus'"):

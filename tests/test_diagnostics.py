@@ -42,7 +42,7 @@ def test_max_gain_slices_align_on_shared_side_only(mode, shared):
     t = build_max_gain_tensor(6, 6, 4, mode=mode, seed=0)
     for i in range(4):
         for j in range(i + 1, 4):
-            rec = top_singular_alignment(t[:, :, i], t[:, :, j])
+            rec = top_singular_alignment(t[i], t[j])
             hot, cold = (
                 (rec.right_align, rec.left_align)
                 if shared == "right"
@@ -122,7 +122,7 @@ def test_default_alignment_pairs_counts():
 
 def test_track_run_sampling_and_alignment():
     t = build_max_gain_tensor(5, 5, 2, mode=2, seed=4)
-    buffers = {"w0": t[:, :, 0], "w1": t[:, :, 1]}
+    buffers = {"w0": t[0], "w1": t[1]}
     snapshots = [(s, buffers) for s in range(1, 11)]
     pairs = [("W0-W1", "w0", "w1")]
     records = list(track_run(snapshots, pairs, every=3))

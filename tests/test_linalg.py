@@ -13,7 +13,7 @@ from teon.linalg import (
 
 
 def random_tensor(rng, m, n, k):
-    return rng.standard_normal((m, n, k))
+    return rng.standard_normal((k, m, n))
 
 
 # ---------------------------------------------------------------- validation
@@ -40,7 +40,7 @@ def test_as_tensor3_rejects_inf():
 
 def test_mode1_worked_example():
     # hand-enumerated 2x2x2 case
-    t = np.stack([np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]])], axis=2)
+    t = np.stack([np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]])])
     expected = np.array([[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]])
     np.testing.assert_array_equal(matricize(t, 1), expected)
     np.testing.assert_array_equal(fold(expected, 1, (2, 2, 2)), t)
@@ -51,24 +51,24 @@ def test_mode2_is_transposed_blocks():
     t = random_tensor(rng, 3, 4, 2)
     m2 = matricize(t, 2)
     assert m2.shape == (4, 6)
-    np.testing.assert_array_equal(m2[:, :3], t[:, :, 0].T)
-    np.testing.assert_array_equal(m2[:, 3:], t[:, :, 1].T)
+    np.testing.assert_array_equal(m2[:, :3], t[0].T)
+    np.testing.assert_array_equal(m2[:, 3:], t[1].T)
 
 
 def test_mode3_rows_are_rowmajor_vecs():
-    t = np.stack([np.array([[2.0]]), np.array([[3.0]])], axis=2)
+    t = np.stack([np.array([[2.0]]), np.array([[3.0]])])
     np.testing.assert_array_equal(matricize(t, 3), np.array([[2.0], [3.0]]))
     rng = np.random.default_rng(1)
     t = random_tensor(rng, 2, 3, 4)
     m3 = matricize(t, 3)
     assert m3.shape == (4, 6)
-    np.testing.assert_array_equal(m3[1], t[:, :, 1].reshape(-1))
+    np.testing.assert_array_equal(m3[1], t[1].reshape(-1))
 
 
 def test_k1_mode1_is_identity():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((5, 3))
-    t = a[:, :, None]
+    t = a[None]
     np.testing.assert_array_equal(matricize(t, 1), a)
 
 
@@ -90,7 +90,17 @@ def test_fold_shape_errors():
 )
 def test_roundtrip_bit_exact(m, n, k, mode, seed):
     t = random_tensor(np.random.default_rng(seed), m, n, k)
-    back = fold(matricize(t, mode), mode, (m, n, k))
+    mat = matricize(t, mode)
+    # the paper's block definitions, slice by slice
+    blocks = {
+        1: lambda: np.concatenate(list(t), axis=1),
+        2: lambda: np.concatenate([s.T for s in t], axis=1),
+        3: lambda: np.stack([s.ravel() for s in t]),
+    }[mode]()
+    assert mat.shape == blocks.shape and mat.tobytes() == blocks.tobytes()
+    if mode == 3:
+        assert np.shares_memory(mat, t)  # a view of the C-contiguous tensor
+    back = fold(mat, mode, (k, m, n))
     assert back.shape == t.shape
     assert np.array_equal(back, t)  # bit-exact, no tolerance
 

@@ -61,7 +61,7 @@ def test_normkind_validation():
 
 
 def test_norm_zero_tensor():
-    z = np.zeros((3, 4, 2))
+    z = np.zeros((2, 3, 4))
     for kind in ALL_PRIMAL:
         assert norm(z, kind) == 0.0
         assert norm(z, NormKind(kind.family, kind.mode, dual=True)) == 0.0
@@ -69,7 +69,7 @@ def test_norm_zero_tensor():
 
 def test_norm_k1_collapse():
     a = np.random.default_rng(0).standard_normal((5, 4))
-    t = a[:, :, None]
+    t = a[None]
     s1 = np.linalg.svd(a, compute_uv=False)[0]
     for kind in (NormKind.muon(), NormKind.teon(1), NormKind.teon(2)):
         assert norm(t, kind) == pytest.approx(s1, rel=1e-14)
@@ -101,12 +101,12 @@ def test_norm_rank_one_stack_both_orientations():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_norm_matches_matricization_spectra(m, n, k, seed):
-    t = np.random.default_rng(seed).standard_normal((m, n, k))
+    t = np.random.default_rng(seed).standard_normal((k, m, n))
     for mode in (1, 2, 3):
         s = np.linalg.svd(matricize(t, mode), compute_uv=False)
         assert norm(t, NormKind.teon(mode)) == pytest.approx(s.max(), rel=1e-12)
         assert norm(t, NormKind.teon(mode, dual=True)) == pytest.approx(s.sum(), rel=1e-12)
-    slice_tops = [np.linalg.svd(t[:, :, i], compute_uv=False) for i in range(k)]
+    slice_tops = [np.linalg.svd(s, compute_uv=False) for s in t]
     assert norm(t, NormKind.muon()) == pytest.approx(max(s[0] for s in slice_tops), rel=1e-12)
     assert norm(t, NormKind.muon(dual=True)) == pytest.approx(
         sum(s.sum() for s in slice_tops), rel=1e-12
@@ -115,7 +115,7 @@ def test_norm_matches_matricization_spectra(m, n, k, seed):
 
 def test_primal_norm_batch_matches_norm():
     rng = np.random.default_rng(1)
-    ts = rng.standard_normal((32, 3, 2, 3))
+    ts = rng.standard_normal((32, 3, 3, 2))
     for kind in ALL_PRIMAL:
         batch = primal_norm_batch(ts, kind)
         ref = np.array([norm(ts[i], kind) for i in range(len(ts))])
@@ -134,7 +134,7 @@ def test_primal_norm_batch_matches_norm():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_comparability_holds_on_random_tensors(m, n, k, mode, seed):
-    t = np.random.default_rng(seed).standard_normal((m, n, k))
+    t = np.random.default_rng(seed).standard_normal((k, m, n))
     rep = check_comparability(t, mode)
     assert not rep.violation
     scale = max(1.0, rep.muon_primal)
@@ -160,7 +160,7 @@ def test_comparability_tight_on_max_gain_construction():
 
 
 def test_comparability_zero_tensor_and_report_lines():
-    rep = check_comparability(np.zeros((2, 3, 4)), 2)
+    rep = check_comparability(np.zeros((4, 2, 3)), 2)
     assert not rep.violation
     assert rep.primal_lower_slack == rep.dual_upper_slack == 0.0
     assert (rep.mode, rep.k, rep.muon_primal, rep.teon_dual) == (2, 4, 0.0, 0.0)
@@ -179,7 +179,7 @@ def test_comparability_zero_tensor_and_report_lines():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_ntr_objective_equals_minus_eta_dual(m, n, k, seed):
-    g = np.random.default_rng(seed).standard_normal((m, n, k))
+    g = np.random.default_rng(seed).standard_normal((k, m, n))
     eta = 0.7
     for mode in (1, 2, 3):
         step = ntr_step_teon(g, mode, eta)
@@ -193,32 +193,32 @@ def test_ntr_objective_equals_minus_eta_dual(m, n, k, seed):
 
 
 def test_ntr_step_k1_teon_equals_muon():
-    g = np.random.default_rng(2).standard_normal((4, 3, 1))
+    g = np.random.default_rng(2).standard_normal((1, 4, 3))
     np.testing.assert_array_equal(ntr_step_teon(g, 1, 0.5), ntr_step_muon(g, 0.5))
 
 
 def test_ntr_step_muon_is_the_per_slice_polar_step_bitwise():
-    g = np.random.default_rng(5).standard_normal((4, 3, 3))
-    g[:, :, 1] = 0.0
+    g = np.random.default_rng(5).standard_normal((3, 4, 3))
+    g[1] = 0.0
     step = ntr_step_muon(g, 0.7)
     for k in range(3):
-        assert step[:, :, k].tobytes() == (-0.7 * ortho_exact(g[:, :, k])).tobytes()
+        assert step[k].tobytes() == (-0.7 * ortho_exact(g[k])).tobytes()
 
 
 def test_ntr_muon_identical_slices_symmetric():
     a = np.random.default_rng(3).standard_normal((3, 3))
-    g = np.stack([a, a, a], axis=2)
+    g = np.stack([a, a, a])
     step = ntr_step_muon(g, 1.0)
-    np.testing.assert_array_equal(step[:, :, 0], step[:, :, 1])
-    np.testing.assert_array_equal(step[:, :, 0], step[:, :, 2])
+    np.testing.assert_array_equal(step[0], step[1])
+    np.testing.assert_array_equal(step[0], step[2])
 
 
 def test_ntr_beats_sampled_directions_small():
     rng = np.random.default_rng(4)
     eta = 0.9
     for _ in range(10):
-        g = rng.standard_normal((3, 2, 3))
-        samples = rng.standard_normal((2000, 3, 2, 3))
+        g = rng.standard_normal((3, 3, 2))
+        samples = rng.standard_normal((2000, 3, 3, 2))
         for kind in ALL_PRIMAL:
             if kind.family == "muon":
                 step = ntr_step_muon(g, eta)
@@ -232,7 +232,7 @@ def test_ntr_beats_sampled_directions_small():
 
 
 def test_ntr_rejects_bad_eta():
-    g = np.ones((2, 2, 1))
+    g = np.ones((1, 2, 2))
     with pytest.raises(ValueError):
         ntr_step_teon(g, 1, 0.0)
     with pytest.raises(ValueError):
@@ -250,7 +250,7 @@ def test_ntr_rejects_bad_eta():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_dual_norm_sampling_bounds(m, n, k, seed):
-    g = np.random.default_rng(seed).standard_normal((m, n, k))
+    g = np.random.default_rng(seed).standard_normal((k, m, n))
     for kind in ALL_PRIMAL:
         sampled, dual = sample_dual_lower_bound(g, kind, samples=1500, seed=seed + 1)
         assert sampled <= dual + 1e-9 * max(1.0, dual)
@@ -258,7 +258,7 @@ def test_dual_norm_sampling_bounds(m, n, k, seed):
 
 
 def test_dual_ascent_direction_is_feasible_certificate():
-    g = np.random.default_rng(9).standard_normal((3, 3, 2))
+    g = np.random.default_rng(9).standard_normal((2, 3, 3))
     for kind in ALL_PRIMAL:
         y = dual_ascent_direction(g, kind)
         assert norm(y, kind) <= 1 + 1e-9
@@ -321,7 +321,7 @@ def test_convergence_bound_pair():
 
 
 def test_smoothness_quadratic_sandwich():
-    f = _Quad((3, 4, 3))
+    f = _Quad((3, 3, 4))
     rep = estimate_smoothness_ratio(f, 60, 1, seed=5)
     assert rep.sandwich_ok
     assert rep.max_teon > 0
@@ -367,7 +367,7 @@ def test_max_gain_ratio_sqrt_k(mode, m, n, K):
     assert ratio == pytest.approx(np.sqrt(K), abs=1e-9)
     # slices are exactly rank one
     for k in range(K):
-        s = np.linalg.svd(t[:, :, k], compute_uv=False)
+        s = np.linalg.svd(t[k], compute_uv=False)
         assert s[0] == pytest.approx(1.0, abs=1e-12)
         assert s[1:].max(initial=0.0) <= 1e-12
 

@@ -58,11 +58,11 @@ def _random_stacks(layout, groups, seed):
 def _lone(w, g, policy, states=None):
     """One update of a lone (m, n) matrix: the K=1 stack through `apply_group_step`,
     from `states["w"]` (a fresh state when `states` is None)."""
-    params = {"w": w[:, :, None].copy()}
+    params = {"w": w[None].copy()}
     group = ParamGroup("w", ("w",), (w.shape,), policy)
     states = {"w": OptimizerState()} if states is None else states
-    apply_group_step(params, {"w": g[:, :, None]}, group, states)
-    return params["w"][:, :, 0]
+    apply_group_step(params, {"w": g[None]}, group, states)
+    return params["w"][0]
 
 
 # ------------------------------------------------------------------- policy
@@ -162,7 +162,7 @@ def test_muon_accumulate_two_constant_steps():
     w = np.zeros((4, 4))
     w = _lone(w, g, policy, states)
     w = _lone(w, g, policy, states)
-    np.testing.assert_allclose(states["w"].momentum[:, :, 0], 1.95 * g, rtol=1e-14)
+    np.testing.assert_allclose(states["w"].momentum[0], 1.95 * g, rtol=1e-14)
     # polar factor ignores the momentum magnitude
     step_dir = _lone(np.zeros((4, 4)), g, policy)
     np.testing.assert_allclose(w - step_dir, step_dir, atol=1e-10)
@@ -181,7 +181,7 @@ def test_momentum_closed_form(style):
     expected = sum(mu ** (4 - s) * gs[s] for s in range(5))
     if style == EMA:
         expected = (1 - mu) * expected
-    np.testing.assert_allclose(states["w"].momentum[:, :, 0], expected, rtol=1e-12)
+    np.testing.assert_allclose(states["w"].momentum[0], expected, rtol=1e-12)
     assert states["w"].t == 5
 
 
@@ -231,7 +231,7 @@ def test_muon_shape_errors_and_buffer_stability():
     with pytest.raises(ValueError, match="momentum buffer"):
         _lone(np.zeros((3, 2)), np.ones((3, 2)), policy, states)
     with pytest.raises(ValueError, match="muon or teon policy"):
-        ortho_step(np.zeros((2, 2, 1)), OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
+        ortho_step(np.zeros((1, 2, 2)), OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
 
 
 # ------------------------------------------------------ ortho_step, stacks (K>=1)
@@ -249,11 +249,11 @@ def test_teon_k1_matches_muon_bitwise(style, scheme):
     kw = dict(eta=0.07, mu=0.9, momentum_style=style, scheme=scheme, weight_decay=0.01)
     muon_g = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.muon(**kw))
     teon_g = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.teon(1, **kw))
-    pm = {"w": rng.standard_normal((3, 2, 1))}
+    pm = {"w": rng.standard_normal((1, 3, 2))}
     pt = {"w": pm["w"].copy()}
     sm, st = {"w": OptimizerState()}, {"w": OptimizerState()}
     for _ in range(20):
-        g = {"w": rng.standard_normal((3, 2, 1))}
+        g = {"w": rng.standard_normal((1, 3, 2))}
         apply_group_step(pm, g, muon_g, sm)
         apply_group_step(pt, g, teon_g, st)
         assert pt["w"].tobytes() == pm["w"].tobytes()
@@ -300,20 +300,20 @@ def test_teon_shared_left_family_scales_by_sqrt_k():
 
 def test_teon_identical_slices_symmetry():
     a = np.random.default_rng(8).standard_normal((3, 3))
-    gs = np.stack([a, a, a], axis=2)
+    gs = np.stack([a, a, a])
     policy = UpdatePolicy.teon(1, 1.0, mu=0.0)
     step, _ = ortho_step(gs, OptimizerState(), policy, policy.eta)
-    np.testing.assert_allclose(step[:, :, 0], step[:, :, 1], atol=1e-12)
-    np.testing.assert_allclose(step[:, :, 0], step[:, :, 2], atol=1e-12)
+    np.testing.assert_allclose(step[0], step[1], atol=1e-12)
+    np.testing.assert_allclose(step[0], step[2], atol=1e-12)
     # [A A A] has full row rank; its polar blocks are polar(A)/sqrt(3)
-    np.testing.assert_allclose(step[:, :, 0], ortho_exact(a) / np.sqrt(3), atol=1e-10)
+    np.testing.assert_allclose(step[0], ortho_exact(a) / np.sqrt(3), atol=1e-10)
 
 
 def test_teon_errors():
     policy = UpdatePolicy.teon(1, 0.1)
     muon_p = UpdatePolicy.muon(0.1)
     group = ParamGroup("g", ("a", "b"), ((2, 2), (2, 2)), policy)
-    params, grads = {"g": np.zeros((2, 2, 2))}, {"g": np.zeros((2, 2, 3))}
+    params, grads = {"g": np.zeros((2, 2, 2))}, {"g": np.zeros((3, 2, 2))}
     with pytest.raises(ValueError):
         apply_group_step(params, grads, group, {"g": OptimizerState()})
     with pytest.raises(ValueError):
@@ -323,7 +323,7 @@ def test_teon_errors():
 
 
 def test_ortho_step_rejects_adamw_and_muon_beyond_depth_one():
-    g1, g2 = np.ones((2, 3, 1)), np.ones((2, 3, 2))
+    g1, g2 = np.ones((1, 2, 3)), np.ones((2, 2, 3))
     with pytest.raises(ValueError, match="muon or teon policy"):
         ortho_step(g1, OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
     with pytest.raises(ValueError, match="K=1"):
@@ -337,11 +337,11 @@ def test_ortho_step_rejects_adamw_and_muon_beyond_depth_one():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_rules_reject_a_non_finite_gradient_at_step_0(bad):
     # apply_group_step checks the gradient once, for either rule
-    g = np.ones((2, 3, 1))
-    g[1, 0, 0] = bad
+    g = np.ones((1, 2, 3))
+    g[0, 1, 0] = bad
     for policy in (UpdatePolicy.teon(1, 0.1), UpdatePolicy.adamw(0.1)):
         group = ParamGroup("g", ("a",), ((2, 3),), policy)
-        params, states = {"g": np.zeros((2, 3, 1))}, {"g": OptimizerState()}
+        params, states = {"g": np.zeros((1, 2, 3))}, {"g": OptimizerState()}
         pattern = "group 'g' at optimizer step 0: non-finite gradient rejected at step 0"
         with pytest.raises(FloatingPointError, match=pattern):
             apply_group_step(params, {"g": g}, group, states)
@@ -349,7 +349,7 @@ def test_rules_reject_a_non_finite_gradient_at_step_0(bad):
 
 
 def test_rules_are_pure_and_the_state_is_frozen():
-    g = np.random.default_rng(15).standard_normal((2, 3, 1))
+    g = np.random.default_rng(15).standard_normal((1, 2, 3))
     rules = ((ortho_step, UpdatePolicy.teon(1, 0.1)), (adamw_step, UpdatePolicy.adamw(0.1)))
     for rule, policy in rules:
         _, state = rule(g, OptimizerState(), policy, policy.eta)
@@ -402,7 +402,7 @@ def test_adamw_errors():
     group = ParamGroup("w", ("w",), ((3,),), policy)
     states = {"w": OptimizerState()}
     with pytest.raises(ValueError):
-        apply_group_step({"w": np.zeros((3, 1))}, {"w": np.zeros((4, 1))}, group, states)
+        apply_group_step({"w": np.zeros((1, 3))}, {"w": np.zeros((1, 4))}, group, states)
     _, state = adamw_step(np.ones(3), OptimizerState(), policy, policy.eta)
     with pytest.raises(ValueError, match="moment buffer"):
         adamw_step(np.ones(4), state, policy, policy.eta)
@@ -554,8 +554,10 @@ def test_member_views_are_slices_of_the_group_stacks(blocks, k, stack_set, optim
     assert sorted(views) == sorted(e.name for e in layout)
     assert sum(g.depth for g in groups) == len(views)
     for g in groups:
-        assert params[g.id].shape == g.shapes[0] + (g.depth,)
+        assert params[g.id].shape == (g.depth,) + g.shapes[0]
         assert all(np.shares_memory(views[nm], params[g.id]) for nm in g.members)
+        # slice-major stacks: a task's BLAS calls get each view without a copy
+        assert all(views[nm].flags.c_contiguous for nm in g.members)
         restacked = stack_members(views, g)
         assert restacked.shape == params[g.id].shape
         assert restacked.tobytes() == params[g.id].tobytes()
@@ -590,15 +592,15 @@ def test_apply_group_step_matches_direct_calls():
         apply_group_step(params, gstacks, g, states)
 
     # no decay here, so each new stack is the old one minus the rule's step
-    stack = np.stack([ref["l0"], ref["l1"]], axis=2)
-    gstack = np.stack([grads["l0"], grads["l1"]], axis=2)
+    stack = np.stack([ref["l0"], ref["l1"]])
+    gstack = np.stack([grads["l0"], grads["l1"]])
     step, _ = ortho_step(gstack, OptimizerState(), groups[0].policy, groups[0].policy.eta)
     new = stack - step
-    np.testing.assert_array_equal(weights["l0"], new[:, :, 0])
-    np.testing.assert_array_equal(weights["l1"], new[:, :, 1])
+    np.testing.assert_array_equal(weights["l0"], new[0])
+    np.testing.assert_array_equal(weights["l1"], new[1])
     head_pol = next(g for g in groups if g.id == "head").policy
-    head_step, _ = ortho_step(grads["head"][:, :, None], OptimizerState(), head_pol, head_pol.eta)
-    np.testing.assert_array_equal(weights["head"], ref["head"] - head_step[:, :, 0])
+    head_step, _ = ortho_step(grads["head"][None], OptimizerState(), head_pol, head_pol.eta)
+    np.testing.assert_array_equal(weights["head"], ref["head"] - head_step[0])
     bias_policy = next(g for g in groups if g.id == "bias").policy
     bias_step, _ = adamw_step(grads["bias"], OptimizerState(), bias_policy, bias_policy.eta)
     np.testing.assert_array_equal(weights["bias"], ref["bias"] - bias_step)
@@ -695,15 +697,15 @@ def _adamw_square_overflow():
     # (1 - b2) * g * g overflows after the first moment is already computed
     group = ParamGroup("v", ("v",), ((4,),), UpdatePolicy.adamw(0.1))
     rng = np.random.default_rng(14)
-    params, good = {"v": rng.standard_normal((4, 1))}, {"v": rng.standard_normal((4, 1))}
-    bad = {"v": np.full((4, 1), 1e200)}
+    params, good = {"v": rng.standard_normal((1, 4))}, {"v": rng.standard_normal((1, 4))}
+    bad = {"v": np.full((1, 4), 1e200)}
     return group, params, (bad, 1.0), (good, 1.0), "overflow encountered in multiply"
 
 
 def _subtraction_overflow():
     # eta = 1e308: the rule's step is finite, W - step is not
     group = ParamGroup("w", ("w",), ((2, 3),), UpdatePolicy.adamw(1.0))
-    params, grads = {"w": np.full((2, 3, 1), -1e308)}, {"w": np.ones((2, 3, 1))}
+    params, grads = {"w": np.full((1, 2, 3), -1e308)}, {"w": np.ones((1, 2, 3))}
     return group, params, (grads, 1e308), (grads, 1.0), "overflow encountered in subtract"
 
 
@@ -745,12 +747,12 @@ def test_a_raising_group_step_leaves_the_stack_unchanged(case):
 
 @pytest.mark.parametrize(
     "w_shape,g_shape",
-    [((2, 3, 2), (2, 3, 1)), ((2, 2, 1), (2, 3, 1))],
+    [((2, 2, 3), (1, 2, 3)), ((1, 2, 2), (1, 2, 3))],
     ids=["broadcastable", "mismatched"],
 )
 def test_apply_group_step_rejects_a_gradient_of_another_shape(w_shape, g_shape):
-    # an (m, n, 1) step would broadcast silently over an (m, n, 2) stack
-    m, n, k = w_shape
+    # a (1, m, n) step would broadcast silently over a (2, m, n) stack
+    k, m, n = w_shape
     policy = UpdatePolicy.teon(1, 0.1, weight_decay=0.1)
     group = ParamGroup("g", tuple(f"p{i}" for i in range(k)), ((m, n),) * k, policy)
     params = {"g": np.random.default_rng(13).standard_normal(w_shape)}

@@ -125,7 +125,7 @@ def test_gradient_metrics_against_direct_norms():
     depth = max(g.depth for g in groups)
     assert depth == 2
 
-    stacks = [np.stack([grads[nm] for nm in g.members], axis=2) for g in groups]
+    stacks = [np.stack([grads[nm] for nm in g.members]) for g in groups]
     assert mp == max(norm(s, NormKind.muon()) for s in stacks)
     assert td == pytest.approx(
         sum(norm(s, NormKind.teon(1, dual=True)) for s in stacks), rel=1e-15
@@ -485,12 +485,14 @@ def test_the_task_reads_the_same_weight_arrays_at_every_step(tmp_path, monkeypat
         return task
 
     monkeypatch.setattr(runner, "make_task", make_task)
-    run(_attn_cfg(tmp_path, "teon", steps=3), write=False)
-    assert len(seen) == 3
+    res = run(_attn_cfg(tmp_path, "teon", steps=3), write=False)
+    assert len(seen) == 3 and res.summary["max_group_depth"] == 2
     first, last = seen[0], seen[-1]
     assert all(step[nm][0] is w for step in seen[1:] for nm, (w, _) in first.items())
     # the arrays are views of the updated stacks, so the values they read move
     assert all(not np.array_equal(first[nm][1], last[nm][1]) for nm in first)
+    # slices of slice-major stacks, so BLAS reads them without a copy
+    assert all(w.flags.c_contiguous for w, _ in first.values())
 
 
 def test_stack_set_order_leaves_the_csvs_unchanged(tmp_path):
@@ -546,7 +548,7 @@ def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, depth
     for g in groups:
         if g.kind == VECTOR_ADAMW:
             continue
-        stack = np.stack([grads[nm] for nm in g.members], axis=2)
+        stack = np.stack([grads[nm] for nm in g.members])
         mp = max(mp, norm(stack, NormKind.muon()))
         td += norm(stack, NormKind.teon(1, dual=True))
         md += norm(stack, NormKind.muon(dual=True))

@@ -145,7 +145,7 @@ def test_aligned_quadratic_gradients_on_cone():
     task = AlignedQuadraticTask(6, 5, 4, seed=2)
     zero = task.init_weights(np.random.default_rng(0))
     _, grads = task.loss_and_grads(zero)
-    g = np.stack([grads[f"layer{k}"] for k in range(4)], axis=2)
+    g = np.stack([grads[f"layer{k}"] for k in range(4)])
     np.testing.assert_array_equal(g, -task.c * task.gstar)
     at_opt = {f"layer{k}": task.target[:, :, k] for k in range(4)}
     loss, grads = task.loss_and_grads(at_opt)
