@@ -10,7 +10,9 @@ the run summary as `# summary.key=value` comment lines.
 would break the byte-identical determinism contract.
 
 A run keeps each group's weights in one slice-major stack and hands the task
-its slices (`optim.member_views`); each step stacks the gradients once per group.
+its slices (`optim.member_views`); each step stacks the gradients once per group,
+and those stacks live for that step only: they are dropped before the next
+step's `loss_and_grads` runs.
 """
 
 from __future__ import annotations
@@ -179,6 +181,7 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
             _check_record_sandwich(td, md, max_depth)
             wall = (time.perf_counter() - tic) * 1000.0 if cfg.log_timing else 0.0
             metrics.append(MetricsRecord(t, loss, mp, td, md, cfg.policy.eta * factor, wall))
+        del grads  # no gradient stack outlives its step
         if (t + 1) % cfg.align_every == 0 and pairs:
             buffers = member_views({g.id: states[g.id].momentum for g in groups}, groups)
             memo: dict = {}  # one SVD per buffer for this sampled step

@@ -316,13 +316,19 @@ def _richardson_difference(task, weights: dict, delta: dict, h: float) -> float:
     that the weights move by h in Frobenius norm whatever the parameter count.
     The extrapolation cancels D's s^2 truncation term; the scaling keeps the
     s^4 term that remains from growing with the stack, where a fixed step
-    rejected a correct micro_attention gradient (dim 64, 6 blocks, seed 2)."""
+    rejected a correct micro_attention gradient (dim 64, 6 blocks, seed 2).
+
+    Besides `weights` and `delta`, one perturbed copy of the moved keys is
+    alive at a time, with the forward caches of the `loss` call that reads it:
+    each copy is built as `weights[key] + step * d` and dies when its loss
+    returns."""
+
+    def f(step: float) -> float:
+        moved = {key: weights[key] + step * d for key, d in delta.items()}
+        return task.loss(dict(weights, **moved))
 
     def central(step: float) -> float:
-        sd = {key: step * d for key, d in delta.items()}
-        wp = dict(weights, **{key: weights[key] + v for key, v in sd.items()})
-        wm = dict(weights, **{key: weights[key] - v for key, v in sd.items()})
-        return (task.loss(wp) - task.loss(wm)) / (2.0 * step)
+        return (f(step) - f(-step)) / (2.0 * step)
 
     s = h / float(np.sqrt(sum(float(np.sum(d * d)) for d in delta.values())))
     return (4.0 * central(s / 2.0) - central(s)) / 3.0
@@ -335,7 +341,10 @@ def finite_difference_check(
     random Gaussian directions. The analytic gradient comes from one
     `loss_and_grads` call; each direction adds four forward-only `loss`
     evaluations. Returns inf as soon as a direction's error is not finite
-    (a NaN or inf gradient or loss), so an `err <= tol` gate fails closed."""
+    (a NaN or inf gradient or loss), so an `err <= tol` gate fails closed.
+
+    At its peak the check holds the weights, the gradient, one direction, one
+    perturbed copy of the weights and the forward caches of one `loss` call."""
     _positive(directions=directions)
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h!r}")

@@ -1,6 +1,8 @@
 """Reference oracles the tests hold the library to. They restate the
-paper's claims as directly as possible and validate nothing."""
+paper's claims as directly as possible and validate nothing. `traced_peak`
+is the memory probe the memory-budget tests share."""
 
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -130,3 +132,14 @@ def per_parameter_fd_errors(task, weights, *, directions=3, h=1e-5, seed=0):
             fd = richardson_reference(task, weights, {key: delta}, h)
             errors[key] = max(errors[key], abs(fd - analytic) / max(1.0, abs(analytic)))
     return errors
+
+
+def traced_peak(fn):
+    """Peak bytes traced by `tracemalloc` (NumPy reports its array buffers
+    there) while `fn()` runs, counting only what `fn` allocates."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

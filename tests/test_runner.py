@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import traced_peak
 from teon.config import RunConfig, parse_config_text
 from teon.linalg import svd
 from teon.norms import NormKind, norm
@@ -535,6 +536,31 @@ def test_alignment_csv_matches_track_run_over_the_same_snapshots(tmp_path, monke
     for rec in res.alignment:
         by_pair.setdefault(rec.pair_id, []).append(rec.left_align)
     assert all(len(set(v)) == 3 for v in by_pair.values())
+
+
+MEMORY_OPTIMIZERS = {
+    "muon": "optimizer = muon\n",
+    "teon": "optimizer = teon\nmode = 1\n[grouping]\nK = 2\nstack_set = QKV,O,MLP1,MLP2\n",
+}
+
+
+@pytest.mark.parametrize("optimizer", MEMORY_OPTIMIZERS)
+def test_run_drops_each_steps_gradient_stacks_before_the_next(optimizer):
+    # One step's gradients (the task's dict, then the group stacks) are alive
+    # at a time: 7.8x the parameter bytes here, with task construction and
+    # alignment included. The bound leaves room for less than one more
+    # whole-model copy, such as the previous step's stacks.
+    cfg = parse_config_text(
+        "[run]\ntask = micro_attention\nsteps = 3\nseed = 0\nout_path = unused\n"
+        "log_every = 1\nalign_every = 1\n"
+        "[task]\ndim = 64\nseq = 16\nbatch = 8\nblocks = 4\n"
+        "[optimizer]\neta = 0.02\nscheme = newton_schulz\nns_steps = 5\n"
+        "ns_preset = jordan\nadam_eta = 0.005\n" + MEMORY_OPTIMIZERS[optimizer]
+    )
+    layout = make_task("micro_attention", 0, **cfg.task_params).layout
+    param_bytes = sum(8 * int(np.prod(e.shape)) for e in layout)
+    peak = traced_peak(lambda: run(cfg, write=False))
+    assert peak <= 8.3 * param_bytes, peak / param_bytes
 
 
 @pytest.mark.parametrize("optimizer,depth", [("muon", 1), ("teon", 2)])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import teon.tasks
-from oracles import full_evaluation_fd_error, per_parameter_fd_errors
+from oracles import full_evaluation_fd_error, per_parameter_fd_errors, traced_peak
 from teon.checks import _gradient_fd
 from teon.norms import build_max_gain_tensor
 from teon.tasks import (
@@ -74,6 +74,18 @@ def test_finite_difference_check_equals_the_full_evaluation_reference(name, para
     weights = task.init_weights(np.random.default_rng(3))
     err = finite_difference_check(task, weights, directions=3, seed=4)
     assert err == full_evaluation_fd_error(task, weights, directions=3, seed=4)
+
+
+def test_micro_attention_construction_holds_one_perturbed_weight_copy():
+    # The gate holds the weights, the gradient, one direction, one perturbed
+    # copy and one forward pass's caches: 6.5x the parameter bytes here. The
+    # bound leaves room for half a whole-model copy more, not for a second
+    # perturbed copy.
+    params = dict(dim=64, seq=16, batch=8, blocks=4)
+    task = MicroAttentionTask(seed=0, **params)
+    param_bytes = sum(8 * int(np.prod(e.shape)) for e in task.layout)
+    peak = traced_peak(lambda: MicroAttentionTask(seed=0, **params))
+    assert peak <= 7.0 * param_bytes, peak / param_bytes
 
 
 def test_micro_attention_fd_gate_rejects_a_nan_gradient():
