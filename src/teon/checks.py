@@ -14,7 +14,6 @@ import numpy as np
 from .config import RunConfig
 from .linalg import fold, matricize
 from .norms import (
-    NormKind,
     build_max_gain_tensor,
     check_comparability,
     eval_ntr_bound,
@@ -99,7 +98,7 @@ def _max_gain_ratio(rng) -> CheckResult:
     worst = 0.0
     for mode in (1, 2):
         t = build_max_gain_tensor(6, 6, 4, mode, seed=int(rng.integers(1 << 30)))
-        ratio = norm(t, NormKind.teon(mode)) / norm(t, NormKind.muon())
+        ratio = norm(t, mode) / norm(t)
         worst = max(worst, abs(ratio - 2.0))
     return CheckResult("max_gain_ratio", worst <= 1e-9, f"ratio defect {worst:.3g}")
 
@@ -110,12 +109,12 @@ def _ntr_oracle(rng) -> CheckResult:
         m, n, k = rng.integers(1, 5, size=3)
         g = rng.standard_normal((k, m, n))
         eta = 0.3
-        for kind, step_fn in (
-            (NormKind.teon(1, dual=True), lambda g: ntr_step_teon(g, 1, eta)),
-            (NormKind.muon(dual=True), lambda g: ntr_step_muon(g, eta)),
+        for mode, step_fn in (
+            (1, lambda g: ntr_step_teon(g, 1, eta)),
+            (None, lambda g: ntr_step_muon(g, eta)),
         ):
             obj = float(np.sum(g * step_fn(g)))
-            worst = max(worst, abs(obj + eta * norm(g, kind)))
+            worst = max(worst, abs(obj + eta * norm(g, mode, dual=True)))
     return CheckResult("ntr_oracle", worst <= 1e-8, f"max obj defect {worst:.3g}")
 
 

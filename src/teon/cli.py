@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checks import format_check_lines, run_all_checks
 from .config import RunConfig, parse_config
-from .norms import NormKind, build_max_gain_tensor, format_value, norm
+from .norms import build_max_gain_tensor, format_value, norm
 from .optim import UpdatePolicy
 from .runner import ALIGNMENT_COLUMNS, ALIGNMENT_HEADER, run, sweep
 
@@ -104,8 +104,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_maxgain(args) -> int:
     t = build_max_gain_tensor(args.m, args.n, args.K, args.mode, seed=args.seed)
-    muon = norm(t, NormKind.muon())
-    teon = norm(t, NormKind.teon(args.mode))
+    muon = norm(t)
+    teon = norm(t, args.mode)
     print(f"maxgain.m={args.m}")
     print(f"maxgain.n={args.n}")
     print(f"maxgain.K={args.K}")

@@ -1,11 +1,12 @@
 """Cross-layer alignment and rank diagnostics.
 
 `top_singular_alignment` measures |<u1_a, u1_b>| and |<v1_a, v1_b>| between
-the top singular vectors of two same-shaped matrices. Singular vectors carry
-an arbitrary sign, so absolute values are the only well-defined choice. When
-sigma_1 - sigma_2 is tiny the top vectors are basis-ambiguous inside the
-leading singular subspace; the derived `degenerate` (gap below 1e-8)
-flags such records, which should be filtered, never asserted on.
+the top singular vectors of each pair of same-shaped matrices in one sampled
+step's buffers. Singular vectors carry an arbitrary sign, so absolute values
+are the only well-defined choice. When sigma_1 - sigma_2 is tiny the top
+vectors are basis-ambiguous inside the leading singular subspace; the
+derived `degenerate` (gap below 1e-8) flags such records, which should be
+filtered, never asserted on.
 
 The training loop (`teon.runner.run`) samples the momentum buffers every
 `align_every` steps and emits one AlignmentRecord per pair from
@@ -13,9 +14,9 @@ The training loop (`teon.runner.run`) samples the momentum buffers every
 `step,pair_id,left_align,right_align,sigma_gap`.
 
 Cost model: a matrix usually sits in several pairs (`b1.q` in Q0-Q1, Q1-Q2,
-Q1-K1 and Q1-V1), so callers that align many pairs over one snapshot pass a
-per-step `memo` dict to `top_singular_alignment`. Each distinct buffer is
-then decomposed by one SVD per sampled step, however many pairs it is in.
+Q1-K1 and Q1-V1), so one call takes a whole sampled step and decomposes each
+paired buffer by one SVD, however many pairs it is in. The factors live in
+a cache local to that call and are freed when it returns.
 """
 
 from __future__ import annotations
@@ -63,43 +64,30 @@ class AlignmentRecord:
         )
 
 
-def top_singular_alignment(
-    a: np.ndarray,
-    b: np.ndarray,
-    step: int = 0,
-    pair_id: str = "",
-    *,
-    memo: dict | None = None,
-) -> AlignmentRecord:
-    """Alignment of the top singular directions of two same-shaped matrices.
+def top_singular_alignment(buffers: dict, pairs, step: int) -> list[AlignmentRecord]:
+    """One sampled step's records, in the order of `pairs`.
 
-    `memo` is a dict owned by the caller that caches each input's top
-    singular pair under `id()` of the input, as `copy.deepcopy` does. It
-    holds a reference to every input it has seen, so an id is never reused
-    while the dict lives; the inputs must not be mutated in that time. Keep
-    one memo per sampled step. Records are the same with or without it.
+    `buffers` maps names to matrices; `pairs` holds (pair_id, name_a, name_b)
+    triples over same-shaped matrices. A pair naming a matrix that is not in
+    `buffers` is skipped.
     """
-    ua, va, gap_a = _top_pair(a, memo)
-    ub, vb, gap_b = _top_pair(b, memo)
-    shape_a, shape_b = (len(ua), len(va)), (len(ub), len(vb))
-    if shape_a != shape_b:
-        raise ValueError(f"alignment needs equal shapes, got {shape_a} vs {shape_b}")
-    left = float(abs(np.dot(ua, ub)))
-    right = float(abs(np.dot(va, vb)))
-    return AlignmentRecord(step, pair_id, left, right, min(gap_a, gap_b))
-
-
-def _top_pair(x, memo: dict | None):
-    """(u_1, v_1, sigma_1 - sigma_2) of matrix `x`, through `memo` if given."""
-    if memo is not None:
-        hit = memo.get(id(x))
-        if hit is not None and hit[0] is x:
-            return hit[1]
-    u, s, v = svd(x)
-    top = (u[:, 0], v[:, 0], float(s[0] - s[1]) if len(s) > 1 else float(s[0]))
-    if memo is not None:
-        memo[id(x)] = (x, top)
-    return top
+    tops = {}  # name -> (u_1, v_1, sigma_1 - sigma_2), one SVD per paired buffer
+    records = []
+    for pair_id, a, b in pairs:
+        if a not in buffers or b not in buffers:
+            continue
+        shape_a, shape_b = np.shape(buffers[a]), np.shape(buffers[b])
+        if shape_a != shape_b:
+            raise ValueError(f"alignment needs equal shapes, got {shape_a} vs {shape_b}")
+        for name in (a, b):
+            if name not in tops:
+                u, s, vh = svd(buffers[name])
+                tops[name] = (u[:, 0], vh[0], float(s[0] - s[1]) if len(s) > 1 else float(s[0]))
+        (ua, va, gap_a), (ub, vb, gap_b) = tops[a], tops[b]
+        left = float(abs(np.dot(ua, ub)))
+        right = float(abs(np.dot(va, vb)))
+        records.append(AlignmentRecord(step, pair_id, left, right, min(gap_a, gap_b)))
+    return records
 
 
 def default_alignment_pairs(layout) -> list[tuple[str, str, str]]:

@@ -17,12 +17,9 @@ are bit-exact because only reshape/transpose are involved, never arithmetic.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
-    "SvdResult",
     "as_matrix",
     "as_tensor3",
     "matricize",
@@ -86,20 +83,10 @@ def fold(x: np.ndarray, mode: int, shape: tuple[int, int, int]) -> np.ndarray:
     return x.reshape(k, m, n)
 
 
-class SvdResult(NamedTuple):
-    """Thin SVD A = U diag(sigma) V^T with r = min(m, n).
-
-    u: (m, r) with orthonormal columns; sigma: (r,) non-increasing, >= 0;
-    v: (n, r) with orthonormal columns (right singular vectors as columns).
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-
-def svd(a: np.ndarray) -> SvdResult:
-    """Thin SVD used as the ground-truth oracle everywhere else.
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD A = (u * s) @ vh, NumPy's (u, s, vh) with r = min(m, n):
+    u (m, r) has orthonormal columns, s (r,) is non-increasing and >= 0,
+    vh (r, n) has orthonormal rows. The ground-truth oracle everywhere else.
 
     Deterministic for a fixed input on a fixed NumPy/BLAS build and BLAS
     thread count; LAPACK's blocked SVD runs on the threaded BLAS, so the
@@ -110,9 +97,8 @@ def svd(a: np.ndarray) -> SvdResult:
     # factors or, for some 39x24 Gaussian matrices, not within 15 s
     a = as_matrix(a)
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover - hardware dependent
         raise np.linalg.LinAlgError(
             f"SVD did not converge for shape {a.shape}: {e}"
         ) from e
-    return SvdResult(u, s, vh.T)

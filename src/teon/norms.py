@@ -34,7 +34,6 @@ from .linalg import as_tensor3, fold, matricize
 from .ortho import ortho_exact
 
 __all__ = [
-    "NormKind",
     "norm",
     "ComparabilityReport",
     "check_comparability",
@@ -46,9 +45,6 @@ __all__ = [
     "format_value",
 ]
 
-MUON = "muon"
-TEON = "teon"
-
 
 def format_value(x) -> str:
     """Render a metric value for key=value report lines (17 significant digits)."""
@@ -57,42 +53,13 @@ def format_value(x) -> str:
     return str(x)
 
 
-@dataclass(frozen=True)
-class NormKind:
-    """Selects a norm: family 'muon' or 'teon', matricization mode (teon
-    only), and primal vs dual."""
-
-    family: str
-    mode: int | None = None
-    dual: bool = False
-
-    def __post_init__(self):
-        if self.family not in (MUON, TEON):
-            raise ValueError(f"family must be 'muon' or 'teon', got {self.family!r}")
-        if self.family == TEON:
-            if self.mode not in (1, 2, 3):
-                raise ValueError(f"teon norms need mode in {{1,2,3}}, got {self.mode!r}")
-        elif self.mode is not None:
-            raise ValueError("muon norms carry no mode")
-
-    @classmethod
-    def muon(cls, dual: bool = False) -> "NormKind":
-        return cls(MUON, None, dual)
-
-    @classmethod
-    def teon(cls, mode: int, dual: bool = False) -> "NormKind":
-        return cls(TEON, mode, dual)
-
-
-def norm(t: np.ndarray, kind: NormKind) -> float:
-    """Evaluate the selected norm of a (K, m, n) tensor."""
+def norm(t: np.ndarray, mode: int | None = None, dual: bool = False) -> float:
+    """The muon norm of a (K, m, n) tensor (`mode=None`) or its teon-`mode`
+    norm (`mode` in 1-3); the dual (nuclear) norm if `dual`."""
     t = as_tensor3(t)
-    if kind.family == MUON:
-        # batched singular values across slices
-        s = np.linalg.svd(t, compute_uv=False)
-        return float(s.sum()) if kind.dual else float(s.max())
-    s = np.linalg.svd(matricize(t, kind.mode), compute_uv=False)
-    return float(s.sum()) if kind.dual else float(s.max())
+    # muon: batched singular values across slices; matricize rejects a bad mode
+    s = np.linalg.svd(t if mode is None else matricize(t, mode), compute_uv=False)
+    return float(s.sum()) if dual else float(s.max())
 
 
 # ------------------------------------------------------------- comparability
@@ -126,10 +93,10 @@ def check_comparability(t: np.ndarray, mode: int) -> ComparabilityReport:
     t = as_tensor3(t)
     k = t.shape[0]
     root_k = np.sqrt(k)
-    mp = norm(t, NormKind.muon())
-    tp = norm(t, NormKind.teon(mode))
-    md = norm(t, NormKind.muon(dual=True))
-    td = norm(t, NormKind.teon(mode, dual=True))
+    mp = norm(t)
+    tp = norm(t, mode)
+    md = norm(t, dual=True)
+    td = norm(t, mode, dual=True)
     slacks = (
         tp - mp,            # muon_primal <= teon_primal
         root_k * mp - tp,   # teon_primal <= sqrt(K) muon_primal
@@ -151,8 +118,8 @@ def ntr_step_teon(g: np.ndarray, mode: int, eta: float) -> np.ndarray:
     -eta * ||g||_teon-mode,*.
     """
     g = as_tensor3(g)
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     return -eta * fold(ortho_exact(matricize(g, mode)), mode, g.shape)
 
 

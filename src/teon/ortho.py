@@ -148,8 +148,8 @@ def ortho_exact(m: np.ndarray) -> np.ndarray:
     """Polar factor U V^T from the SVD; Ortho(0) := 0; `svd` rejects NaN/Inf."""
     if not m.any():
         return np.zeros_like(m)
-    r = svd(m)
-    return r.u @ r.v.T
+    u, _, vh = svd(m)
+    return u @ vh
 
 
 def ortho_ns(m: np.ndarray, scheme: OrthoScheme) -> np.ndarray:

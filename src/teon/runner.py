@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import SCHEDULES, RunConfig, config_hash
 from .diagnostics import AlignmentRecord, default_alignment_pairs, top_singular_alignment
-from .norms import NormKind, format_value, norm
+from .norms import format_value, norm
 from .optim import VECTOR_ADAMW, OptimizerState, apply_group_step, build_groups
 from .optim import member_views, stack_members
 from .tasks import make_task
@@ -130,7 +130,7 @@ def gradient_metrics(grads: dict, groups) -> tuple[float, float, float]:
         # one value-only SVD of the slices gives both muon norms
         s = np.linalg.svd(stack, compute_uv=False)
         muon_primal = max(muon_primal, float(s.max()))
-        teon1_dual += norm(stack, NormKind.teon(1, dual=True))
+        teon1_dual += norm(stack, 1, dual=True)
         muon_dual += float(s.sum())
     return muon_primal, teon1_dual, muon_dual
 
@@ -184,14 +184,7 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
         del grads  # no gradient stack outlives its step
         if (t + 1) % cfg.align_every == 0 and pairs:
             buffers = member_views({g.id: states[g.id].momentum for g in groups}, groups)
-            memo: dict = {}  # one SVD per buffer for this sampled step
-            for pair_id, a, b in pairs:
-                if a in buffers and b in buffers:
-                    alignment.append(
-                        top_singular_alignment(
-                            buffers[a], buffers[b], step=t + 1, pair_id=pair_id, memo=memo
-                        )
-                    )
+            alignment += top_singular_alignment(buffers, pairs, step=t + 1)
 
     best = min(metrics, key=lambda r: r.loss)
     summary = {

@@ -8,40 +8,41 @@ from typing import NamedTuple
 import numpy as np
 
 from teon.diagnostics import top_singular_alignment
-from teon.norms import NormKind, norm, ntr_step_muon, ntr_step_teon
+from teon.norms import norm, ntr_step_muon, ntr_step_teon
 
 
-def primal_norm_batch(ts, kind):
-    """Primal norms of an (S, K, m, n) batch from top Gram eigenvalues."""
-    if kind.family == "muon":
+def primal_norm_batch(ts, mode):
+    """Primal norms of an (S, K, m, n) batch from top Gram eigenvalues:
+    the muon norm for `mode=None`, else the teon-`mode` norm."""
+    if mode is None:
         g = np.einsum("skij,sklj->skil", ts, ts)
         ev = np.linalg.eigvalsh(g)[..., -1].max(axis=1)
     else:
-        spec = {1: "skij,sklj->sil", 2: "skij,skil->sjl", 3: "skij,slij->skl"}[kind.mode]
+        spec = {1: "skij,sklj->sil", 2: "skij,skil->sjl", 3: "skij,slij->skl"}[mode]
         ev = np.linalg.eigvalsh(np.einsum(spec, ts, ts))[..., -1]
     return np.sqrt(np.maximum(ev, 0.0))
 
 
-def dual_ascent_direction(g, kind):
+def dual_ascent_direction(g, mode):
     """The Hoelder certificate: primal norm <= 1 and <g, y> = dual norm of g."""
-    if kind.family == "muon":
+    if mode is None:
         return -ntr_step_muon(g, 1.0)
-    return -ntr_step_teon(g, kind.mode, 1.0)
+    return -ntr_step_teon(g, mode, 1.0)
 
 
-def sample_dual_lower_bound(g, kind, samples, seed):
+def sample_dual_lower_bound(g, mode, samples, seed):
     """(max of <g, y> over sampled unit-primal-norm y, the dual norm of g).
     A third of the samples perturb the certificate, the rest are Gaussian."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((samples, *g.shape))
     eps = np.zeros(samples)
     eps[: samples // 3] = np.repeat([0.0, 0.05, 0.2], samples // 9 + 1)[: samples // 3]
-    cert = dual_ascent_direction(g, kind)
+    cert = dual_ascent_direction(g, mode)
     ys = np.where((eps > 0)[:, None, None, None], cert + eps[:, None, None, None] * noise, noise)
     ys[0] = cert
-    norms = primal_norm_batch(ys, kind)
+    norms = primal_norm_batch(ys, mode)
     vals = np.einsum("ijk,sijk->s", g, ys) / np.where(norms == 0, 1.0, norms)
-    return float(vals.max()), norm(g, NormKind(kind.family, kind.mode, dual=True))
+    return float(vals.max()), norm(g, mode, dual=True)
 
 
 def convergence_bound_pair(delta0, T, L_teon, L_muon):
@@ -68,24 +69,29 @@ def estimate_smoothness_ratio(f, samples, mode, seed, pair_sampler=None):
         else:
             x, y = pair_sampler(rng)
         dx, df = x - y, f.gradient(x) - f.gradient(y)
-        r_teon = norm(df, NormKind.teon(mode, dual=True)) / norm(dx, NormKind.teon(mode))
-        r_muon = norm(df, NormKind.muon(dual=True)) / norm(dx, NormKind.muon())
+        r_teon = norm(df, mode, dual=True) / norm(dx, mode)
+        r_muon = norm(df, dual=True) / norm(dx)
         max_teon, max_muon = max(max_teon, r_teon), max(max_muon, r_muon)
         tol = 1e-9 * max(1.0, r_muon)
         sandwich_ok &= r_teon <= r_muon + tol and r_muon <= f.shape[0] * r_teon + tol
     return Smoothness(max_teon, max_muon, sandwich_ok)
 
 
+def alignment_reference(a, b):
+    """(left_align, right_align, sigma_gap) of one pair straight from
+    `np.linalg.svd`: |<u_1(a), u_1(b)>|, |<v_1(a), v_1(b)>| and the smaller of
+    the two gaps sigma_1 - sigma_2 (sigma_1 alone for a single value)."""
+    (ua, sa, vha), (ub, sb, vhb) = (np.linalg.svd(x, full_matrices=False) for x in (a, b))
+    gap = min(s[0] - s[1] if len(s) > 1 else s[0] for s in (sa, sb))
+    return float(abs(np.dot(ua[:, 0], ub[:, 0]))), float(abs(np.dot(vha[0], vhb[0]))), float(gap)
+
+
 def track_run(snapshots, pairs, every):
     """Alignment records of each (pair_id, name_a, name_b) on the snapshot
-    steps divisible by `every`, one memo per sampled step."""
+    steps divisible by `every`, one per-step call per sampled step."""
     for step, buffers in snapshots:
         if step % every == 0:
-            memo = {}
-            for pair_id, a, b in pairs:
-                yield top_singular_alignment(
-                    buffers[a], buffers[b], step=step, pair_id=pair_id, memo=memo
-                )
+            yield from top_singular_alignment(buffers, pairs, step)
 
 
 def richardson_reference(task, weights, delta, h=1e-5):

@@ -8,7 +8,6 @@ do not loosen them to make a failure go away.
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from teon.diagnostics import top_singular_alignment
 from teon.linalg import fold, matricize
 from teon.norms import (
     BoundInputs,
-    NormKind,
     build_max_gain_tensor,
     check_comparability,
     eval_ntr_bound,
@@ -99,9 +97,9 @@ def test_criterion_03_norm_lemma_suite():
                 rep = check_comparability(t, mode)
                 assert not rep.violation
                 assert rep.teon_primal <= frob + 1e-9 * frob  # rho = 1
-            assert norm(t, NormKind.muon()) <= frob + 1e-9 * frob
+            assert norm(t) <= frob + 1e-9 * frob
         g = build_max_gain_tensor(8, 8, 4, 1, seed=0)
-        ratio = norm(g, NormKind.teon(1)) / norm(g, NormKind.muon())
+        ratio = norm(g, 1) / norm(g)
         assert abs(ratio - 2.0) <= 1e-9
 
 
@@ -112,15 +110,15 @@ def test_criterion_04_steepest_descent_oracle():
         for _ in range(200):
             m, n, k = rng.integers(1, 4, size=3)
             g = rng.standard_normal((k, m, n))
-            for kind, step in (
-                (NormKind.teon(1), ntr_step_teon(g, 1, eta)),
-                (NormKind.muon(), ntr_step_muon(g, eta)),
+            for mode, step in (
+                (1, ntr_step_teon(g, 1, eta)),
+                (None, ntr_step_muon(g, eta)),
             ):
                 obj = float(np.sum(g * step))
-                dual = norm(g, replace(kind, dual=True))
+                dual = norm(g, mode, dual=True)
                 assert abs(obj + eta * dual) <= 1e-8
                 cand = rng.standard_normal((10_000, k, m, n))
-                norms = primal_norm_batch(cand, kind)
+                norms = primal_norm_batch(cand, mode)
                 cand *= (eta / norms)[:, None, None, None]
                 sampled = np.einsum("ijk,sijk->s", g, cand)
                 assert np.all(sampled >= obj - 1e-9 * max(1.0, abs(obj)))
@@ -244,29 +242,33 @@ def test_criterion_09_diagnostics_correctness():
     with criterion(9, "aligned-stack alignment values; symmetry + rotation invariance", 30):
         for seed in (0, 1, 2):
             g = build_max_gain_tensor(8, 8, 4, 2, seed=seed)
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    rec = top_singular_alignment(g[i], g[j])
-                    assert abs(rec.right_align - 1.0) <= 1e-8
-                    assert rec.left_align <= 1e-8
+            pairs = [(f"{i}-{j}", i, j) for i in range(4) for j in range(i + 1, 4)]
+            records = top_singular_alignment(dict(enumerate(g)), pairs, step=0)
+            assert len(records) == 6
+            for rec in records:
+                assert abs(rec.right_align - 1.0) <= 1e-8
+                assert rec.left_align <= 1e-8
         rng = np.random.default_rng(1009)
+        both_ways = [("fwd", "a", "b"), ("rev", "b", "a")]
         checked = 0
         while checked < 200:
             m, n = rng.integers(2, 9, size=2)
             a, b = rng.standard_normal((2, m, n))
-            fwd = top_singular_alignment(a, b)
+            fwd, rev = top_singular_alignment({"a": a, "b": b}, both_ways, step=0)
             if fwd.degenerate:
                 continue
-            rev = top_singular_alignment(b, a)
             assert abs(fwd.left_align - rev.left_align) <= 1e-12
             assert abs(fwd.right_align - rev.right_align) <= 1e-12
             q1 = np.linalg.qr(rng.standard_normal((m, m)))[0]
             q2 = np.linalg.qr(rng.standard_normal((m, m)))[0]
-            rot = top_singular_alignment(q1 @ a, q2 @ b)
-            assert abs(rot.right_align - fwd.right_align) <= 1e-10
             r1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
             r2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            rot2 = top_singular_alignment(a @ r1, b @ r2)
+            rot, rot2 = top_singular_alignment(
+                {"qa": q1 @ a, "qb": q2 @ b, "ar": a @ r1, "br": b @ r2},
+                [("left", "qa", "qb"), ("right", "ar", "br")],
+                step=0,
+            )
+            assert abs(rot.right_align - fwd.right_align) <= 1e-10
             assert abs(rot2.left_align - fwd.left_align) <= 1e-10
             checked += 1
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import track_run
+from oracles import alignment_reference, track_run
 from teon.diagnostics import (
     DEGENERATE_SIGMA_GAP,
     AlignmentRecord,
@@ -17,9 +17,15 @@ def _rotation(n, seed):
     return q
 
 
+def _align(a, b, step=0, pair_id=""):
+    """The record of the one pair (a, b), from a per-step call."""
+    (rec,) = top_singular_alignment({"a": a, "b": b}, [(pair_id, "a", "b")], step)
+    return rec
+
+
 def test_identical_matrices_align_fully():
     a = np.diag([3.0, 1.0])
-    rec = top_singular_alignment(a, a, step=7, pair_id="self")
+    rec = _align(a, a, step=7, pair_id="self")
     assert rec.left_align == pytest.approx(1.0, abs=1e-12)
     assert rec.right_align == pytest.approx(1.0, abs=1e-12)
     assert rec.sigma_gap == pytest.approx(2.0, abs=1e-12)
@@ -31,7 +37,7 @@ def test_shared_left_orthogonal_right():
     u = np.array([1.0, 0.0, 0.0])
     v1 = np.array([0.0, 1.0, 0.0, 0.0])
     v2 = np.array([0.0, 0.0, 1.0, 0.0])
-    rec = top_singular_alignment(np.outer(u, v1), np.outer(u, v2))
+    rec = _align(np.outer(u, v1), np.outer(u, v2))
     assert rec.left_align == pytest.approx(1.0, abs=1e-12)
     assert rec.right_align == pytest.approx(0.0, abs=1e-12)
     assert not rec.degenerate  # rank-1: sigma gap equals sigma_1
@@ -42,7 +48,7 @@ def test_max_gain_slices_align_on_shared_side_only(mode, shared):
     t = build_max_gain_tensor(6, 6, 4, mode=mode, seed=0)
     for i in range(4):
         for j in range(i + 1, 4):
-            rec = top_singular_alignment(t[i], t[j])
+            rec = _align(t[i], t[j])
             hot, cold = (
                 (rec.right_align, rec.left_align)
                 if shared == "right"
@@ -57,8 +63,8 @@ def test_alignment_symmetry():
     for _ in range(50):
         a = rng.standard_normal((5, 3))
         b = rng.standard_normal((5, 3))
-        r1 = top_singular_alignment(a, b)
-        r2 = top_singular_alignment(b, a)
+        r1 = _align(a, b)
+        r2 = _align(b, a)
         assert abs(r1.left_align - r2.left_align) <= 1e-12
         assert abs(r1.right_align - r2.right_align) <= 1e-12
         assert abs(r1.sigma_gap - r2.sigma_gap) <= 1e-12
@@ -69,20 +75,20 @@ def test_alignment_rotation_invariance():
     for trial in range(50):
         a = rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4))
-        base = top_singular_alignment(a, b)
+        base = _align(a, b)
         if base.degenerate:
             continue
         q1 = _rotation(4, 100 + trial)
         q2 = _rotation(4, 200 + trial)
-        left_rotated = top_singular_alignment(q1 @ a, q2 @ b)
+        left_rotated = _align(q1 @ a, q2 @ b)
         assert abs(left_rotated.right_align - base.right_align) <= 1e-10
-        right_rotated = top_singular_alignment(a @ q1, b @ q2)
+        right_rotated = _align(a @ q1, b @ q2)
         assert abs(right_rotated.left_align - base.left_align) <= 1e-10
 
 
 def test_alignment_shape_error_and_record_validation():
-    with pytest.raises(ValueError):
-        top_singular_alignment(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="equal shapes"):
+        _align(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         AlignmentRecord(0, "p", 1.5, 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -98,7 +104,7 @@ def test_degenerate_follows_sigma_gap(gap, degenerate):
 
 
 def test_degenerate_gap_flagged():
-    rec = top_singular_alignment(np.eye(3), np.eye(3))
+    rec = _align(np.eye(3), np.eye(3))
     assert rec.degenerate
     assert rec.sigma_gap <= 1e-12
 
@@ -141,35 +147,44 @@ def test_track_run_edge_cases():
         list(track_run(bad, [("ab", "a", "b")], every=1))
 
 
-# ------------------------------------------------------------ per-step memo
+# ---------------------------------------------------------- per-step call
 
 
-def test_memo_gives_bit_identical_records():
+def test_records_match_the_reference_bitwise_in_pair_order():
     rng = np.random.default_rng(21)
-    a, b, c = (rng.standard_normal((7, 5)) for _ in range(3))
-    memo = {}
-    for x, y in ((a, b), (b, c), (a, c), (c, c)):
-        plain = top_singular_alignment(x, y, step=3, pair_id="p")
-        assert top_singular_alignment(x, y, step=3, pair_id="p", memo=memo) == plain
-    assert len(memo) == 3
+    buffers = {nm: rng.standard_normal((7, 5)) for nm in ("a", "b", "c")}
+    buffers["d"] = rng.standard_normal((1, 5))  # a single singular value
+    # a and c sit in several pairs; "gone" is not among the buffers
+    pairs = [
+        ("ab", "a", "b"), ("bc", "b", "c"), ("x", "a", "gone"), ("ac", "a", "c"),
+        ("cc", "c", "c"), ("dd", "d", "d"), ("y", "gone", "c"),
+    ]
+    records = top_singular_alignment(buffers, pairs, step=3)
+    assert [r.pair_id for r in records] == ["ab", "bc", "ac", "cc", "dd"]
+    for rec, (pid, x, y) in zip(records, (p for p in pairs if "gone" not in p)):
+        assert rec == AlignmentRecord(3, pid, *alignment_reference(buffers[x], buffers[y]))
 
 
-def test_memo_misses_on_a_new_object_under_a_known_id():
-    rng = np.random.default_rng(23)
-    a, b = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-    fresh = rng.standard_normal((4, 4))
-    # an entry left under fresh's id by some other (dead) object must be ignored
-    memo = {id(fresh): (a, (np.ones(4) / 2, np.ones(4) / 2, 1.0))}
-    got = top_singular_alignment(fresh, b, memo=memo)
-    assert got == top_singular_alignment(fresh, b)
+def _counting_svd(monkeypatch):
+    import teon.diagnostics as diag
+
+    seen = []
+    original = diag.svd
+    monkeypatch.setattr(diag, "svd", lambda x: seen.append(x) or original(x))
+    return seen
+
+
+def test_one_call_decomposes_each_paired_buffer_once(monkeypatch):
+    seen = _counting_svd(monkeypatch)
+    rng = np.random.default_rng(24)
+    buffers = {nm: rng.standard_normal((5, 4)) for nm in ("w0", "w1", "w2", "unpaired")}
+    pairs = [("a", "w0", "w1"), ("b", "w1", "w2"), ("c", "w0", "w2"), ("d", "w0", "gone")]
+    assert len(top_singular_alignment(buffers, pairs, step=2)) == 3
+    assert sorted(id(x) for x in seen) == sorted(id(buffers[nm]) for nm in ("w0", "w1", "w2"))
 
 
 def test_track_run_decomposes_each_buffer_once_per_sampled_step(monkeypatch):
-    import teon.diagnostics as diag
-
-    calls = []
-    original = diag.svd
-    monkeypatch.setattr(diag, "svd", lambda x: calls.append(1) or original(x))
+    seen = _counting_svd(monkeypatch)
     rng = np.random.default_rng(24)
     names = ("w0", "w1", "w2")
     snapshots = [
@@ -177,9 +192,9 @@ def test_track_run_decomposes_each_buffer_once_per_sampled_step(monkeypatch):
     ]
     pairs = [("a", "w0", "w1"), ("b", "w1", "w2"), ("c", "w0", "w2")]
     records = list(track_run(snapshots, pairs, every=2))
-    assert len(calls) == 2 * len(names)
+    assert len(seen) == 2 * len(names)
     expected = [
-        top_singular_alignment(bufs[x], bufs[y], step=s, pair_id=pid)
+        AlignmentRecord(s, pid, *alignment_reference(bufs[x], bufs[y]))
         for s, bufs in snapshots
         if s % 2 == 0
         for pid, x, y in pairs

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teon.linalg import (
-    SvdResult,
     as_matrix,
     as_tensor3,
     fold,
@@ -130,18 +129,18 @@ def test_frobenius_invariance_and_inner_consistency(m, n, k, seed):
 
 
 def test_svd_identity_and_diagonal():
-    r = svd(np.eye(3))
-    np.testing.assert_allclose(r.sigma, np.ones(3), atol=1e-14)
-    r = svd(np.diag([3.0, 0.0]))
-    np.testing.assert_allclose(r.sigma, [3.0, 0.0], atol=1e-14)
-    assert abs(abs(r.u[0, 0]) - 1.0) <= 1e-14
-    assert abs(abs(r.v[0, 0]) - 1.0) <= 1e-14
+    _, s, _ = svd(np.eye(3))
+    np.testing.assert_allclose(s, np.ones(3), atol=1e-14)
+    u, s, vh = svd(np.diag([3.0, 0.0]))
+    np.testing.assert_allclose(s, [3.0, 0.0], atol=1e-14)
+    assert abs(abs(u[0, 0]) - 1.0) <= 1e-14
+    assert abs(abs(vh[0, 0]) - 1.0) <= 1e-14
 
 
-def svd_residuals(a: np.ndarray, r: SvdResult):
-    ortho_u = np.abs(r.u.T @ r.u - np.eye(r.u.shape[1])).max()
-    ortho_v = np.abs(r.v.T @ r.v - np.eye(r.v.shape[1])).max()
-    recon = np.linalg.norm((r.u * r.sigma) @ r.v.T - a)
+def svd_residuals(a: np.ndarray, u, s, vh):
+    ortho_u = np.abs(u.T @ u - np.eye(u.shape[1])).max()
+    ortho_v = np.abs(vh @ vh.T - np.eye(vh.shape[0])).max()
+    recon = np.linalg.norm(u * s @ vh - a)
     return ortho_u, ortho_v, recon
 
 
@@ -149,24 +148,25 @@ def svd_residuals(a: np.ndarray, r: SvdResult):
 @given(m=st.integers(1, 12), n=st.integers(1, 12), seed=st.integers(0, 2**31 - 1))
 def test_svd_invariants(m, n, seed):
     a = np.random.default_rng(seed).standard_normal((m, n))
-    r = svd(a)
-    assert r.sigma.shape == (min(m, n),)
-    assert np.all(np.diff(r.sigma) <= 0) and np.all(r.sigma >= 0)
-    ou, ov, recon = svd_residuals(a, r)
+    u, s, vh = svd(a)
+    assert s.shape == (min(m, n),)
+    assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+    ou, ov, recon = svd_residuals(a, u, s, vh)
     assert ou <= 1e-10 and ov <= 1e-10
     assert recon <= 1e-8 * max(1.0, np.linalg.norm(a))
 
 
 def test_svd_reconstruction_rectangular():
+    # NumPy's thin (u, s, vh), unchanged
     a = np.random.default_rng(7).standard_normal((5, 3))
-    r = svd(a)
-    assert r.u.shape == (5, 3) and r.v.shape == (3, 3)
-    assert np.linalg.norm((r.u * r.sigma) @ r.v.T - a) <= 1e-8
+    u, s, vh = svd(a)
+    assert u.shape == (5, 3) and s.shape == (3,) and vh.shape == (3, 3)
+    for got, want in zip((u, s, vh), np.linalg.svd(a, full_matrices=False)):
+        assert np.array_equal(got, want)
+    assert np.linalg.norm(u * s @ vh - a) <= 1e-8
 
 
 def test_svd_determinism():
     a = np.random.default_rng(11).standard_normal((8, 8))
-    r1, r2 = svd(a), svd(a.copy())
-    assert np.array_equal(r1.u, r2.u)
-    assert np.array_equal(r1.sigma, r2.sigma)
-    assert np.array_equal(r1.v, r2.v)
+    for x, y in zip(svd(a), svd(a.copy())):
+        assert np.array_equal(x, y)

@@ -13,7 +13,6 @@ from teon.linalg import matricize
 from teon.ortho import ortho_exact
 from teon.norms import (
     BoundInputs,
-    NormKind,
     build_max_gain_tensor,
     check_comparability,
     eval_ntr_bound,
@@ -22,7 +21,7 @@ from teon.norms import (
     ntr_step_teon,
 )
 
-ALL_PRIMAL = [NormKind.muon(), NormKind.teon(1), NormKind.teon(2), NormKind.teon(3)]
+ALL_MODES = [None, 1, 2, 3]  # None is the muon norm
 
 
 class _Quad:
@@ -43,36 +42,28 @@ class _Const:
         return np.zeros(self.shape)
 
 
-# ----------------------------------------------------------------- NormKind
-
-
-def test_normkind_validation():
-    with pytest.raises(ValueError):
-        NormKind("spectral")
-    with pytest.raises(ValueError):
-        NormKind("teon")  # missing mode
-    with pytest.raises(ValueError):
-        NormKind("muon", mode=1)
-    with pytest.raises(ValueError):
-        NormKind.teon(4)
-
-
 # -------------------------------------------------------------------- norms
+
+
+def test_norm_rejects_a_mode_outside_1_to_3():
+    for mode in (0, 4):
+        with pytest.raises(ValueError, match=f"got {mode}"):
+            norm(np.ones((2, 3, 4)), mode)
 
 
 def test_norm_zero_tensor():
     z = np.zeros((2, 3, 4))
-    for kind in ALL_PRIMAL:
-        assert norm(z, kind) == 0.0
-        assert norm(z, NormKind(kind.family, kind.mode, dual=True)) == 0.0
+    for mode in ALL_MODES:
+        assert norm(z, mode) == 0.0
+        assert norm(z, mode, dual=True) == 0.0
 
 
 def test_norm_k1_collapse():
     a = np.random.default_rng(0).standard_normal((5, 4))
     t = a[None]
     s1 = np.linalg.svd(a, compute_uv=False)[0]
-    for kind in (NormKind.muon(), NormKind.teon(1), NormKind.teon(2)):
-        assert norm(t, kind) == pytest.approx(s1, rel=1e-14)
+    for mode in (None, 1, 2):
+        assert norm(t, mode) == pytest.approx(s1, rel=1e-14)
 
 
 def test_norm_rank_one_stack_both_orientations():
@@ -80,17 +71,17 @@ def test_norm_rank_one_stack_both_orientations():
     # rank one with singular value sqrt(K); per-slice spectral norms are 1.
     K = 4
     t1 = build_max_gain_tensor(8, 8, K, mode=1, seed=7)
-    assert norm(t1, NormKind.muon()) == pytest.approx(1.0, abs=1e-12)
-    assert norm(t1, NormKind.teon(1)) == pytest.approx(2.0, abs=1e-12)
+    assert norm(t1) == pytest.approx(1.0, abs=1e-12)
+    assert norm(t1, 1) == pytest.approx(2.0, abs=1e-12)
     # the mirror (shared right vector) is exactly semi-orthogonal in mode 1,
     # so it gains nothing there and everything in mode 2
     t2 = build_max_gain_tensor(8, 8, K, mode=2, seed=7)
-    assert norm(t2, NormKind.muon()) == pytest.approx(1.0, abs=1e-12)
-    assert norm(t2, NormKind.teon(2)) == pytest.approx(2.0, abs=1e-12)
-    assert norm(t2, NormKind.teon(1)) == pytest.approx(1.0, abs=1e-12)
+    assert norm(t2) == pytest.approx(1.0, abs=1e-12)
+    assert norm(t2, 2) == pytest.approx(2.0, abs=1e-12)
+    assert norm(t2, 1) == pytest.approx(1.0, abs=1e-12)
     # duals: rank-1 unfolding has nuclear sqrt(K); slices sum to K
-    assert norm(t1, NormKind.teon(1, dual=True)) == pytest.approx(2.0, abs=1e-12)
-    assert norm(t1, NormKind.muon(dual=True)) == pytest.approx(4.0, abs=1e-12)
+    assert norm(t1, 1, dual=True) == pytest.approx(2.0, abs=1e-12)
+    assert norm(t1, dual=True) == pytest.approx(4.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,21 +95,23 @@ def test_norm_matches_matricization_spectra(m, n, k, seed):
     t = np.random.default_rng(seed).standard_normal((k, m, n))
     for mode in (1, 2, 3):
         s = np.linalg.svd(matricize(t, mode), compute_uv=False)
-        assert norm(t, NormKind.teon(mode)) == pytest.approx(s.max(), rel=1e-12)
-        assert norm(t, NormKind.teon(mode, dual=True)) == pytest.approx(s.sum(), rel=1e-12)
+        assert norm(t, mode) == pytest.approx(s.max(), rel=1e-12)
+        assert norm(t, mode, dual=True) == pytest.approx(s.sum(), rel=1e-12)
     slice_tops = [np.linalg.svd(s, compute_uv=False) for s in t]
-    assert norm(t, NormKind.muon()) == pytest.approx(max(s[0] for s in slice_tops), rel=1e-12)
-    assert norm(t, NormKind.muon(dual=True)) == pytest.approx(
+    assert norm(t) == pytest.approx(max(s[0] for s in slice_tops), rel=1e-12)
+    assert norm(t, dual=True) == pytest.approx(
         sum(s.sum() for s in slice_tops), rel=1e-12
     )
+    batched = np.linalg.svd(t, compute_uv=False)  # the muon norms, bitwise
+    assert norm(t) == float(batched.max()) and norm(t, dual=True) == float(batched.sum())
 
 
 def test_primal_norm_batch_matches_norm():
     rng = np.random.default_rng(1)
     ts = rng.standard_normal((32, 3, 3, 2))
-    for kind in ALL_PRIMAL:
-        batch = primal_norm_batch(ts, kind)
-        ref = np.array([norm(ts[i], kind) for i in range(len(ts))])
+    for mode in ALL_MODES:
+        batch = primal_norm_batch(ts, mode)
+        ref = np.array([norm(ts[i], mode) for i in range(len(ts))])
         np.testing.assert_allclose(batch, ref, rtol=1e-10, atol=1e-12)
 
 
@@ -183,13 +176,13 @@ def test_ntr_objective_equals_minus_eta_dual(m, n, k, seed):
     eta = 0.7
     for mode in (1, 2, 3):
         step = ntr_step_teon(g, mode, eta)
-        dual = norm(g, NormKind.teon(mode, dual=True))
+        dual = norm(g, mode, dual=True)
         assert np.vdot(g, step) == pytest.approx(-eta * dual, abs=1e-8 * max(1.0, dual))
-        assert norm(step, NormKind.teon(mode)) <= eta * (1 + 1e-9)
+        assert norm(step, mode) <= eta * (1 + 1e-9)
     step = ntr_step_muon(g, eta)
-    dual = norm(g, NormKind.muon(dual=True))
+    dual = norm(g, dual=True)
     assert np.vdot(g, step) == pytest.approx(-eta * dual, abs=1e-8 * max(1.0, dual))
-    assert norm(step, NormKind.muon()) <= eta * (1 + 1e-9)
+    assert norm(step) <= eta * (1 + 1e-9)
 
 
 def test_ntr_step_k1_teon_equals_muon():
@@ -219,13 +212,13 @@ def test_ntr_beats_sampled_directions_small():
     for _ in range(10):
         g = rng.standard_normal((3, 3, 2))
         samples = rng.standard_normal((2000, 3, 3, 2))
-        for kind in ALL_PRIMAL:
-            if kind.family == "muon":
+        for mode in ALL_MODES:
+            if mode is None:
                 step = ntr_step_muon(g, eta)
             else:
-                step = ntr_step_teon(g, kind.mode, eta)
+                step = ntr_step_teon(g, mode, eta)
             achieved = np.vdot(g, step)
-            norms = primal_norm_batch(samples, kind)
+            norms = primal_norm_batch(samples, mode)
             vals = eta * np.einsum("ijk,sijk->s", g, samples) / norms
             # Hoelder: no feasible direction does better than the polar step
             assert vals.min() >= achieved - 1e-9 * max(1.0, abs(achieved))
@@ -233,10 +226,11 @@ def test_ntr_beats_sampled_directions_small():
 
 def test_ntr_rejects_bad_eta():
     g = np.ones((1, 2, 2))
-    with pytest.raises(ValueError):
-        ntr_step_teon(g, 1, 0.0)
-    with pytest.raises(ValueError):
-        ntr_step_muon(g, -1.0)
+    for eta in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            ntr_step_teon(g, 1, eta)
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            ntr_step_muon(g, eta)
 
 
 # -------------------------------------------------------------- dual checks
@@ -251,20 +245,18 @@ def test_ntr_rejects_bad_eta():
 )
 def test_dual_norm_sampling_bounds(m, n, k, seed):
     g = np.random.default_rng(seed).standard_normal((k, m, n))
-    for kind in ALL_PRIMAL:
-        sampled, dual = sample_dual_lower_bound(g, kind, samples=1500, seed=seed + 1)
+    for mode in ALL_MODES:
+        sampled, dual = sample_dual_lower_bound(g, mode, samples=1500, seed=seed + 1)
         assert sampled <= dual + 1e-9 * max(1.0, dual)
         assert sampled >= 0.8 * dual
 
 
 def test_dual_ascent_direction_is_feasible_certificate():
     g = np.random.default_rng(9).standard_normal((2, 3, 3))
-    for kind in ALL_PRIMAL:
-        y = dual_ascent_direction(g, kind)
-        assert norm(y, kind) <= 1 + 1e-9
-        assert np.vdot(g, y) == pytest.approx(
-            norm(g, NormKind(kind.family, kind.mode, dual=True)), rel=1e-10
-        )
+    for mode in ALL_MODES:
+        y = dual_ascent_direction(g, mode)
+        assert norm(y, mode) <= 1 + 1e-9
+        assert np.vdot(g, y) == pytest.approx(norm(g, mode, dual=True), rel=1e-10)
 
 
 # ------------------------------------------------------------------- bounds
@@ -356,14 +348,14 @@ def test_smoothness_cone_restricted_gain_is_sqrt_k():
 
 def test_max_gain_k1_ratio_one():
     t = build_max_gain_tensor(5, 4, 1, mode=1, seed=0)
-    assert norm(t, NormKind.teon(1)) == pytest.approx(norm(t, NormKind.muon()), rel=1e-12)
+    assert norm(t, 1) == pytest.approx(norm(t), rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", [1, 2])
 @pytest.mark.parametrize("m,n,K", [(8, 8, 4), (6, 9, 5), (9, 6, 5), (4, 4, 2)])
 def test_max_gain_ratio_sqrt_k(mode, m, n, K):
     t = build_max_gain_tensor(m, n, K, mode=mode, seed=13)
-    ratio = norm(t, NormKind.teon(mode)) / norm(t, NormKind.muon())
+    ratio = norm(t, mode) / norm(t)
     assert ratio == pytest.approx(np.sqrt(K), abs=1e-9)
     # slices are exactly rank one
     for k in range(K):

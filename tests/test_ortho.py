@@ -46,8 +46,8 @@ def test_exact_zero_policy():
 def test_exact_matches_svd_factors_and_semi_orthogonality():
     a = np.random.default_rng(3).standard_normal((4, 2))
     o = ortho_exact(a)
-    r = svd(a)
-    np.testing.assert_allclose(o, r.u @ r.v.T, atol=1e-12)
+    u, _, vh = svd(a)
+    np.testing.assert_allclose(o, u @ vh, atol=1e-12)
     assert np.abs(o.T @ o - np.eye(2)).max() <= 1e-10
     wide = a.T
     ow = ortho_exact(wide)
