@@ -3,7 +3,8 @@
 All failures surface as a single `error: ...` line on stderr with exit
 status 1; success output is key=value or CSV-shaped text on stdout. `sweep`
 also exits 1 when any of its runs failed, after printing `sweep.failed=N`
-and writing the summary.
+and writing the summary. `align-demo` runs a config exactly as `run` does
+(same CSVs under its `out_path`), then prints the alignment records.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import sys
 from pathlib import Path
 
 from .checks import format_check_lines, run_all_checks
-from .config import RunConfig, parse_config
+from .config import parse_config
 from .norms import build_max_gain_tensor, format_value, norm
-from .optim import UpdatePolicy
 from .runner import ALIGNMENT_COLUMNS, ALIGNMENT_HEADER, run, sweep
 
 __all__ = ["main", "build_parser"]
@@ -52,27 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ad = sub.add_parser(
         "align-demo",
-        help="train a small attention stack and print momentum alignment records",
+        help="execute one configured experiment and print its momentum alignment records",
     )
-    p_ad.add_argument("--task", required=True, choices=("micro_attention",))
-    p_ad.add_argument("--dim", type=int, default=8)
-    p_ad.add_argument("--seq", type=int, default=6)
-    p_ad.add_argument("--batch", type=int, default=4)
-    p_ad.add_argument("--blocks", type=int, default=2)
-    p_ad.add_argument("--steps", type=int, default=12)
-    p_ad.add_argument("--seed", type=int, default=0)
-    p_ad.add_argument("--optimizer", default="teon", choices=("teon", "muon"))
-    p_ad.add_argument("--mode", type=int, default=1, choices=(1, 2))
-    p_ad.add_argument("--k", type=int, default=2, help="stack depth for grouping")
-    p_ad.add_argument("--eta", type=float, default=0.05)
-    p_ad.add_argument("--align-every", type=int, default=2)
-    p_ad.add_argument("--out", default=None, help="also write CSVs to this directory")
+    p_ad.add_argument("--config", required=True, help="path to an INI run config")
     return p
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    res = run(cfg)
+    res = run(parse_config(args.config))
     print(f"run.metrics_path={res.metrics_path}")
     print(f"run.alignment_path={res.alignment_path}")
     for key, val in res.summary.items():
@@ -118,36 +105,14 @@ def _cmd_maxgain(args) -> int:
 
 
 def _cmd_align_demo(args) -> int:
-    if args.optimizer == "teon":
-        policy = UpdatePolicy.teon(args.mode, args.eta)
-    else:
-        policy = UpdatePolicy.muon(args.eta)
-    cfg = RunConfig(
-        task="micro_attention",
-        steps=args.steps,
-        seed=args.seed,
-        out_path=args.out if args.out else "unused",
-        policy=policy,
-        adamw_policy=UpdatePolicy.adamw(args.eta),
-        task_params={
-            "dim": args.dim,
-            "seq": args.seq,
-            "batch": args.batch,
-            "blocks": args.blocks,
-        },
-        group_k=args.k,
-        stack_set=("QKV",),
-        align_every=args.align_every,
-    )
-    res = run(cfg, write=args.out is not None)
+    res = run(parse_config(args.config))
     print(ALIGNMENT_HEADER)
     print(ALIGNMENT_COLUMNS)
     for rec in res.alignment:
         print(rec.csv_row())
     print(f"alignment.records={len(res.alignment)}")
     print(f"alignment.final_loss={format_value(res.summary['final_loss'])}")
-    if args.out:
-        print(f"alignment.csv_path={res.alignment_path}")
+    print(f"alignment.csv_path={res.alignment_path}")
     return 0
 
 

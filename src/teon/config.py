@@ -14,7 +14,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from .optim import ADAMW, MUON, TEON, UpdatePolicy, expand_stack_set
+from .optim import ADAMW, UpdatePolicy, expand_stack_set
 from .ortho import OrthoScheme
 from .tasks import TASK_NAMES
 
@@ -167,10 +167,6 @@ def _parse_section(cp, name: str, schema: dict, source: str):
 
 def _build_policies(opt: dict, present: set, source: str):
     name = opt["optimizer"]
-    if name not in (TEON, MUON, ADAMW):
-        raise ValueError(
-            f"{source}: [optimizer] optimizer must be teon/muon/adamw, got {name!r}"
-        )
     betas = (opt["adam_beta1"], opt["adam_beta2"])
     adam_eta = opt["adam_eta"] if opt["adam_eta"] is not None else opt["eta"]
     try:
@@ -198,8 +194,6 @@ def _build_policies(opt: dict, present: set, source: str):
                 f"{source}: [optimizer] scheme must be exact or newton_schulz, "
                 f"got {opt['scheme']!r}"
             )
-        if name == TEON and "mode" not in present:
-            raise ValueError(f"{source}: [optimizer] teon requires mode")
         main = UpdatePolicy(
             name,
             opt["eta"],

@@ -106,7 +106,9 @@ class UpdatePolicy:
 
     def __post_init__(self):
         if self.optimizer not in (TEON, MUON, ADAMW):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ValueError(
+                f"unknown optimizer {self.optimizer!r}; valid: {(TEON, MUON, ADAMW)}"
+            )
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.optimizer == TEON:
@@ -308,8 +310,8 @@ def build_groups(
     stacked K consecutive blocks at a time, same role with same role; a
     remainder of r = N mod K blocks forms one final depth-r group (depth 1
     degrades to the per-matrix rule). Everything else becomes a lone-matrix
-    muon group, and 1-D parameters go to adamw. Muon/adamw policies stack
-    nothing.
+    muon group, and 1-D parameters go to adamw. A token that covers no blocked
+    matrix raises ValueError. Muon/adamw policies ignore `stack_set`.
     """
     entries = list(model_layout)
     if not entries:
@@ -333,7 +335,15 @@ def build_groups(
     stacked: set[str] = set()
 
     if policy.optimizer == TEON:
-        for role in expand_stack_set(stack_set):
+        tokens = tuple(stack_set)
+        layout_roles = tuple(dict.fromkeys(e.role for e in matrices if e.block is not None))
+        for token, covered in STACK_TOKENS.items():
+            if token in tokens and not set(covered) & set(layout_roles):
+                raise ValueError(
+                    f"stack_set token {token!r} covers no blocked matrix of the layout, "
+                    f"whose roles are {layout_roles}"
+                )
+        for role in expand_stack_set(tokens):
             blocked = [e for e in matrices if e.role == role and e.block is not None]
             blocked.sort(key=lambda e: e.block)
             seen_blocks = [e.block for e in blocked]
@@ -342,11 +352,6 @@ def build_groups(
             for lo in range(0, len(blocked), K):
                 chunk = blocked[lo : lo + K]
                 shapes = tuple(e.shape for e in chunk)
-                if len(set(shapes)) != 1:
-                    raise ValueError(
-                        f"role {role!r} blocks {chunk[0].block}-{chunk[-1].block}: "
-                        f"stacked members must share one shape, got {shapes}"
-                    )
                 gid = f"{role.lower()}.blocks{chunk[0].block}-{chunk[-1].block}"
                 groups.append(ParamGroup(gid, tuple(e.name for e in chunk), shapes, policy))
                 stacked.update(e.name for e in chunk)

@@ -77,6 +77,17 @@ def estimate_smoothness_ratio(f, samples, mode, seed, pair_sampler=None):
     return Smoothness(max_teon, max_muon, sandwich_ok)
 
 
+def mode2_polar_reference(stack):
+    """TEON's mode-2 orthogonalization of a (K, m, n) stack written out
+    literally: unfold to [X_1^T ... X_K^T], take the SVD polar factor U V^T of
+    that n x Km matrix and cut it back into K transposed m x n slices."""
+    k, m, _ = stack.shape
+    unfolded = np.concatenate([x.T for x in stack], axis=1)
+    u, _, vh = np.linalg.svd(unfolded, full_matrices=False)
+    polar = u @ vh
+    return np.stack([polar[:, i * m : (i + 1) * m].T for i in range(k)])
+
+
 def alignment_reference(a, b):
     """(left_align, right_align, sigma_gap) of one pair straight from
     `np.linalg.svd`: |<u_1(a), u_1(b)>|, |<v_1(a), v_1(b)>| and the smaller of

@@ -185,61 +185,109 @@ def test_sweep_empty_dir_errors(tmp_path, capsys):
     assert "no *.ini configs" in capsys.readouterr().err
 
 
-def test_align_demo_prints_records(capsys):
-    code = main(
-        [
-            "align-demo",
-            "--task",
-            "micro_attention",
-            "--dim",
-            "4",
-            "--seq",
-            "3",
-            "--batch",
-            "2",
-            "--steps",
-            "4",
-            "--align-every",
-            "2",
-        ]
-    )
-    assert code == 0
+ATTENTION_INI = """
+[run]
+task = micro_attention
+steps = 4
+seed = 0
+out_path = {out}
+align_every = 2
+
+[task]
+dim = 4
+seq = 3
+batch = 2
+blocks = 2
+
+[optimizer]
+optimizer = teon
+eta = 0.05
+mode = 1
+"""
+
+
+def _align_demo(tmp_path, capsys, ini):
+    """Run `align-demo` on `ini` (its `{out}` filled in) and return the printed
+    lines and the bytes of the alignment.csv the run wrote."""
+    cfg = tmp_path / "demo.ini"
+    cfg.write_text(ini.format(out=tmp_path / "demo"), encoding="utf-8")
+    assert main(["align-demo", "--config", str(cfg)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "# teon-alignment v1"
-    assert lines[1] == "step,pair_id,left_align,right_align,sigma_gap"
-    n = int([ln for ln in lines if ln.startswith("alignment.records=")][0].split("=")[1])
-    assert n > 0
-    assert len([ln for ln in lines if "," in ln and not ln.startswith("step,")]) == n
+    csv_path = tmp_path / "demo" / "alignment.csv"
+    assert lines[-1] == f"alignment.csv_path={csv_path}"
+    return lines, csv_path.read_bytes()
 
 
-def test_align_demo_can_write_csv(tmp_path, capsys):
-    code = main(
-        [
-            "align-demo",
-            "--task",
-            "micro_attention",
-            "--dim",
-            "4",
-            "--seq",
-            "3",
-            "--batch",
-            "2",
-            "--steps",
-            "4",
-            "--optimizer",
-            "muon",
-            "--out",
-            str(tmp_path / "demo"),
-        ]
+def _printed_records(lines, written):
+    """The printed record rows, once checked against the trailer and, with
+    the header, byte for byte against the written alignment.csv."""
+    assert lines[:2] == ["# teon-alignment v1", "step,pair_id,left_align,right_align,sigma_gap"]
+    assert lines[-2].startswith("alignment.final_loss=")
+    rows = lines[2:-3]
+    assert lines[-3] == f"alignment.records={len(rows)}"
+    assert "".join(ln + "\n" for ln in lines[:-3]).encode() == written
+    return rows
+
+
+def test_align_demo_prints_records(tmp_path, capsys):
+    assert _printed_records(*_align_demo(tmp_path, capsys, ATTENTION_INI))
+
+
+def test_align_demo_prints_records_on_a_non_attention_task(tmp_path, capsys):
+    rows = _printed_records(*_align_demo(tmp_path, capsys, GOOD_INI))
+    assert {row.split(",")[0] for row in rows} == {"3", "6"}
+
+
+def test_align_demo_prints_no_records_under_adamw(tmp_path, capsys):
+    # adamw keeps no momentum buffer, so there is nothing to align
+    ini = ATTENTION_INI.replace("optimizer = teon", "optimizer = adamw").replace("mode = 1\n", "")
+    assert _printed_records(*_align_demo(tmp_path, capsys, ini)) == []
+
+
+def test_align_demo_writes_the_csvs_that_run_writes(tmp_path, capsys):
+    _align_demo(tmp_path, capsys, GOOD_INI)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(GOOD_INI.format(out=tmp_path / "run"), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 0
+    for name in ("metrics.csv", "alignment.csv"):
+        assert (tmp_path / "demo" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+def test_align_demo_rejects_a_missing_or_bad_config(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(
+        GOOD_INI.format(out=tmp_path / "out").replace("seed = 4", "seed = 4\nbogus = 1"),
+        encoding="utf-8",
     )
-    assert code == 0
-    assert "alignment.csv_path=" in capsys.readouterr().out
-    assert (tmp_path / "demo" / "alignment.csv").exists()
+    for path, message in ((tmp_path / "nope.ini", "nope.ini"), (bad, "unknown key 'bogus'")):
+        assert main(["align-demo", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and message in line
+        assert captured.out == ""
+    assert not list(tmp_path.rglob("*.csv"))
 
 
-def test_align_demo_rejects_other_tasks():
-    with pytest.raises(SystemExit):
-        main(["align-demo", "--task", "quadratic"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_teon_stack_set_token_without_a_role_fails_the_run(tmp_path, capsys, command):
+    # deep_linear's matrices all have role W, which the default QKV does not cover
+    ini = DIVERGING_INI.format(out=tmp_path / "out").replace(
+        "optimizer = muon\neta = 1e200", "optimizer = teon\neta = 0.05\nmode = 1"
+    )
+    cdir = tmp_path / "cfgs"
+    cdir.mkdir()
+    (cdir / "deep.ini").write_text(ini, encoding="utf-8")
+    message = "stack_set token 'QKV' covers no blocked matrix of the layout, whose roles are ('W',)"
+    if command == "run":
+        assert main(["run", "--config", str(cdir / "deep.ini")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {message}"
+    else:
+        assert main(["sweep", "--config-dir", str(cdir), "--out", str(tmp_path / "sw")]) == 1
+        assert "sweep.failed=1" in capsys.readouterr().out.splitlines()
+        (row,) = (tmp_path / "sw" / "summary.csv").read_text().splitlines()[2:]
+        assert row.split(",")[6] == "failed" and message.replace(",", ";") in row
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point_runs():

@@ -151,12 +151,13 @@ def test_unknown_task():
 
 
 def test_unknown_optimizer():
-    with pytest.raises(ValueError, match="optimizer must be teon/muon/adamw"):
+    valid = r"\('teon', 'muon', 'adamw'\)"
+    with pytest.raises(ValueError, match=rf"\[optimizer\] unknown optimizer 'sgd'; valid: {valid}"):
         parse_config_text(MINIMAL.replace("optimizer = teon", "optimizer = sgd"))
 
 
 def test_teon_requires_mode():
-    with pytest.raises(ValueError, match="teon requires mode"):
+    with pytest.raises(ValueError, match=r"\[optimizer\] teon needs mode in \{1,2\}, got None"):
         parse_config_text(MINIMAL.replace("mode = 1\n", ""))
 
 

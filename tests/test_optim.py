@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import mode2_polar_reference
 from teon.norms import build_max_gain_tensor
 from teon.optim import (
     ACCUMULATE,
@@ -309,6 +310,29 @@ def test_teon_identical_slices_symmetry():
     np.testing.assert_allclose(step[0], ortho_exact(a) / np.sqrt(3), atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 6, 3), (4, 3, 3)])
+def test_teon_mode2_step_is_the_literal_mode2_polar_update(shape):
+    k, m, n = shape
+    rng = np.random.default_rng(12)
+    g0, g1 = rng.standard_normal((2, k, m, n))
+    eta, mu = 0.07, 0.9
+    policy = UpdatePolicy.teon(2, eta, mu=mu)
+    _, state = ortho_step(g0, OptimizerState(), policy, eta)
+    step, state = ortho_step(g1, state, policy, eta)
+    buf = mu * g0 + g1
+    np.testing.assert_allclose(state.momentum, buf, rtol=0, atol=1e-12)
+    ref = eta * np.sqrt(m / n) * mode2_polar_reference(buf)
+    np.testing.assert_allclose(step, ref, rtol=0, atol=1e-12)
+
+
+def test_teon_mode1_and_mode2_steps_differ_on_a_generic_stack():
+    gs = np.random.default_rng(13).standard_normal((2, 3, 4))
+    one, two = (
+        ortho_step(gs, OptimizerState(), UpdatePolicy.teon(mode, 0.1), 0.1)[0] for mode in (1, 2)
+    )
+    assert np.abs(one - two).max() > 1e-3
+
+
 def test_teon_errors():
     policy = UpdatePolicy.teon(1, 0.1)
     muon_p = UpdatePolicy.muon(0.1)
@@ -493,10 +517,24 @@ def test_build_groups_errors():
         LayoutEntry("a", "Q", (4, 4), 0),
         LayoutEntry("b", "Q", (4, 5), 1),
     ]
-    with pytest.raises(ValueError, match="share one shape"):
+    with pytest.raises(ValueError, match=r"share one \(m, n\) shape"):
         build_groups(ragged, 2, {"QKV"}, policy=teon_p)
     with pytest.raises(ValueError, match="adamw_policy"):
         build_groups(layout, 2, {"QKV"}, policy=teon_p, adamw_policy=UpdatePolicy.muon(0.1))
+
+
+def _groups_or_unmatched_token_error(layout, k, stack_set, policy):
+    """`build_groups`' result, or None once it is checked that a teon policy
+    with a token that covers no blocked role of `layout` raises, naming it."""
+    roles = {e.role for e in layout if e.block is not None}
+    unmatched = [
+        t for t, covered in STACK_TOKENS.items() if t in stack_set and not roles & set(covered)
+    ]
+    if policy.optimizer == TEON and unmatched:
+        with pytest.raises(ValueError, match=f"stack_set token '{unmatched[0]}' covers no"):
+            build_groups(layout, k, stack_set, policy=policy)
+        return None
+    return build_groups(layout, k, stack_set, policy=policy)
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,7 +547,9 @@ def test_build_groups_errors():
 def test_build_groups_puts_every_entry_in_exactly_one_group(blocks, k, stack_set, optimizer):
     layout = _transformer_layout(blocks)
     policy = UpdatePolicy.teon(1, 0.1) if optimizer == TEON else UpdatePolicy(optimizer, 0.1)
-    groups = build_groups(layout, k, stack_set, policy=policy)
+    groups = _groups_or_unmatched_token_error(layout, k, stack_set, policy)
+    if groups is None:
+        return
     covered = sorted(m for g in groups for m in g.members)
     assert covered == sorted(e.name for e in layout)
     assert len({g.id for g in groups}) == len(groups)
@@ -548,7 +588,9 @@ def test_build_groups_order_does_not_follow_the_stack_set_order():
 def test_member_views_are_slices_of_the_group_stacks(blocks, k, stack_set, optimizer):
     layout = _transformer_layout(blocks)
     policy = UpdatePolicy.teon(1, 0.1) if optimizer == TEON else UpdatePolicy(optimizer, 0.1)
-    groups = build_groups(layout, k, stack_set, policy=policy)
+    groups = _groups_or_unmatched_token_error(layout, k, stack_set, policy)
+    if groups is None:
+        return
     params, _ = _random_stacks(layout, groups, blocks * 10 + k)
     views = member_views(params, groups)
     assert sorted(views) == sorted(e.name for e in layout)

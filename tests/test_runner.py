@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import traced_peak
+from oracles import mode2_polar_reference, traced_peak
 from teon.config import RunConfig, parse_config_text
 from teon.linalg import svd
 from teon.norms import norm
@@ -342,6 +342,63 @@ eta = 0.01
     )
     res = run(cfg)
     assert res.alignment == []  # adamw state carries no polar momentum
+
+
+def test_three_step_mode2_run_follows_the_literal_mode2_update(tmp_path):
+    cfg = _quad_cfg(tmp_path, steps=3)
+    cfg = replace(cfg, policy=replace(cfg.policy, mode=2), log_every=1)
+    res = run(cfg, write=False)
+    # the literal update: groups layer0-1 and layer2-3, accumulated momentum,
+    # mode-2 polar factor of each stack, no decay, constant schedule
+    pol = cfg.policy
+    task = make_task("quadratic", cfg.seed, **cfg.task_params)
+    w = task.init_weights(np.random.default_rng([cfg.seed, 1]))
+    names = [["layer0", "layer1"], ["layer2", "layer3"]]
+    bufs = [0.0, 0.0]
+    losses = []
+    for _ in range(cfg.steps):
+        loss, grads = task.loss_and_grads(w)
+        losses.append(loss)
+        for i, members in enumerate(names):
+            bufs[i] = pol.mu * bufs[i] + np.stack([grads[nm] for nm in members])
+            step = pol.eta * np.sqrt(4 / 3) * mode2_polar_reference(bufs[i])
+            for k, nm in enumerate(members):
+                w[nm] = w[nm] - step[k]
+    assert res.summary["max_group_depth"] == 2
+    np.testing.assert_allclose([r.loss for r in res.metrics], losses, rtol=1e-12, atol=0)
+    assert losses[1] != losses[0]
+
+
+def test_teon_run_needs_every_stack_set_token_to_cover_a_layout_role(tmp_path):
+    text = f"""
+[run]
+task = deep_linear
+steps = 3
+seed = 1
+out_path = {tmp_path / 'deep'}
+
+[task]
+depth = 4
+width = 6
+batch = 8
+
+[optimizer]
+optimizer = teon
+eta = 0.05
+mode = 1
+"""
+    # no [grouping], so stack_set is the default QKV, a role deep_linear lacks
+    with pytest.raises(ValueError, match=r"token 'QKV' covers no .* roles are \('W',\)"):
+        run(parse_config_text(text))
+    assert not (tmp_path / "deep").exists()
+    with pytest.raises(ValueError, match="token 'QKV' covers no"):
+        run(parse_config_text(text + "[grouping]\nstack_set = QKV, W\n"), write=False)
+    stacked = run(parse_config_text(text + "[grouping]\nstack_set = W\n"), write=False)
+    assert stacked.summary["max_group_depth"] == 2
+    # muon and adamw stack nothing, so they ignore the token
+    for optimizer in ("muon", "adamw"):
+        plain = text.replace("teon\neta = 0.05\nmode = 1", f"{optimizer}\neta = 0.05")
+        assert run(parse_config_text(plain), write=False).summary["max_group_depth"] == 1
 
 
 def test_run_micro_attention_muon_smoke(tmp_path):
