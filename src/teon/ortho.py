@@ -176,9 +176,17 @@ def ortho_ns(m: np.ndarray, scheme: OrthoScheme) -> np.ndarray:
             x = x / norm
             # x is finite now, so the first op to make an inf or NaN raises
             for t, (a, b, c) in enumerate(scheme.schedule):
-                # row Gram: X(X^T X) == (X X^T)X, and rows <= cols here
+                # row Gram: X(X^T X) == (X X^T)X, and rows <= cols here.
+                # x = a*x + (b*g + c*(g@g)) @ x, in place: the same roundings
                 g = x @ x.T
-                x = a * x + (b * g + c * (g @ g)) @ x
+                gg = g @ g
+                gg *= c
+                g *= b
+                g += gg
+                y = g @ x
+                x *= a
+                y += x
+                x = y
     except FloatingPointError as exc:
         where = "cannot normalize its input" if t is None else f"diverged at step {t}"
         raise FloatingPointError(f"Newton-Schulz {where}: {exc}") from exc

@@ -221,9 +221,10 @@ class MicroAttentionTask(_Task):
                 out[e.name] = rng.standard_normal(e.shape) / np.sqrt(e.shape[1])
         return out
 
-    def _forward(self, weights: dict):
+    def _forward(self, weights: dict, keep: bool = True):
         # The residual stream runs as (batch*seq, dim) row matrices, so each
         # projection is one 2-D GEMM; only attention needs (batch, seq, .) views.
+        # Each block's activations are cached for the backward pass if `keep`.
         batch, seq, dim = self.batch, self.seq, self.dim
         x = self.inputs.reshape(batch * seq, dim)
         caches = []
@@ -243,13 +244,18 @@ class MicroAttentionTask(_Task):
             h = x1 @ w1.T
             z = np.tanh(h)
             x2 = x1 + z @ w2.T
-            caches.append((x, q, k, v, attn, ctx, x1, z))
+            if keep:
+                caches.append((x, q, k, v, attn, ctx, x1, z))
             x = x2
         pred = x @ weights["readout"].T + weights["readout_bias"]
         return pred.reshape(batch, seq, dim), x, caches
 
-    def _evaluate(self, weights: dict):
-        pred, x_final, caches = self._forward(weights)
+    def loss(self, weights: dict) -> float:
+        # the forward half with no block caches: a loss needs no backward pass
+        return self._evaluate(weights, keep=False)[0]
+
+    def _evaluate(self, weights: dict, keep: bool = True):
+        pred, x_final, caches = self._forward(weights, keep)
         rows = self.batch * self.seq
         resid = (pred - self.targets).reshape(rows, self.dim)
         return 0.5 * float(np.sum(resid * resid)) / rows, (resid, x_final, caches)
@@ -266,7 +272,8 @@ class MicroAttentionTask(_Task):
         dx = dpred @ weights["readout"]
         inv_sqrt_d = 1.0 / np.sqrt(dim)
         for b in reversed(range(self.blocks)):
-            x, q, k, v, attn, ctx, x1, z = caches[b]
+            # pop, so each block's forward cache dies once its backward ran
+            x, q, k, v, attn, ctx, x1, z = caches.pop()
             wq, wk, wv = weights[f"b{b}.q"], weights[f"b{b}.k"], weights[f"b{b}.v"]
             wo, w1, w2 = weights[f"b{b}.o"], weights[f"b{b}.mlp1"], weights[f"b{b}.mlp2"]
             # x2 = x1 + tanh(x1 W1^T) W2^T
@@ -319,7 +326,7 @@ def _richardson_difference(task, weights: dict, delta: dict, h: float) -> float:
     rejected a correct micro_attention gradient (dim 64, 6 blocks, seed 2).
 
     Besides `weights` and `delta`, one perturbed copy of the moved keys is
-    alive at a time, with the forward caches of the `loss` call that reads it:
+    alive at a time, with the activations of the `loss` call that reads it:
     each copy is built as `weights[key] + step * d` and dies when its loss
     returns."""
 
@@ -344,7 +351,8 @@ def finite_difference_check(
     (a NaN or inf gradient or loss), so an `err <= tol` gate fails closed.
 
     At its peak the check holds the weights, the gradient, one direction, one
-    perturbed copy of the weights and the forward caches of one `loss` call."""
+    perturbed copy of the weights and the activations of one `loss` call
+    (micro_attention's `loss` keeps no per-block caches)."""
     _positive(directions=directions)
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h!r}")

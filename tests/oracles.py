@@ -88,6 +88,19 @@ def mode2_polar_reference(stack):
     return np.stack([polar[:, i * m : (i + 1) * m].T for i in range(k)])
 
 
+def newton_schulz_reference(m, schedule):
+    """The Newton-Schulz loop written out literally on the short side: X_0 =
+    M / ||M||_F (transposed when M is tall), then per (a, b, c) row
+    X <- a*X + (b*G + c*(G@G)) @ X with G = X @ X.T."""
+    transposed = m.shape[0] > m.shape[1]
+    x = m.T if transposed else m
+    x = x / np.linalg.norm(x)
+    for a, b, c in schedule:
+        g = x @ x.T
+        x = a * x + (b * g + c * (g @ g)) @ x
+    return x.T if transposed else x
+
+
 def alignment_reference(a, b):
     """(left_align, right_align, sigma_gap) of one pair straight from
     `np.linalg.svd`: |<u_1(a), u_1(b)>|, |<v_1(a), v_1(b)>| and the smaller of

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teon.linalg import svd
+from oracles import newton_schulz_reference
+from teon.linalg import matricize, svd
 from teon.ortho import (
     PRESETS,
     OrthoScheme,
@@ -103,6 +104,27 @@ def test_ns_tall_matrix_uses_transpose_path():
     rng = np.random.default_rng(7)
     a = with_spectrum(rng, 9, 3, 0.3, 1.0)
     assert np.linalg.norm(ortho_ns(a, cubic(30)) - ortho_exact(a)) <= 1e-8
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("shape", [(24, 24), (16, 40), (40, 16), (1, 9), (9, 1)])
+def test_ns_is_bitwise_the_literal_short_side_loop(preset, shape):
+    # pins the bytes of the in-place iteration, and that it runs on the short
+    # side: the long-side loop agrees only to rounding on tall inputs
+    m = np.random.default_rng(sum(shape)).standard_normal(shape)
+    scheme = OrthoScheme.newton_schulz(5, preset=preset)
+    assert np.array_equal(ortho_ns(m, scheme), newton_schulz_reference(m, scheme.schedule))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("mode", [1, 2])
+@pytest.mark.parametrize("slice_shape", [(12, 20), (30, 4)])
+def test_ns_is_bitwise_the_literal_loop_on_tensor_unfoldings(k, mode, slice_shape):
+    rng = np.random.default_rng([k, mode, *slice_shape])
+    unfolded = matricize(rng.standard_normal((k, *slice_shape)), mode)
+    scheme = OrthoScheme.newton_schulz(5, preset="jordan")
+    expected = newton_schulz_reference(unfolded, scheme.schedule)
+    assert np.array_equal(ortho_ns(unfolded, scheme), expected)
 
 
 def test_ns_nonfinite_raises_with_step_index():
