@@ -221,7 +221,8 @@ def ortho_step(
     """One orthogonalized step from a (K, m, n) gradient stack at step size
     `eta`: orthogonalize the mode-`policy.mode` unfolding of the momentum
     tensor (mode 1 for muon, whose stack has K=1), fold back, and return
-    `(eta * sqrt(m / n)) * O_t` with the advanced state."""
+    `(eta * sqrt(m / n)) * O_t` with the advanced state. Plain arithmetic:
+    an overflow follows the caller's `np.errstate`, as NumPy's own functions do."""
     if policy.optimizer == ADAMW:
         raise ValueError("ortho_step needs a muon or teon policy, got 'adamw'")
     gs = np.asarray(gs, dtype=np.float64)
@@ -250,7 +251,7 @@ def adamw_step(
     g: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
 ) -> tuple[np.ndarray, OptimizerState]:
     """Bias-corrected adaptive step of any shape at step size `eta`, with the
-    advanced state."""
+    advanced state. An overflow follows the caller's `np.errstate`."""
     if policy.optimizer != ADAMW:
         raise ValueError(f"adamw_step needs an adamw policy, got {policy.optimizer!r}")
     g = np.asarray(g, dtype=np.float64)
@@ -389,9 +390,9 @@ def apply_group_step(
     `ortho_step` from it and `states[group.id]` at `eta = group.policy.eta *
     lr_factor` and applies decay and step; only then overwrites the stack in
     place and stores the new state. A shape mismatch raises ValueError; a
-    non-finite gradient, a diverging Newton-Schulz run or an overflow raises
-    FloatingPointError naming the group and its committed optimizer step;
-    either leaves the stack and the state untouched."""
+    non-finite gradient, a diverging Newton-Schulz run or an overflow (under
+    its own errstate) raises FloatingPointError naming the group and its
+    committed optimizer step; either leaves the stack and the state untouched."""
     pol, w, g, state = group.policy, params[group.id], grads[group.id], states[group.id]
     if g.shape != w.shape:
         raise ValueError(f"group {group.id!r}: gradient shape {g.shape} does not match {w.shape}")
@@ -400,8 +401,9 @@ def apply_group_step(
     try:
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient rejected at step {state.t}")
-        step, new_state = rule(g, state, pol, eta)
-        new = _shrink(w, pol.weight_decay, eta) - step
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            step, new_state = rule(g, state, pol, eta)
+            new = _shrink(w, pol.weight_decay, eta) - step
     except FloatingPointError as exc:
         raise FloatingPointError(f"group {group.id!r} at optimizer step {state.t}: {exc}") from exc
     w[...] = new

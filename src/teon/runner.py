@@ -23,7 +23,8 @@ already uses every core, LANES is 1 and every run stays serial. Once per run
 each big group, largest first, goes to the least-loaded lane; the calling
 thread runs lane 0 with every smaller group and vector, a thread pool (built
 only when L >= 2 and shut down when the run ends) the others. Each group
-reads and writes only its own stack and state, so the bytes equal the serial
+step reads and writes only its own stack and state and sets its own errstate,
+so it needs nothing from the calling thread and the bytes equal the serial
 run's either way. When a step fails, the run raises the error of the
 lowest-index failing group, the one the serial loop raises; groups on other
 lanes, later in group order, may already have committed that step.
@@ -31,7 +32,6 @@ lanes, later in group order, may already have committed that step.
 
 from __future__ import annotations
 
-import contextvars
 import os
 import time
 from dataclasses import dataclass, replace
@@ -236,29 +236,24 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
     try:
         for t in range(cfg.steps):
             tic = time.perf_counter() if cfg.log_timing else None
-            # an overflow or NaN raises where it happens, whatever the warning
+            # an overflow in the task raises where it happens, whatever the warning
             # filters; a NaN already in the weights still reaches the loss check
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                try:
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
                     loss, grads = task.loss_and_grads(weights)
-                except FloatingPointError as exc:
-                    raise FloatingPointError(f"non-finite loss at step {t}: {exc}") from exc
-                if not np.isfinite(loss):
-                    raise FloatingPointError(f"non-finite loss at step {t}")
-                grads = {g.id: stack_members(grads, g) for g in groups}
-                factor = schedule_factor(t, cfg.steps, cfg.schedule, cfg.warmup_ratio)
-                # a worker lane runs in a copy of this context, so under this errstate
-                pending = [
-                    pool.submit(
-                        contextvars.copy_context().run,
-                        _step_lane, lane, params, grads, states, factor,
-                    )
-                    for lane in lanes[1:]
-                ]
-                outcomes = [_step_lane(lanes[0], params, grads, states, factor)]
-                failed = [f for f in outcomes + [p.result() for p in pending] if f is not None]
-                if failed:  # the serial loop's error: the lowest-index failing group's
-                    raise min(failed, key=lambda f: f[0])[1]
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"non-finite loss at step {t}: {exc}") from exc
+            if not np.isfinite(loss):
+                raise FloatingPointError(f"non-finite loss at step {t}")
+            grads = {g.id: stack_members(grads, g) for g in groups}
+            factor = schedule_factor(t, cfg.steps, cfg.schedule, cfg.warmup_ratio)
+            pending = [
+                pool.submit(_step_lane, lane, params, grads, states, factor) for lane in lanes[1:]
+            ]
+            outcomes = [_step_lane(lanes[0], params, grads, states, factor)]
+            failed = [f for f in outcomes + [p.result() for p in pending] if f is not None]
+            if failed:  # the serial loop's error: the lowest-index failing group's
+                raise min(failed, key=lambda f: f[0])[1]
             if (t % cfg.log_every == 0) or (t == cfg.steps - 1):
                 # after the updates, so a non-finite gradient is first rejected
                 # by the group that holds it, naming the group and step

@@ -14,7 +14,8 @@ import pytest
 
 import teon.runner as runner
 from teon.config import parse_config_text
-from teon.optim import build_groups
+from teon.optim import TENSOR_GROUP, build_groups
+from teon.ortho import OrthoScheme
 from teon.runner import run, sweep
 from teon.tasks import make_task
 
@@ -179,7 +180,8 @@ def test_more_lanes_than_cores_under_fast_thread_switching_write_the_serial_byte
     assert outputs[0] == outputs[1]
 
 
-def _plant_nan(monkeypatch, names, at_step):
+def _plant(monkeypatch, names, at_steps, value=np.nan):
+    """Set entry [0, 0] of each named gradient to `value` at the given steps."""
     original = runner.make_task
 
     def planting(*args, **kwargs):
@@ -188,9 +190,9 @@ def _plant_nan(monkeypatch, names, at_step):
 
         def loss_and_grads(weights):
             loss, grads = clean(weights)
-            if len(calls) == at_step:
+            if len(calls) in at_steps:
                 for name in names:
-                    grads[name][0, 0] = np.nan
+                    grads[name][0, 0] = value
             calls.append(1)
             return loss, grads
 
@@ -206,7 +208,7 @@ def test_failing_groups_on_two_lanes_raise_the_serial_error(monkeypatch, lanes, 
     monkeypatch.setattr(runner, "LANES", 2)
     on = {g.id: lane for lane, members in enumerate(runner._lanes(_groups(cfg))) for _, g in members}
     assert on[names[0]] != on[names[1]]
-    _plant_nan(monkeypatch, names, at_step=10)
+    _plant(monkeypatch, names, (10,))
     messages = []
     for n in (1, 2):
         lanes(n)
@@ -219,24 +221,41 @@ def test_failing_groups_on_two_lanes_raise_the_serial_error(monkeypatch, lanes, 
 
 
 def test_an_overflow_on_a_worker_lane_raises_under_plain_warning_filters(monkeypatch, lanes):
+    # exact scheme: a planted 1e308 gradient entry at steps 1 and 2 makes that
+    # group's momentum add overflow at step 2, inside its own group step
     cfg = parse_config_text((CONFIGS / "micro_attention_teon.ini").read_text(encoding="utf-8"))
-    seen = lanes(2)
-    original = runner.apply_group_step  # the recording wrapper
-    workers = []
+    exact = replace(cfg.policy, scheme=OrthoScheme.exact())
+    cfg = replace(cfg, steps=3, log_every=100, policy=exact)
+    monkeypatch.setattr(runner, "LANES", 2)
+    group = next(g for _, g in runner._lanes(_groups(cfg))[1] if g.kind == TENSOR_GROUP)
+    _plant(monkeypatch, [group.members[-1]], (1, 2), value=1e308)
+    recording = runner.apply_group_step  # the lanes fixture's wrapper
+    failed = []
 
-    def overflowing(params, grads, group, *args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            workers.append(group.id)
-            np.float64(1e308) * np.float64(10.0)  # raises only under the step's errstate
-        return original(params, grads, group, *args, **kwargs)
+    def fingerprinting(params, grads, g, states, *args, **kwargs):
+        if g.id != group.id:
+            return recording(params, grads, g, states, *args, **kwargs)
+        stack, state = params[g.id].tobytes(), states[g.id]
+        try:
+            return recording(params, grads, g, states, *args, **kwargs)
+        except FloatingPointError:
+            assert params[g.id].tobytes() == stack and states[g.id] is state
+            failed.append(threading.current_thread() is threading.main_thread())
+            raise
 
-    monkeypatch.setattr(runner, "apply_group_step", overflowing)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        with pytest.raises(FloatingPointError, match="overflow"):
-            run(replace(cfg, steps=2), write=False)
-    assert workers and not set(workers) & set(seen)  # the worker's group never stepped
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    monkeypatch.setattr(runner, "apply_group_step", fingerprinting)
+    messages = []
+    for n in (1, 2):
+        lanes(n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            with pytest.raises(FloatingPointError) as info:
+                run(cfg, write=False)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        messages.append(str(info.value))
+    assert failed == [True, False]  # the serial run, then the worker lane
+    assert messages[0] == messages[1]
+    assert messages[0] == f"group '{group.id}' at optimizer step 2: overflow encountered in add"
 
 
 def test_no_thread_outlives_a_run_or_a_sweep(tmp_path, monkeypatch, lanes):
@@ -246,7 +265,7 @@ def test_no_thread_outlives_a_run_or_a_sweep(tmp_path, monkeypatch, lanes):
     cfg = replace(cfg, steps=3, out_path=str(tmp_path / "ok"))
     run(cfg)
     assert threading.active_count() == before
-    _plant_nan(monkeypatch, ["b1.k"], at_step=1)
+    _plant(monkeypatch, ["b1.k"], (1,))
     with pytest.raises(FloatingPointError, match="non-finite gradient"):
         run(cfg)
     assert threading.active_count() == before

@@ -751,6 +751,14 @@ def _subtraction_overflow():
     return group, params, (grads, 1e308), (grads, 1.0), "overflow encountered in subtract"
 
 
+def _momentum_overflow():
+    # exact scheme, no Newton-Schulz errstate: the second momentum add mu * M + G overflows
+    group = ParamGroup("w", ("w",), ((2, 2),), UpdatePolicy.muon(0.1))
+    params = {"w": np.random.default_rng(15).standard_normal((1, 2, 2))}
+    good, bad = ({"w": np.full((1, 2, 2), v)} for v in (4e307, 1.5e308))
+    return group, params, (bad, 1.0), (good, 1.0), "overflow encountered in add"
+
+
 FAILING_STEPS = {
     "b1.k": lambda: _planted_inf("b1.k"),
     "b0.o": lambda: _planted_inf("b0.o"),
@@ -758,6 +766,7 @@ FAILING_STEPS = {
     "newton_schulz_divergence": _diverging_newton_schulz_group,
     "adamw_square_overflow": _adamw_square_overflow,
     "subtraction_overflow": _subtraction_overflow,
+    "momentum_overflow": _momentum_overflow,
 }
 
 
@@ -768,11 +777,13 @@ def _fingerprint(stack, state):
 
 @pytest.mark.parametrize("case", list(FAILING_STEPS))
 def test_a_raising_group_step_leaves_the_stack_unchanged(case):
-    # ... and the state, so a retry counts only the retried gradient
+    # ... and the state, so a retry counts only the retried gradient; the step
+    # raises under its own errstate, with no caller errstate or warning filter
     group, params, (bad, bad_lr), (good, good_lr), message = FAILING_STEPS[case]()
     ref = {group.id: params[group.id].copy()}
     states, ref_states = {group.id: OptimizerState()}, {group.id: OptimizerState()}
-    with np.errstate(over="raise", invalid="raise", divide="raise"):  # as runner.run steps
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
         apply_group_step(params, good, group, states, good_lr)  # the state now holds buffers
         before = _fingerprint(params[group.id], states[group.id])
         pattern = rf"group '{re.escape(group.id)}' at optimizer step (\d+): .*{message}"
@@ -783,6 +794,7 @@ def test_a_raising_group_step_leaves_the_stack_unchanged(case):
         apply_group_step(params, good, group, states, good_lr)
         for _ in range(2):
             apply_group_step(ref, good, group, ref_states, good_lr)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     after = _fingerprint(params[group.id], states[group.id])
     assert after == _fingerprint(ref[group.id], ref_states[group.id])
 
