@@ -32,8 +32,8 @@ SETS = ("sweep", "mode2")
 
 def context() -> dict:
     """What decides the bytes besides the code: NumPy, its BLAS, the CPU
-    features NumPy found (OpenBLAS picks its kernels by CPU) and the BLAS
-    thread count."""
+    features NumPy found (OpenBLAS picks its kernels by CPU unless
+    `OPENBLAS_CORETYPE` names one) and the BLAS thread count."""
     info = np.show_config(mode="dicts")
     blas = info["Build Dependencies"]["blas"]
     return {
@@ -41,6 +41,7 @@ def context() -> dict:
         "blas": f"{blas['name']} {blas['version']}",
         "cpu_features": info["SIMD Extensions"]["found"],
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
     }
 
 

@@ -1,7 +1,6 @@
 """Mutation gate: small wrong edits of `src/teon` that tier-1 must catch.
 
-    python tests/mutants.py            # every entry
-    python tests/mutants.py mode_2     # the named entries only
+    python tests/mutants.py
 
 For each entry, the script copies `src/teon` into a temporary directory,
 replaces the entry's old text (which must occur exactly once in its file)
@@ -121,22 +120,18 @@ def run_mutant(old: str, new: str, file: str) -> int:
         return status if status >= 0 else -1
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
-    unknown = set(argv) - {m[0] for m in MUTANTS}
-    if unknown:
-        raise SystemExit(f"unknown mutant ids: {sorted(unknown)}")
+def main() -> int:
     survivors = broken = 0
-    for ident, file, old, new, why in chosen:
+    for ident, file, old, new, why in MUTANTS:
         tic = time.perf_counter()
         status = run_mutant(old, new, file)
         verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
         survivors += status == 0
         broken += status not in (0, 1)
         print(f"{ident}: {verdict} in {time.perf_counter() - tic:.1f} s  ({file}: {why})")
-    print(f"mutants.killed={len(chosen) - survivors - broken}/{len(chosen)}")
+    print(f"mutants.killed={len(MUTANTS) - survivors - broken}/{len(MUTANTS)}")
     return 1 if survivors or broken else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

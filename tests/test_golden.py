@@ -2,18 +2,33 @@
 
 On the build that recorded them (`tests/golden/context.json`) the files must
 match byte for byte. On any other build ids, hashes and integers must match
-exactly and every float to a relative 1e-6, the benchmark's final-loss gate.
-Re-record with `tests/golden/record.py`."""
+exactly and every float to a relative 1e-6, the benchmark's final-loss gate,
+except the fields of the one roundoff-driven run (`ROUNDOFF_DRIVEN`).
+Re-recording the outputs on four other OpenBLAS kernels
+(`OPENBLAS_CORETYPE=Haswell`, `Sandybridge`, `Nehalem`, `Prescott`) and with
+NumPy's AVX-512 dispatch disabled moved every other float by at most 5.2e-9
+relative. No other NumPy build has been measured; a failure of the tolerance
+branch there says the tolerance needs that build's drift, not that the code
+regressed. Re-record with `tests/golden/record.py`."""
 
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
 from golden.record import GOLDEN, context, csv_files, produce
 
 RTOL = 1e-6
+# The aligned_quadratic TEON run steps the exact polar factor of a gradient
+# whose unfolding has rank 4 of 16, so roundoff singular values become full
+# update directions: on other kernels its per-step norms and alignment move by
+# up to 100% and its best_loss_step (a tie among equal losses) can move, while
+# its final_loss and best_loss agree to 2e-12. Off the recorded build only the
+# steps of its files and those two losses are compared.
+ROUNDOFF_DRIVEN = "cc3c3f35f3-0"
+BEST_LOSS_STEP = 9  # summary.csv column
 FLOAT = re.compile(r"-?\d+(\.\d+)?(e[-+]\d+)?|nan|-?inf")
 
 
@@ -40,6 +55,20 @@ def _mismatches(golden: str, new: str) -> list[str]:
     return bad
 
 
+def _masked(rel: Path, text: str) -> str:
+    """`text` with the build-dependent fields of the roundoff-driven run
+    replaced by `*`."""
+    if ROUNDOFF_DRIVEN in rel.parts:
+        return "\n".join(re.split(r"[,=]", line)[0] + ",*" for line in text.splitlines())
+    if rel.name == "summary.csv":
+        rows = [line.split(",") for line in text.splitlines()]
+        for row in rows:
+            if row[0] == ROUNDOFF_DRIVEN:
+                row[BEST_LOSS_STEP] = "*"
+        return "\n".join(map(",".join, rows))
+    return text
+
+
 def test_shipped_outputs_match_the_golden_record(tmp_path):
     produce(tmp_path)
     files = csv_files(GOLDEN)
@@ -50,7 +79,7 @@ def test_shipped_outputs_match_the_golden_record(tmp_path):
         if exact:
             assert new.read_bytes() == golden.read_bytes(), rel
         else:
-            text = [p.read_text(encoding="utf-8") for p in (golden, new)]
+            text = [_masked(rel, p.read_text(encoding="utf-8")) for p in (golden, new)]
             assert not _mismatches(*text), (rel, _mismatches(*text)[:3])
 
 
@@ -71,3 +100,14 @@ def test_the_cross_build_comparison_keeps_ulps_and_catches_real_changes(rel):
     assert moved != golden and len(_mismatches(golden, moved)) == 1
     assert _mismatches(golden, golden.replace("\n1,", "\n2,", 1))  # a step number
     assert _mismatches(golden, golden + "0\n")
+
+
+def test_the_roundoff_driven_run_keeps_its_losses_compared():
+    rel = Path("sweep/summary.csv")
+    golden = (GOLDEN / rel).read_text(encoding="utf-8")
+    row = next(line for line in golden.splitlines() if line.startswith(ROUNDOFF_DRIVEN))
+    fields = row.split(",")
+    for index, value in ((BEST_LOSS_STEP, "40"), (7, repr(float(fields[7]) * (1 + 1e-3)))):
+        moved = golden.replace(row, ",".join(fields[:index] + [value] + fields[index + 1 :]))
+        caught = _mismatches(_masked(rel, golden), _masked(rel, moved))
+        assert bool(caught) == (index != BEST_LOSS_STEP), index
