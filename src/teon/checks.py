@@ -24,7 +24,7 @@ from .norms import (
 )
 from .optim import OptimizerState, ParamGroup, UpdatePolicy, apply_group_step
 from .ortho import OrthoScheme, apply_ortho, ortho_exact
-from .runner import run
+from .runner import csv_row, run
 from .tasks import finite_difference_check, make_task
 
 __all__ = ["CheckResult", "run_all_checks", "format_check_lines"]
@@ -177,9 +177,8 @@ def _run_determinism(seed: int) -> CheckResult:
         align_every=3,
     )
     a, b = run(cfg, write=False), run(replace(cfg), write=False)
-    same = [r.csv_row() for r in a.metrics] == [r.csv_row() for r in b.metrics] and [
-        r.csv_row() for r in a.alignment
-    ] == [r.csv_row() for r in b.alignment]
+    rows = [[csv_row(r) for r in res.metrics + res.alignment] for res in (a, b)]
+    same = rows[0] == rows[1]
     return CheckResult("run_determinism", same, "two seeded runs compared")
 
 

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .checks import format_check_lines, run_all_checks
 from .config import parse_config
-from .norms import build_max_gain_tensor, format_value, norm
-from .runner import ALIGNMENT_COLUMNS, ALIGNMENT_HEADER, run, sweep
+from .norms import build_max_gain_tensor, norm
+from .runner import ALIGNMENT_COLUMNS, ALIGNMENT_HEADER, csv_row, format_value, run, sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -109,7 +109,7 @@ def _cmd_align_demo(args) -> int:
     print(ALIGNMENT_HEADER)
     print(ALIGNMENT_COLUMNS)
     for rec in res.alignment:
-        print(rec.csv_row())
+        print(csv_row(rec))
     print(f"alignment.records={len(res.alignment)}")
     print(f"alignment.final_loss={format_value(res.summary['final_loss'])}")
     print(f"alignment.csv_path={res.alignment_path}")

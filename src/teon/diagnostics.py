@@ -10,8 +10,8 @@ filtered, never asserted on.
 
 The training loop (`teon.runner.run`) samples the momentum buffers every
 `align_every` steps and emits one AlignmentRecord per pair from
-`default_alignment_pairs`, matching the CSV row layout
-`step,pair_id,left_align,right_align,sigma_gap`.
+`default_alignment_pairs`; each record's fields, in order, are one row of
+`alignment.csv`.
 
 Cost model: a matrix usually sits in several pairs (`b1.q` in Q0-Q1, Q1-Q2,
 Q1-K1 and Q1-V1), so one call takes a whole sampled step and decomposes each
@@ -56,12 +56,6 @@ class AlignmentRecord:
     def degenerate(self) -> bool:
         """The top singular pair is basis-ambiguous: gap below DEGENERATE_SIGMA_GAP."""
         return self.sigma_gap < DEGENERATE_SIGMA_GAP
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.step},{self.pair_id},{self.left_align:.17g},"
-            f"{self.right_align:.17g},{self.sigma_gap:.17g}"
-        )
 
 
 def top_singular_alignment(buffers: dict, pairs, step: int) -> list[AlignmentRecord]:

@@ -42,15 +42,7 @@ __all__ = [
     "BoundInputs",
     "eval_ntr_bound",
     "build_max_gain_tensor",
-    "format_value",
 ]
-
-
-def format_value(x) -> str:
-    """Render a metric value for key=value report lines (17 significant digits)."""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
 
 
 def norm(t: np.ndarray, mode: int | None = None, dual: bool = False) -> float:

@@ -6,9 +6,9 @@ approximate path runs an odd quintic iteration
     X_{t+1} = a*X + b*X(X^T X) + c*X(X^T X)^2,    X_0 = M / ||M||_F
 
 whose per-step coefficient triples come from the named schedules in
-``PRESETS`` (``cubic``, ``you``, ``jordan``, ``polar-express``) or from rows
-passed as ``schedule=``; an unknown name is an error. Ortho(0) is defined as
-0 so that optimizers are no-ops on dead gradients.
+``PRESETS`` (``cubic``, ``you``, ``jordan``, ``polar-express``); an unknown
+name is an error. Ortho(0) is defined as 0 so that optimizers are no-ops on
+dead gradients.
 """
 
 from __future__ import annotations
@@ -117,30 +117,15 @@ class OrthoScheme:
         return cls(kind=cls.EXACT)
 
     @classmethod
-    def newton_schulz(
-        cls,
-        steps: int,
-        *,
-        preset: str | None = None,
-        schedule: list[Triple] | None = None,
-    ) -> "OrthoScheme":
-        """Build an NS scheme from a name in ``PRESETS`` or explicit rows."""
-        if (preset is None) == (schedule is None):
-            raise ValueError("give exactly one of preset= or schedule=")
-        if preset is not None:
-            if preset not in PRESETS:
-                raise ValueError(
-                    f"unknown Newton-Schulz preset {preset!r}; valid: {sorted(PRESETS)}"
-                )
-            rows, name = PRESETS[preset], preset
-        else:
-            rows = tuple(tuple(float(v) for v in row) for row in schedule)
-            name = "custom"
+    def newton_schulz(cls, steps: int, *, preset: str) -> "OrthoScheme":
+        """Build an NS scheme from a name in ``PRESETS``, fitted to `steps`."""
+        if preset not in PRESETS:
+            raise ValueError(f"unknown Newton-Schulz preset {preset!r}; valid: {sorted(PRESETS)}")
         return cls(
             kind=cls.NEWTON_SCHULZ,
-            schedule=_resolve_schedule(rows, steps),
+            schedule=_resolve_schedule(PRESETS[preset], steps),
             steps=steps,
-            preset_name=name,
+            preset_name=preset,
         )
 
 

@@ -2,9 +2,11 @@
 
 Output layout: `out_path` is a directory receiving `metrics.csv` and
 `alignment.csv`. Both files start with a version comment line, then a header
-row; floats are written with 17 significant digits and lines end with \\n, so
-a fixed seed reproduces the files byte for byte. The metrics file ends with
-the run summary as `# summary.key=value` comment lines.
+row naming the record's fields in order; each row is one record through
+`csv_row`, every value through `format_value` (floats with 17 significant
+digits), and lines end with \\n, so a fixed seed reproduces the files byte for
+byte. The metrics file ends with the run summary as `# summary.key=value`
+comment lines.
 
 `wall_ms` is 0.0 unless the config sets log_timing=true — wall-clock values
 would break the byte-identical determinism contract.
@@ -34,14 +36,14 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import SCHEDULES, RunConfig, config_hash
 from .diagnostics import AlignmentRecord, default_alignment_pairs, top_singular_alignment
-from .norms import format_value, norm
+from .norms import norm
 from .optim import ADAMW, VECTOR_ADAMW, OptimizerState, apply_group_step, build_groups
 from .optim import ParamGroup, member_views, stack_members
 from .tasks import make_task
@@ -55,16 +57,14 @@ __all__ = [
     "SWEEP_COLUMNS",
     "MetricsRecord",
     "RunResult",
+    "format_value",
+    "csv_row",
     "schedule_factor",
     "gradient_metrics",
     "run",
     "sweep",
 ]
 
-METRICS_HEADER = "# teon-metrics v1"
-METRICS_COLUMNS = "step,loss,grad_muon_norm,grad_teon1_dual,grad_muon_dual,lr,wall_ms"
-ALIGNMENT_HEADER = "# teon-alignment v1"
-ALIGNMENT_COLUMNS = "step,pair_id,left_align,right_align,sigma_gap"
 SWEEP_HEADER = "# teon-sweep v1"
 SWEEP_COLUMNS = (
     "id,config_hash,task,optimizer,eta,steps,status,"
@@ -126,21 +126,24 @@ class MetricsRecord:
     lr: float
     wall_ms: float
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [str(self.step)]
-            + [
-                f"{v:.17g}"
-                for v in (
-                    self.loss,
-                    self.grad_muon_norm,
-                    self.grad_teon1_dual,
-                    self.grad_muon_dual,
-                    self.lr,
-                    self.wall_ms,
-                )
-            ]
-        )
+
+METRICS_HEADER = "# teon-metrics v1"
+METRICS_COLUMNS = ",".join(f.name for f in fields(MetricsRecord))
+ALIGNMENT_HEADER = "# teon-alignment v1"
+ALIGNMENT_COLUMNS = ",".join(f.name for f in fields(AlignmentRecord))
+
+
+def format_value(x) -> str:
+    """A value as every output of a run writes it: a float with 17 significant
+    digits, so it reads back to the same double, anything else with str()."""
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def csv_row(record) -> str:
+    """A record dataclass's fields, in field order, as one CSV row."""
+    return ",".join(format_value(getattr(record, f.name)) for f in fields(record))
 
 
 @dataclass
@@ -287,12 +290,12 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
         _write_lines(
             result.metrics_path,
             [METRICS_HEADER, METRICS_COLUMNS]
-            + [r.csv_row() for r in metrics]
+            + [csv_row(r) for r in metrics]
             + [f"# summary.{k}={format_value(v)}" for k, v in summary.items()],
         )
         _write_lines(
             result.alignment_path,
-            [ALIGNMENT_HEADER, ALIGNMENT_COLUMNS] + [r.csv_row() for r in alignment],
+            [ALIGNMENT_HEADER, ALIGNMENT_COLUMNS] + [csv_row(r) for r in alignment],
         )
     return result
 
@@ -316,19 +319,14 @@ def sweep(configs, out_dir) -> tuple[Path, list[str]]:
         chash = config_hash(cfg)
         rid = f"{chash}-{idx}"
         run_cfg = replace(cfg, out_path=str(out / "runs" / rid))
-        prefix = (
-            f"{rid},{chash},{cfg.task},{cfg.policy.optimizer},"
-            f"{cfg.policy.eta:.17g},{cfg.steps}"
-        )
+        head = (rid, chash, cfg.task, cfg.policy.optimizer, cfg.policy.eta, cfg.steps)
         try:
-            res = run(run_cfg)
-            rows.append(
-                f"{prefix},ok,{res.summary['final_loss']:.17g},"
-                f"{res.summary['best_loss']:.17g},{res.summary['best_loss_step']},"
-            )
+            s = run(run_cfg).summary
+            tail = ("ok", s["final_loss"], s["best_loss"], s["best_loss_step"], "")
         except Exception as exc:  # record and continue: sweeps are fault-tolerant
             msg = str(exc).replace(",", ";").replace("\n", " ")
-            rows.append(f"{prefix},failed,nan,nan,-1,{msg}")
+            tail = ("failed", float("nan"), float("nan"), -1, msg)
+        rows.append(",".join(format_value(v) for v in head + tail))
     path = out / "summary.csv"
     _write_lines(path, [SWEEP_HEADER, SWEEP_COLUMNS] + rows)
     return path, rows

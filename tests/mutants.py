@@ -78,6 +78,84 @@ MUTANTS = [
         "a group step follows the caller's floating-point policy: with no caller "
         "errstate an overflow only warns and commits inf, or fails unnamed",
     ),
+    (
+        "ema_weight",
+        "optim.py",
+        "(1.0 - policy.mu) * gs",
+        "policy.mu * gs",
+        "EMA momentum weights the new gradient by mu instead of 1 - mu",
+    ),
+    (
+        "warmup_ramp",
+        "runner.py",
+        "(step + 1) / (warm + 1)",
+        "step / (warm + 1)",
+        "the warmup ramp starts at a rate of 0",
+    ),
+    (
+        "align_every_off_by_one",
+        "runner.py",
+        "(t + 1) % cfg.align_every",
+        "t % cfg.align_every",
+        "alignment sampled one step early, before the align_every-th update",
+    ),
+    (
+        "metrics_max",
+        "runner.py",
+        "float(s.max())",
+        "float(s.min())",
+        "grad_muon_norm logs the smallest slice singular value, not the largest",
+    ),
+    (
+        "ns_spectral_prenorm",
+        "ortho.py",
+        "np.linalg.norm(x)",
+        "np.linalg.norm(x, 2)",
+        "Newton-Schulz pre-normalized by the spectral norm instead of the Frobenius norm",
+    ),
+    (
+        "momentum_unused",
+        "optim.py",
+        "matricize(buf, mode)",
+        "matricize(gs, mode)",
+        "the orthogonalized update ignores the momentum buffer",
+    ),
+    (
+        "right_vector_is_left",
+        "diagnostics.py",
+        "np.dot(va, vb)",
+        "np.dot(ua, ub)",
+        "right_align reports the left singular vectors' alignment",
+    ),
+    (
+        "remainder_dropped",
+        "optim.py",
+        "range(0, len(blocked), K)",
+        "range(0, len(blocked) - len(blocked) % K, K)",
+        "the N mod K remainder matrices are not stacked: each becomes a lone Muon group",
+    ),
+    (
+        "fold_mode_swap",
+        "linalg.py",
+        "x.reshape(n, k, m).transpose(1, 2, 0)",
+        "x.reshape(k, n, m).transpose(0, 2, 1)",
+        "fold mode 2 rebuilds the slices from the mode-1 block order",
+    ),
+    (
+        "sandwich_sqrt_k_plus_1",
+        "runner.py",
+        "np.sqrt(max_depth)",
+        "np.sqrt(max_depth + 1)",
+        "the logged dual-norm sandwich allows sqrt(K + 1) instead of sqrt(K)",
+    ),
+    (
+        "format_16_digits",
+        "runner.py",
+        'f"{x:.17g}"',
+        'f"{x:.16g}"',
+        "every written float loses its 17th significant digit and no longer reads "
+        "back to the same double",
+    ),
 ]
 
 # Runs in the child: pytest must see the mutated copy, not an installed teon.

@@ -1,5 +1,7 @@
 """Config parsing: fail-closed sections/keys, typed casts, policy wiring."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from teon.config import RunConfig, SCHEDULES, config_hash, parse_config, parse_config_text
@@ -257,6 +259,37 @@ def test_config_hash_stability_and_sensitivity():
     # output location does not change the identity of the experiment
     d = parse_config_text(MINIMAL.replace("/tmp/cfg_test", "/tmp/elsewhere"))
     assert config_hash(d) == config_hash(a)
+
+
+# One changed value per RunConfig field. Sweep ids and summary rows name an
+# experiment by its hash, so every field but where a run writes and whether it
+# times itself must change it.
+HASH_CASES = {
+    "task": "aligned_quadratic",
+    "steps": 6,
+    "seed": 1,
+    "out_path": "/tmp/elsewhere",
+    "policy": UpdatePolicy.teon(1, 0.2),
+    "adamw_policy": UpdatePolicy.adamw(0.2),
+    "task_params": {"m": 4, "n": 3, "K": 2},
+    "group_k": 3,
+    "stack_set": ("W",),
+    "schedule": "linear_warmup",
+    "warmup_ratio": 0.2,
+    "log_every": 3,
+    "align_every": 7,
+    "log_timing": True,
+}
+UNHASHED = {"out_path", "log_timing"}
+
+
+def test_config_hash_covers_every_run_field():
+    base = parse_config_text(MINIMAL + "[schedule]\nkind = cosine\nwarmup_ratio = 0.1\n")
+    assert set(HASH_CASES) == {f.name for f in fields(RunConfig)}, "a RunConfig field has no case"
+    for name, value in HASH_CASES.items():
+        assert getattr(base, name) != value, name
+        same = config_hash(replace(base, **{name: value})) == config_hash(base)
+        assert same == (name in UNHASHED), name
 
 
 def test_inline_comments_are_stripped():

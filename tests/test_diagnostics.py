@@ -10,6 +10,7 @@ from teon.diagnostics import (
 )
 from teon.norms import build_max_gain_tensor
 from teon.optim import LayoutEntry
+from teon.runner import csv_row
 
 
 def _rotation(n, seed):
@@ -30,7 +31,7 @@ def test_identical_matrices_align_fully():
     assert rec.right_align == pytest.approx(1.0, abs=1e-12)
     assert rec.sigma_gap == pytest.approx(2.0, abs=1e-12)
     assert not rec.degenerate
-    assert rec.csv_row().startswith("7,self,")
+    assert csv_row(rec).startswith("7,self,")
 
 
 def test_shared_left_orthogonal_right():

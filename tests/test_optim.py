@@ -696,7 +696,7 @@ def test_apply_group_step_names_group_and_step_of_a_nan_gradient(planted):
 
 def _diverging_newton_schulz_group():
     # the schedule diverges on any nonzero momentum; a zero gradient keeps it zero
-    scheme = OrthoScheme.newton_schulz(12, schedule=[(3.0, 400.0, -402.5)])
+    scheme = OrthoScheme(OrthoScheme.NEWTON_SCHULZ, schedule=((3.0, 400.0, -402.5),) * 12, steps=12)
     layout = [LayoutEntry("l0", "W", (6, 6), 0), LayoutEntry("l1", "W", (6, 6), 1)]
     (group,) = build_groups(layout, 2, {"W"}, policy=UpdatePolicy.teon(1, 0.1, scheme=scheme))
     params, grads = _random_stacks(layout, [group], 8)

@@ -14,11 +14,11 @@ from teon.optim import VECTOR_ADAMW, UpdatePolicy, build_groups, stack_members
 from teon.runner import (
     ALIGNMENT_COLUMNS,
     ALIGNMENT_HEADER,
-    METRICS_COLUMNS,
     METRICS_HEADER,
     MetricsRecord,
     SWEEP_HEADER,
     _check_record_sandwich,
+    csv_row,
     gradient_metrics,
     run,
     schedule_factor,
@@ -101,7 +101,7 @@ def test_schedule_factor_validation():
 
 def test_metrics_record_csv_row_format():
     rec = MetricsRecord(3, 1.0 / 3.0, 1.5, 2.0, 2.5, 0.05, 0.0)
-    row = rec.csv_row()
+    row = csv_row(rec)
     assert row.startswith("3,0.33333333333333331,1.5,2,2.5,")
     assert row.split(",") == [
         "3",
@@ -145,6 +145,13 @@ def test_record_sandwich_rejects_inconsistent_values():
     _check_record_sandwich(2.0, 3.0, 4)  # inside the sandwich: fine
 
 
+def test_record_sandwich_upper_bound_is_sqrt_of_the_depth():
+    # at depth 4 the muon dual may reach exactly 2x the teon dual, not sqrt(5)x
+    _check_record_sandwich(1.0, 2.0, 4)
+    with pytest.raises(RuntimeError, match="sandwich violated"):
+        _check_record_sandwich(1.0, 2.0 + 1e-6, 4)
+
+
 # ------------------------------------------------------------------- run()
 
 
@@ -160,7 +167,7 @@ def test_run_csv_shape_and_headers(tmp_path):
     res = run(_quad_cfg(tmp_path / "r"))
     lines = res.metrics_path.read_text().splitlines()
     assert lines[0] == METRICS_HEADER
-    assert lines[1] == METRICS_COLUMNS
+    assert lines[1] == "step,loss,grad_muon_norm,grad_teon1_dual,grad_muon_dual,lr,wall_ms"
     # steps=7, log_every=2 -> t = 0,2,4,6 (final step already on the grid)
     rows = [ln for ln in lines[2:] if not ln.startswith("#")]
     assert [int(r.split(",")[0]) for r in rows] == [0, 2, 4, 6]
@@ -171,7 +178,7 @@ def test_run_csv_shape_and_headers(tmp_path):
 
     align = res.alignment_path.read_text().splitlines()
     assert align[0] == ALIGNMENT_HEADER
-    assert align[1] == ALIGNMENT_COLUMNS
+    assert align[1] == "step,pair_id,left_align,right_align,sigma_gap"
     # align_every=3 over 7 steps -> post-update steps 3 and 6, three pairs each
     steps = [int(r.split(",")[0]) for r in align[2:]]
     assert steps == [3, 3, 3, 6, 6, 6]
@@ -585,7 +592,7 @@ def test_alignment_csv_matches_track_run_over_the_same_snapshots(tmp_path, monke
     pairs = default_alignment_pairs(
         make_task("micro_attention", 4, **res.config.task_params).layout
     )
-    expected = [r.csv_row() for r in track_run(snapshots, pairs, every)]
+    expected = [csv_row(r) for r in track_run(snapshots, pairs, every)]
     rows = res.alignment_path.read_text().splitlines()[2:]
     assert rows == expected and len(rows) == 3 * len(pairs)
     # each sampled step reads its own buffers: a pair reads differently at each step

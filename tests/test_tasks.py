@@ -126,18 +126,13 @@ def test_check_battery_gradient_fd_fails_on_a_nan_gradient(monkeypatch):
 BAD_FD_ARGUMENTS = {
     "directions=0": dict(directions=0),
     "directions=-1": dict(directions=-1),
-    "h=0": dict(h=0.0),
-    "h=-1e-5": dict(h=-1e-5),
-    "h=nan": dict(h=float("nan")),
-    "h=inf": dict(h=float("inf")),
 }
 
 
 @pytest.mark.parametrize("kwargs", BAD_FD_ARGUMENTS.values(), ids=BAD_FD_ARGUMENTS)
 def test_finite_difference_check_rejects_bad_arguments(kwargs):
     task = QuadraticTask(3, 2, 2, seed=0)
-    match = "a positive integer" if "directions" in kwargs else "finite and positive"
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match="a positive integer"):
         finite_difference_check(task, task.init_weights(None), **kwargs)
 
 
