@@ -15,8 +15,10 @@ The training loop (`teon.runner.run`) samples the momentum buffers every
 
 Cost model: a matrix usually sits in several pairs (`b1.q` in Q0-Q1, Q1-Q2,
 Q1-K1 and Q1-V1), so one call takes a whole sampled step and decomposes each
-paired buffer by one SVD, however many pairs it is in. The factors live in
-a cache local to that call and are freed when it returns.
+paired buffer by one SVD, however many pairs it is in. Of each SVD the call
+keeps only u_1, v_1 and the gap, and drops U and Vh at once, so while the
+loop overlaps the call with its next step (`teon.runner`) that step's
+forward and backward pass never meets more than one buffer's factors.
 """
 
 from __future__ import annotations
@@ -76,7 +78,14 @@ def top_singular_alignment(buffers: dict, pairs, step: int) -> list[AlignmentRec
         for name in (a, b):
             if name not in tops:
                 u, s, vh = svd(buffers[name])
-                tops[name] = (u[:, 0], vh[0], float(s[0] - s[1]) if len(s) > 1 else float(s[0]))
+                # u_1 is copied out of U's first two columns, so it keeps the
+                # non-unit stride of the view u[:, 0] (unit only when U has
+                # one column): OpenBLAS's ddot takes its SIMD kernel only when
+                # both strides are 1 and one scalar loop for any other, and a
+                # contiguous u_1 would move left_align's last bits
+                gap = float(s[0] - s[1]) if len(s) > 1 else float(s[0])
+                tops[name] = (u[:, :2].copy()[:, 0], vh[0].copy(), gap)
+                del u, s, vh  # U and Vh die here, not with the call
         (ua, va, gap_a), (ub, vb, gap_b) = tops[a], tops[b]
         left = float(abs(np.dot(ua, ub)))
         right = float(abs(np.dot(va, vb)))

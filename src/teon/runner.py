@@ -23,13 +23,26 @@ groups) lanes, where LANES is the usable cores over the BLAS thread count
 pinned by OPENBLAS_NUM_THREADS (else OMP_NUM_THREADS); with neither set BLAS
 already uses every core, LANES is 1 and every run stays serial. Once per run
 each big group, largest first, goes to the least-loaded lane; the calling
-thread runs lane 0 with every smaller group and vector, a thread pool (built
-only when L >= 2 and shut down when the run ends) the others. Each group
-step reads and writes only its own stack and state and sets its own errstate,
-so it needs nothing from the calling thread and the bytes equal the serial
-run's either way. When a step fails, the run raises the error of the
-lowest-index failing group, the one the serial loop raises; groups on other
-lanes, later in group order, may already have committed that step.
+thread runs lane 0 with every smaller group and vector, a thread pool the
+others. Each group step reads and writes only its own stack and state and
+sets its own errstate, so it needs nothing from the calling thread and the
+bytes equal the serial run's either way. When a step fails, the run raises
+the error of the lowest-index failing group, the one the serial loop raises;
+groups on other lanes, later in group order, may already have committed that
+step.
+
+A sampled step's alignment call overlaps the next step when the run samples
+alignment at all, a spare core exists (LANES >= 2) and the call's SVD work,
+r*r*c summed over the distinct paired matrices that keep a momentum buffer,
+reaches LANE_WORK. The call then goes to one extra worker of the pool and the
+loop goes on; its records are collected at the next sampled step or when the
+loop ends, so they keep step order. The call reads momentum buffers that the
+pure rules never write again, and the next step only reads the weights, so
+the bytes equal the serial run's. When anything raises while a call is
+pending, the run waits for it and raises its error if it failed, else the
+step's: the serial order. The pool has L - 1 workers, plus one when alignment
+overlaps; it is built only when it has any and is shut down when the run
+ends.
 """
 
 from __future__ import annotations
@@ -205,6 +218,19 @@ def _lanes(groups) -> list[list[tuple[int, ParamGroup]]]:
     return [[(i, g) for i, g in enumerate(groups) if lane_of[i] == j] for j in range(len(load))]
 
 
+def _align_work(groups, pairs) -> int:
+    """r*r*c (r <= c) summed over the distinct paired matrices that keep a
+    momentum buffer: the work of one sampled step's alignment SVDs."""
+    paired = {name for _, a, b in pairs for name in (a, b)}
+    return sum(
+        min(shape) ** 2 * max(shape)
+        for g in groups
+        if g.policy.optimizer != ADAMW
+        for name, shape in zip(g.members, g.shapes)
+        if name in paired
+    )
+
+
 def _step_lane(lane, params, grads, states, factor):
     """Step the lane's groups in order; (index, error) of the first that fails."""
     for i, g in lane:
@@ -230,12 +256,16 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
     metrics: list[MetricsRecord] = []
     alignment: list[AlignmentRecord] = []
 
-    lanes, pool = _lanes(groups), None
-    if len(lanes) > 1:
+    lanes, pool, aligning = _lanes(groups), None, None
+    # a sampled step's alignment runs on a spare core while the next step trains
+    overlap = (
+        LANES >= 2 and cfg.align_every <= cfg.steps and _align_work(groups, pairs) >= LANE_WORK
+    )
+    if len(lanes) > 1 or overlap:
         # imported only here: the import alone costs a serial run 6 ms and 0.6 MB
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(len(lanes) - 1)
+        pool = ThreadPoolExecutor(len(lanes) - 1 + overlap)
     try:
         for t in range(cfg.steps):
             tic = time.perf_counter() if cfg.log_timing else None
@@ -266,8 +296,23 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
                 metrics.append(MetricsRecord(t, loss, mp, td, md, cfg.policy.eta * factor, wall))
             del grads  # no gradient stack outlives its step
             if (t + 1) % cfg.align_every == 0 and pairs:
+                # the rules never write a momentum buffer again, so the views
+                # stay valid while the next steps commit new ones
                 buffers = member_views({g.id: states[g.id].momentum for g in groups}, groups)
-                alignment += top_singular_alignment(buffers, pairs, step=t + 1)
+                if overlap:
+                    if aligning is not None:
+                        alignment += aligning.result()
+                    aligning = pool.submit(top_singular_alignment, buffers, pairs, step=t + 1)
+                else:
+                    alignment += top_singular_alignment(buffers, pairs, step=t + 1)
+        if aligning is not None:
+            alignment += aligning.result()
+    except BaseException:
+        # the serial loop raises a sampled step's alignment error before any
+        # later step's: wait for the pending call and raise its error first
+        if aligning is not None and aligning.exception() is not None:
+            raise aligning.exception() from None
+        raise
     finally:
         if pool is not None:
             pool.shutdown()

@@ -149,6 +149,24 @@ MUTANTS = [
         "the logged dual-norm sandwich allows sqrt(K + 1) instead of sqrt(K)",
     ),
     (
+        "alignment_error_after_next_step",
+        "runner.py",
+        "        if aligning is not None and aligning.exception() is not None:\n"
+        "            raise aligning.exception() from None\n"
+        "        raise\n",
+        "        raise\n",
+        "a step that fails while the previous sampled step's alignment is pending "
+        "raises its own error, not the alignment error the serial loop raises first",
+    ),
+    (
+        "contiguous_u1",
+        "diagnostics.py",
+        "u[:, :2].copy()[:, 0]",
+        "u[:, 0].copy()",
+        "u_1 copied to a contiguous vector: ddot takes its SIMD kernel and "
+        "left_align moves in the last bits",
+    ),
+    (
         "format_16_digits",
         "runner.py",
         'f"{x:.17g}"',

@@ -1,8 +1,11 @@
-"""Group steps fanned out over thread lanes: the same bytes and the same
-errors as the serial loop, and no thread left behind. The lane count and the
-size threshold are module constants; the tests set them so that every
-orthogonalized group is big and two lanes run on any host."""
+"""Group steps fanned out over thread lanes, and each sampled step's
+alignment overlapped with the next step on a spare core: the same bytes and
+the same errors as the serial loop, and no thread left behind. The lane
+count and the size threshold are module constants; the tests set them so that
+every orthogonalized group is big, every alignment call is offloaded and two
+lanes run on any host."""
 
+import concurrent.futures
 import sys
 import threading
 import warnings
@@ -72,6 +75,47 @@ def lanes(monkeypatch):
         return seen
 
     return set_lanes
+
+
+ATTN64_MUON = """
+[run]
+task = micro_attention
+steps = 3
+seed = 0
+out_path = {out}
+log_every = 1
+align_every = 1
+
+[task]
+dim = 64
+seq = 16
+batch = 8
+blocks = 4
+
+[optimizer]
+optimizer = muon
+eta = 0.02
+scheme = newton_schulz
+ns_steps = 5
+ns_preset = jordan
+adam_eta = 0.005
+"""
+
+
+@pytest.fixture
+def aligned(monkeypatch):
+    """Record each alignment call: its thread, its buffers and their bytes
+    when the call starts."""
+    calls = []
+    original = runner.top_singular_alignment
+
+    def recording(buffers, pairs, step):
+        snapshot = {name: b.tobytes() for name, b in buffers.items()}
+        calls.append((threading.get_ident(), buffers, snapshot))
+        return original(buffers, pairs, step)
+
+    monkeypatch.setattr(runner, "top_singular_alignment", recording)
+    return calls
 
 
 def _groups(cfg):
@@ -145,7 +189,8 @@ def test_lane_count_is_the_cores_over_the_pinned_blas_threads(monkeypatch, env, 
     assert runner._spare_lanes() == expected
 
 
-def test_two_lanes_write_the_serial_bytes(tmp_path, lanes):
+def test_two_lanes_write_the_serial_bytes(tmp_path, lanes, aligned):
+    main = threading.get_ident()
     for idx, cfg in enumerate(_configs()):
         # aligned_quadratic stacks all its layers in one group, and adamw
         # orthogonalizes nothing: those runs have fewer than two big groups
@@ -153,10 +198,54 @@ def test_two_lanes_write_the_serial_bytes(tmp_path, lanes):
         outputs = []
         for n in (1, 2):
             seen = lanes(n)
+            aligned.clear()
             res = run(replace(cfg, out_path=str(tmp_path / f"{idx}-{n}")))
             outputs.append([p.read_bytes() for p in (res.metrics_path, res.alignment_path)])
-            assert len(_threads(seen)) == (2 if n == 2 and big >= 2 else 1), cfg.task
+            threads = _threads(seen)
+            if n == 2 and big >= 2:
+                # the calling thread and a worker; the alignment's worker may take a lane
+                assert main in threads and len(threads) in (2, 3), cfg.task
+            else:
+                assert threads == {main}, cfg.task
+            # with momentum to align, every call overlaps the next step on a worker
+            overlapped = n == 2 and bool(res.alignment)
+            assert all((thread != main) == overlapped for thread, _, _ in aligned), cfg.task
         assert outputs[0] == outputs[1], SHIPPED[idx] if idx < len(SHIPPED) else "mode 2"
+
+
+def test_alignment_overlaps_the_next_step_at_dim_64_and_writes_the_serial_bytes(
+    tmp_path, lanes, aligned, monkeypatch
+):
+    # at the shipped threshold: the 24 paired buffers (16 of 64 x 64, 8 of
+    # 64 x 128 or 128 x 64: 32 * 64**3) reach LANE_WORK, while no group does
+    monkeypatch.setattr(runner, "LANE_WORK", 128**3)
+    cfg = parse_config_text(ATTN64_MUON.format(out="unused"))
+    main = threading.get_ident()
+    outputs = []
+    for n in (1, 2):
+        seen = lanes(n)
+        aligned.clear()
+        res = run(replace(cfg, out_path=str(tmp_path / str(n))))
+        outputs.append([p.read_bytes() for p in (res.metrics_path, res.alignment_path)])
+        assert _threads(seen) == {main}
+        assert len(aligned) == 3 and len(res.alignment) == 3 * 30
+        assert all((thread != main) == (n == 2) for thread, _, _ in aligned)
+    assert outputs[0] == outputs[1]
+
+
+def test_buffers_handed_to_alignment_are_never_written_afterwards(lanes, aligned):
+    # the overlapped call reads them while the next steps run: an in-place
+    # momentum or Newton-Schulz update would race with it
+    cfgs = [c for c in _configs() if c.policy.optimizer != "adamw"]
+    cfgs.append(parse_config_text(ATTN64_MUON.format(out="unused")))
+    for cfg in cfgs:
+        for n in (1, 2):
+            lanes(n)
+            aligned.clear()
+            run(replace(cfg, steps=min(cfg.steps, 6), align_every=1), write=False)
+            assert aligned and all(buffers for _, buffers, _ in aligned), cfg.task
+            for _, buffers, at_call in aligned:
+                assert {name: b.tobytes() for name, b in buffers.items()} == at_call, cfg.task
 
 
 def test_more_lanes_than_cores_under_fast_thread_switching_write_the_serial_bytes(
@@ -258,15 +347,98 @@ def test_an_overflow_on_a_worker_lane_raises_under_plain_warning_filters(monkeyp
     assert messages[0] == f"group '{group.id}' at optimizer step 2: overflow encountered in add"
 
 
-def test_no_thread_outlives_a_run_or_a_sweep(tmp_path, monkeypatch, lanes):
+def _fail_alignment(monkeypatch, at_step):
+    """Make the alignment call of sampled step `at_step` raise."""
+    original = runner.top_singular_alignment
+
+    def failing(buffers, pairs, step):
+        if step == at_step:
+            raise RuntimeError(f"alignment failed at step {step}")
+        return original(buffers, pairs, step)
+
+    monkeypatch.setattr(runner, "top_singular_alignment", failing)
+
+
+def _record_group_steps(monkeypatch):
+    """The committed step count each group step starts from, in call order."""
+    starts = []
+    original = runner.apply_group_step
+
+    def recording(params, grads, group, states, *args, **kwargs):
+        starts.append(states[group.id].t)
+        return original(params, grads, group, states, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "apply_group_step", recording)
+    return starts
+
+
+def _teon_cfg(**changes):
+    cfg = parse_config_text((CONFIGS / "micro_attention_teon.ini").read_text(encoding="utf-8"))
+    return replace(cfg, **changes)
+
+
+def test_an_alignment_error_comes_before_the_next_steps_failing_group(monkeypatch, lanes):
+    # alignment of step 4 (after optimizer step 3) fails, and so does a group
+    # in step 4; the next sample (step 8) would collect the overlapped call
+    cfg = _teon_cfg(steps=10, align_every=4)
+    _fail_alignment(monkeypatch, 4)
+    _plant(monkeypatch, ["b1.k"], (4,))
+    starts = _record_group_steps(monkeypatch)
+    reached = []
+    for n in (1, 2):
+        lanes(n)
+        starts.clear()
+        with pytest.raises(RuntimeError, match="^alignment failed at step 4$"):
+            run(cfg, write=False)
+        reached.append(max(starts))
+    # the serial run stops at the alignment; the overlapped one ran step 4 first
+    assert reached == [3, 4]
+
+
+def test_a_failing_group_after_a_clean_alignment_raises_the_groups_error(monkeypatch, lanes):
+    cfg = _teon_cfg(steps=10, align_every=4)
+    _plant(monkeypatch, ["b1.k"], (4,))
+    messages = []
+    for n in (1, 2):
+        lanes(n)
+        with pytest.raises(FloatingPointError) as info:
+            run(cfg, write=False)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("group 'k.blocks0-1' at optimizer step 4: non-finite gradient")
+
+
+def test_the_pool_gets_an_alignment_worker_only_when_the_run_samples_alignment(
+    monkeypatch, lanes
+):
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            sizes.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    lanes(2)
+    for every in (4, 5):  # sampled once in 4 steps, then never
+        run(_teon_cfg(steps=4, align_every=every), write=False)
+    assert sizes == [2, 1]  # the second lane's worker, plus the alignment's
+
+
+def test_no_thread_outlives_a_run_or_a_sweep(tmp_path, monkeypatch, lanes, aligned):
     lanes(2)
     before = threading.active_count()
-    cfg = parse_config_text((CONFIGS / "micro_attention_teon.ini").read_text(encoding="utf-8"))
-    cfg = replace(cfg, steps=3, out_path=str(tmp_path / "ok"))
+    cfg = _teon_cfg(steps=3, align_every=1, out_path=str(tmp_path / "ok"))
     run(cfg)
     assert threading.active_count() == before
+    # every alignment call overlapped its next step on a worker
+    assert len(aligned) == 3 and threading.get_ident() not in {t for t, _, _ in aligned}
     _plant(monkeypatch, ["b1.k"], (1,))
     with pytest.raises(FloatingPointError, match="non-finite gradient"):
+        run(cfg)  # while step 1's alignment is pending
+    assert threading.active_count() == before
+    _fail_alignment(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match="alignment failed at step 1"):
         run(cfg)
     assert threading.active_count() == before
     _, rows = sweep([cfg, cfg], tmp_path / "sweep")

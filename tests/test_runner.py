@@ -647,15 +647,19 @@ def test_run_drops_each_steps_gradient_stacks_before_the_next(optimizer, monkeyp
 def test_training_loop_frees_each_sampled_steps_svd_factors(optimizer, monkeypatch):
     # The loop alone, with the task built before tracing: 5.25x the parameter
     # bytes. Keeping every paired buffer's U and V alive through the next
-    # step's forward and backward pass adds 1.7x.
+    # step's forward and backward pass adds 1.7x, serial or with each
+    # alignment call overlapped with the next step (forced on: LANE_WORK = 1).
     import teon.runner as runner
 
     cfg = _memory_cfg(optimizer)
     param_bytes = _param_bytes(cfg)
     task = make_task(cfg.task, cfg.seed, **cfg.task_params)
     monkeypatch.setattr(runner, "make_task", lambda *args, **kwargs: task)
-    peak = traced_peak(lambda: run(cfg, write=False))
-    assert peak <= 5.7 * param_bytes, peak / param_bytes
+    for lanes, lane_work in ((1, runner.LANE_WORK), (2, 1)):
+        monkeypatch.setattr(runner, "LANES", lanes)
+        monkeypatch.setattr(runner, "LANE_WORK", lane_work)
+        peak = traced_peak(lambda: run(cfg, write=False))
+        assert peak <= 5.7 * param_bytes, (lanes, peak / param_bytes)
 
 
 @pytest.mark.parametrize("optimizer,depth", [("muon", 1), ("teon", 2)])
