@@ -34,15 +34,16 @@ step.
 A sampled step's alignment call overlaps the next step when the run samples
 alignment at all, a spare core exists (LANES >= 2) and the call's SVD work,
 r*r*c summed over the distinct paired matrices that keep a momentum buffer,
-reaches LANE_WORK. The call then goes to one extra worker of the pool and the
-loop goes on; its records are collected at the next sampled step or when the
-loop ends, so they keep step order. The call reads momentum buffers that the
-pure rules never write again, and the next step only reads the weights, so
-the bytes equal the serial run's. When anything raises while a call is
-pending, the run waits for it and raises its error if it failed, else the
-step's: the serial order. The pool has L - 1 workers, plus one when alignment
-overlaps; it is built only when it has any and is shut down when the run
-ends.
+reaches LANE_WORK; below it, as on the 8-16-wide shipped configs, the overlap
+hides no time and the pool only adds memory. The call then goes to one extra
+worker of the pool and the loop goes on; its records are collected at the
+next sampled step or when the loop ends, so they keep step order. The call
+reads momentum buffers that the pure rules never write again, and the next
+step only reads the weights, so the bytes equal the serial run's. When
+anything raises while a call is pending, the run waits for it and raises its
+error if it failed, else the step's: the serial order. The pool has L - 1
+workers, plus one when alignment overlaps; it is built only when it has any
+and is shut down when the run ends.
 """
 
 from __future__ import annotations
@@ -309,9 +310,10 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
             alignment += aligning.result()
     except BaseException:
         # the serial loop raises a sampled step's alignment error before any
-        # later step's: wait for the pending call and raise its error first
-        if aligning is not None and aligning.exception() is not None:
-            raise aligning.exception() from None
+        # later step's: wait for the pending call, whose result() re-raises
+        # its error, cause chain intact; else the step's error propagates
+        if aligning is not None:
+            aligning.result()
         raise
     finally:
         if pool is not None:

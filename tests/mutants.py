@@ -151,12 +151,20 @@ MUTANTS = [
     (
         "alignment_error_after_next_step",
         "runner.py",
-        "        if aligning is not None and aligning.exception() is not None:\n"
-        "            raise aligning.exception() from None\n"
+        "        if aligning is not None:\n"
+        "            aligning.result()\n"
         "        raise\n",
         "        raise\n",
         "a step that fails while the previous sampled step's alignment is pending "
         "raises its own error, not the alignment error the serial loop raises first",
+    ),
+    (
+        "overlap_below_lane_work",
+        "runner.py",
+        "_align_work(groups, pairs) >= LANE_WORK",
+        "_align_work(groups, pairs) > 0",
+        "every run that samples alignment hands its calls to a worker, so the "
+        "8-16-wide shipped configs pay for a pool and a handoff that hide nothing",
     ),
     (
         "contiguous_u1",

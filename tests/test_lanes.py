@@ -233,6 +233,19 @@ def test_alignment_overlaps_the_next_step_at_dim_64_and_writes_the_serial_bytes(
     assert outputs[0] == outputs[1]
 
 
+def test_shipped_configs_align_on_the_calling_thread_at_the_shipped_threshold(
+    monkeypatch, aligned
+):
+    # their paired buffers are 8-16 wide, far below LANE_WORK: overlapping
+    # their calls hid no time on shipped_sweep and cost every run the pool
+    monkeypatch.setattr(runner, "LANES", 2)
+    main = threading.get_ident()
+    for cfg in _configs():
+        aligned.clear()
+        run(replace(cfg, steps=min(cfg.steps, 4), align_every=1), write=False)
+        assert aligned and {thread for thread, _, _ in aligned} == {main}, cfg.task
+
+
 def test_buffers_handed_to_alignment_are_never_written_afterwards(lanes, aligned):
     # the overlapped call reads them while the next steps run: an in-place
     # momentum or Newton-Schulz update would race with it
@@ -353,7 +366,8 @@ def _fail_alignment(monkeypatch, at_step):
 
     def failing(buffers, pairs, step):
         if step == at_step:
-            raise RuntimeError(f"alignment failed at step {step}")
+            cause = np.linalg.LinAlgError("SVD did not converge")
+            raise RuntimeError(f"alignment failed at step {step}") from cause
         return original(buffers, pairs, step)
 
     monkeypatch.setattr(runner, "top_singular_alignment", failing)
@@ -388,8 +402,10 @@ def test_an_alignment_error_comes_before_the_next_steps_failing_group(monkeypatc
     for n in (1, 2):
         lanes(n)
         starts.clear()
-        with pytest.raises(RuntimeError, match="^alignment failed at step 4$"):
+        with pytest.raises(RuntimeError, match="^alignment failed at step 4$") as info:
             run(cfg, write=False)
+        # the serial error itself, cause chain intact
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
         reached.append(max(starts))
     # the serial run stops at the alignment; the overlapped one ran step 4 first
     assert reached == [3, 4]
@@ -428,19 +444,23 @@ def test_the_pool_gets_an_alignment_worker_only_when_the_run_samples_alignment(
 def test_no_thread_outlives_a_run_or_a_sweep(tmp_path, monkeypatch, lanes, aligned):
     lanes(2)
     before = threading.active_count()
-    cfg = _teon_cfg(steps=3, align_every=1, out_path=str(tmp_path / "ok"))
-    run(cfg)
-    assert threading.active_count() == before
-    # every alignment call overlapped its next step on a worker
+    # lane workers alone (3 steps never reach the shipped align_every = 8),
+    # then lane workers plus the alignment's
+    lone, cfg = (_teon_cfg(steps=3, align_every=e, out_path=str(tmp_path / f"ok{e}")) for e in (8, 1))
+    for c in (lone, cfg):
+        run(c)
+        assert threading.active_count() == before
+    # every sampled step's alignment call overlapped its next step on a worker
     assert len(aligned) == 3 and threading.get_ident() not in {t for t, _, _ in aligned}
     _plant(monkeypatch, ["b1.k"], (1,))
-    with pytest.raises(FloatingPointError, match="non-finite gradient"):
-        run(cfg)  # while step 1's alignment is pending
-    assert threading.active_count() == before
+    for c in (lone, cfg):  # the second while step 1's alignment is pending
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            run(c)
+        assert threading.active_count() == before
     _fail_alignment(monkeypatch, 1)
     with pytest.raises(RuntimeError, match="alignment failed at step 1"):
         run(cfg)
     assert threading.active_count() == before
-    _, rows = sweep([cfg, cfg], tmp_path / "sweep")
+    _, rows = sweep([lone, cfg], tmp_path / "sweep")
     assert [row.split(",")[6] for row in rows] == ["failed", "failed"]
     assert threading.active_count() == before
