@@ -22,7 +22,7 @@ from .norms import (
     ntr_step_muon,
     ntr_step_teon,
 )
-from .optim import OptimizerState, ParamGroup, UpdatePolicy, apply_group_step
+from .optim import OptimizerState, ParamGroup, UpdateClass, UpdatePolicy, apply_group_step
 from .ortho import OrthoScheme, apply_ortho, ortho_exact
 from .runner import csv_row, run
 from .tasks import finite_difference_check, make_task
@@ -135,8 +135,11 @@ def _k1_collapse(rng) -> CheckResult:
     w = rng.standard_normal((1, 3, 2))
     params_m, params_t = {"w": w}, {"w": w.copy()}
     g_seq = [rng.standard_normal((1, 3, 2)) for _ in range(8)]
-    group_m = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.muon(0.1, weight_decay=0.01))
-    group_t = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.teon(1, 0.1, weight_decay=0.01))
+    muon = UpdatePolicy.muon(0.1, weight_decay=0.01)
+    group_m, group_t = (
+        UpdateClass((ParamGroup("w", ("w",), ((3, 2),), p),))
+        for p in (muon, UpdatePolicy.teon(1, 0.1, weight_decay=0.01))
+    )
     st_m, st_t = {"w": OptimizerState()}, {"w": OptimizerState()}
     for g in g_seq:
         apply_group_step(params_m, {"w": g}, group_m, st_m)

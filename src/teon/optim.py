@@ -7,12 +7,13 @@ orthogonalized rule, with gradient G, momentum buffer M (zero at t=0) and step s
     M_t  =  mu * M_{t-1} + (1 - mu) * G_t       momentum_style "ema"
     step =  eta * sqrt(m / n) * O_t
 
-For a (K, m, n) stack, O_t = fold(Ortho(matricize(M_t, mode)), mode) with
-mode in {1, 2}. The sqrt(m/n) factor always uses the SLICE dimensions even
+For a group's (K, m, n) stack, O_t = fold(Ortho(matricize(M_t, mode)), mode)
+with mode in {1, 2}. The sqrt(m/n) factor always uses the SLICE dimensions even
 though the mode-1 matricization is m x nK — the scaling is per-layer, not
 per-unfolding. Muon is not a separate rule: a lone (m, n) matrix is the
 K=1 stack under mode 1, whose unfolding is the matrix itself, so
-O_t = Ortho(M_t). `ortho_step` is the one function that computes either.
+O_t = Ortho(M_t). `ortho_step` is the one function that computes either, for
+every group of a class at once.
 
 The adamw rule (any parameter shape), with betas (b1, b2) and step count t
 starting at 1:
@@ -26,16 +27,22 @@ member a vector group, anything else a lone matrix. `expand_stack_set` alone
 expands and checks the `stack_set` tokens that pick the stacked roles, always
 in STACK_TOKENS order.
 
-A group's parameters live in one stack for a whole run (`stack_members`:
-(K, m, n) for matrices, (1, d) for a vector); `member_views` maps each member
-name to its C-contiguous slice. `apply_group_step` alone writes stacks and states:
-W <- (1 - eta * lambda) * W - step (decay only if lambda > 0), in place and
-committed with the new state once all of it has succeeded.
+Groups that share a policy and a slice shape are stepped as one UpdateClass.
+A class's parameters live in one arena for a whole run (`UpdateClass.stack`:
+(B, m, n) for matrices, (B, d) for vectors, B the summed depths), each group
+the slice range `bounds[i]`, a (K, m, n) or (1, d) stack; `member_views`
+maps each member name to its C-contiguous slice. A lone group is a class of
+one. `apply_group_step` alone writes arenas and states: one finiteness check,
+one errstate, one momentum or adamw update and one
+W <- (1 - eta * lambda) * W - step (decay only if lambda > 0) per class,
+committed with the new state once all of it has succeeded. The polar factor
+still runs once per group unfolding, through `apply_ortho` on a 2-D array:
+the unfoldings of one class differ in shape when its depths do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -55,13 +62,13 @@ __all__ = [
     "VECTOR_ADAMW",
     "UpdatePolicy",
     "ParamGroup",
+    "UpdateClass",
     "OptimizerState",
     "LayoutEntry",
     "ortho_step",
     "adamw_step",
     "expand_stack_set",
     "build_groups",
-    "stack_members",
     "member_views",
     "apply_group_step",
 ]
@@ -198,10 +205,52 @@ class ParamGroup:
         return len(self.members)
 
 
+@dataclass(frozen=True)
+class UpdateClass:
+    """Groups stepped as one: they share a policy and a slice shape, so their
+    stacks lie end to end in one arena, `groups[i]` at the slice range
+    `bounds[i]`. `members` lists every member name in arena order; `id`,
+    `policy` and `kind` (the update path, which the benchmark's trace reads)
+    are the first group's."""
+
+    groups: tuple[ParamGroup, ...]
+    id: str = field(init=False)
+    members: tuple[str, ...] = field(init=False)
+    bounds: tuple[tuple[int, int], ...] = field(init=False)
+
+    def __post_init__(self):
+        if not self.groups:
+            raise ValueError("an update class needs at least one group")
+        head = self.groups[0]
+        for g in self.groups[1:]:
+            if g.policy != head.policy or g.shapes[0] != head.shapes[0]:
+                raise ValueError(
+                    f"group {g.id!r} does not share the policy and slice shape of {head.id!r}"
+                )
+        ends = np.cumsum([g.depth for g in self.groups]).tolist()
+        object.__setattr__(self, "id", head.id)
+        object.__setattr__(self, "members", tuple(nm for g in self.groups for nm in g.members))
+        object.__setattr__(self, "bounds", tuple(zip([0] + ends[:-1], ends)))
+
+    @property
+    def policy(self) -> UpdatePolicy:
+        return self.groups[0].policy
+
+    @property
+    def kind(self) -> str:
+        return self.groups[0].kind
+
+    def stack(self, arrays: dict) -> np.ndarray:
+        """The members' arrays from `arrays` (keyed by name) stacked on a new
+        first axis: the class's arena."""
+        return np.stack([arrays[nm] for nm in self.members])
+
+
 class OptimizerState(NamedTuple):
-    """A group's immutable state after `t` committed steps: the rules return a
-    new one, which `apply_group_step` commits. Buffers are None until the first
-    step (equivalent to zeros at t=0) and may never change shape."""
+    """A class's immutable state after `t` committed steps, its buffers shaped
+    like its arena: the rules return a new one, which `apply_group_step`
+    commits. Buffers are None until the first step (equivalent to zeros at
+    t=0) and may never change shape."""
 
     t: int = 0
     momentum: np.ndarray | None = None
@@ -216,21 +265,24 @@ def _shrink(w: np.ndarray, weight_decay: float, eta: float) -> np.ndarray:
 
 
 def ortho_step(
-    gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
+    gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float, bounds=None
 ) -> tuple[np.ndarray, OptimizerState]:
-    """One orthogonalized step from a (K, m, n) gradient stack at step size
-    `eta`: orthogonalize the mode-`policy.mode` unfolding of the momentum
-    tensor (mode 1 for muon, whose stack has K=1), fold back, and return
-    `(eta * sqrt(m / n)) * O_t` with the advanced state. Plain arithmetic:
-    an overflow follows the caller's `np.errstate`, as NumPy's own functions do."""
+    """One orthogonalized step from a (B, m, n) gradient arena at step size
+    `eta`, each slice range of `bounds` one group's stack (by default the
+    whole arena is one group): update the momentum arena once, orthogonalize
+    each group's mode-`policy.mode` unfolding (mode 1 for muon, whose groups
+    have K=1), fold back, and return `(eta * sqrt(m / n)) * O_t` with the
+    advanced state. Plain arithmetic: an overflow follows the caller's
+    `np.errstate`, as NumPy's own functions do."""
     if policy.optimizer == ADAMW:
         raise ValueError("ortho_step needs a muon or teon policy, got 'adamw'")
     gs = np.asarray(gs, dtype=np.float64)
     if gs.ndim != 3:
         raise ValueError(f"ortho_step needs a (K, m, n) gradient stack, got ndim={gs.ndim}")
     k, m, n = gs.shape  # slice dims m, n, not the unfolded ones
-    if policy.optimizer == MUON and k != 1:
-        raise ValueError(f"a muon policy updates one matrix (K=1), got K={k}")
+    bounds = ((0, k),) if bounds is None else bounds
+    if policy.optimizer == MUON and len(bounds) != k:
+        raise ValueError(f"a muon policy updates one matrix (K=1) per group, got K={k}")
     buf = state.momentum
     if buf is None:
         buf = np.zeros_like(gs)
@@ -238,13 +290,19 @@ def ortho_step(
         raise ValueError(
             f"momentum buffer shape {buf.shape} does not match gradient shape {gs.shape}"
         )
-    if policy.momentum_style == ACCUMULATE:
-        buf = policy.mu * buf + gs
-    else:
-        buf = policy.mu * buf + (1.0 - policy.mu) * gs
+    # into a new arena: the state's buffer is never written, and the
+    # momentum needs no second arena-sized temporary
+    buf = policy.mu * buf
+    buf += gs if policy.momentum_style == ACCUMULATE else (1.0 - policy.mu) * gs
     mode = policy.mode or 1
-    o = fold(apply_ortho(matricize(buf, mode), policy.scheme), mode, gs.shape)
-    return (eta * np.sqrt(m / n)) * o, OptimizerState(state.t + 1, buf)
+    scale, step = eta * np.sqrt(m / n), None
+    for lo, hi in bounds:
+        o = apply_ortho(matricize(buf[lo:hi], mode), policy.scheme)
+        # allocated once the first polar factor exists, as a lone group's step
+        # always was: lanes that run NS side by side hold no idle step arena
+        step = np.empty_like(gs) if step is None else step
+        np.multiply(scale, fold(o, mode, (hi - lo, m, n)), out=step[lo:hi])
+    return step, OptimizerState(state.t + 1, buf)
 
 
 def adamw_step(
@@ -369,42 +427,65 @@ def build_groups(
     return groups
 
 
-def stack_members(arrays: dict, group: ParamGroup) -> np.ndarray:
-    """The group's member arrays stacked on a new first axis: (K, m, n) for
-    matrices, (1, d) for a vector."""
-    return np.stack([arrays[nm] for nm in group.members])
+def member_views(arenas: dict, classes) -> dict:
+    """Each member name mapped to its slice of `arenas[c.id]`, a view;
+    classes whose arena is missing or None are skipped."""
+    live = [(c, arenas[c.id]) for c in classes if arenas.get(c.id) is not None]
+    return {nm: arena[i] for c, arena in live for i, nm in enumerate(c.members)}
 
 
-def member_views(stacks: dict, groups) -> dict:
-    """Each member name mapped to its slice `stacks[g.id][i]`, a view;
-    groups whose stack is missing or None are skipped."""
-    live = [(g, stacks[g.id]) for g in groups if stacks.get(g.id) is not None]
-    return {nm: stack[i] for g, stack in live for i, nm in enumerate(g.members)}
-
-
-def apply_group_step(
-    params: dict, grads: dict, group: ParamGroup, states: dict, lr_factor=1.0
-) -> None:
-    """The one place that writes a stack or a state. Checks that `grads[group.id]`
-    is finite and has the shape of `params[group.id]`, takes the `adamw_step` or
-    `ortho_step` from it and `states[group.id]` at `eta = group.policy.eta *
-    lr_factor` and applies decay and step; only then overwrites the stack in
-    place and stores the new state. A shape mismatch raises ValueError; a
-    non-finite gradient, a diverging Newton-Schulz run or an overflow (under
-    its own errstate) raises FloatingPointError naming the group and its
-    committed optimizer step; either leaves the stack and the state untouched."""
-    pol, w, g, state = group.policy, params[group.id], grads[group.id], states[group.id]
-    if g.shape != w.shape:
-        raise ValueError(f"group {group.id!r}: gradient shape {g.shape} does not match {w.shape}")
-    rule = adamw_step if pol.optimizer == ADAMW else ortho_step
-    eta = pol.eta * lr_factor
+def _class_step(cls: UpdateClass, w, g, state, eta) -> tuple[np.ndarray, OptimizerState]:
+    """The class's new arena and state, uncommitted; a FloatingPointError names
+    the class's first group and the committed optimizer step."""
+    pol = cls.policy
     try:
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient rejected at step {state.t}")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            step, new_state = rule(g, state, pol, eta)
-            new = _shrink(w, pol.weight_decay, eta) - step
+            if pol.optimizer == ADAMW:
+                step, new_state = adamw_step(g, state, pol, eta)
+            else:
+                step, new_state = ortho_step(g, state, pol, eta, cls.bounds)
+            # into the step's own arena, which no one else holds
+            new = np.subtract(_shrink(w, pol.weight_decay, eta), step, out=step)
     except FloatingPointError as exc:
-        raise FloatingPointError(f"group {group.id!r} at optimizer step {state.t}: {exc}") from exc
-    w[...] = new
-    states[group.id] = new_state
+        raise FloatingPointError(f"group {cls.id!r} at optimizer step {state.t}: {exc}") from exc
+    return new, new_state
+
+
+def apply_group_step(
+    params: dict, grads: dict, cls: UpdateClass, states: dict, lr_factor=1.0
+) -> None:
+    """The one place that writes an arena or a state. Checks that `grads[cls.id]`
+    is finite and has the shape of `params[cls.id]`, takes the `adamw_step` or
+    `ortho_step` from it and `states[cls.id]` at `eta = cls.policy.eta *
+    lr_factor` and applies decay and step; only then overwrites the arena in
+    place and stores the new state. A shape mismatch raises ValueError; a
+    non-finite gradient, a diverging Newton-Schulz run or an overflow (under
+    its own errstate) raises FloatingPointError naming a group and its
+    committed optimizer step; either leaves every arena and state untouched.
+    When a class fails, its groups are stepped alone, in order and
+    uncommitted, and the first that fails raises: the error, and the group,
+    that stepping the groups one by one meets first. Its `group` attribute
+    is that group's id."""
+    w, g, state = params[cls.id], grads[cls.id], states[cls.id]
+    if g.shape != w.shape:
+        raise ValueError(f"group {cls.id!r}: gradient shape {g.shape} does not match {w.shape}")
+    eta = cls.policy.eta * lr_factor
+    try:
+        new, new_state = _class_step(cls, w, g, state, eta)
+    except Exception as exc:
+        error = exc
+    else:
+        w[...] = new
+        states[cls.id] = new_state
+        return
+    for group, (lo, hi) in zip(cls.groups, cls.bounds):
+        part = OptimizerState(state.t, *(b if b is None else b[lo:hi] for b in state[1:]))
+        try:
+            _class_step(UpdateClass((group,)), w[lo:hi], g[lo:hi], part, eta)
+        except Exception as exc:
+            exc.group = group.id
+            raise
+    error.group = cls.id  # pragma: no cover - every failure belongs to one group
+    raise error

@@ -11,24 +11,32 @@ comment lines.
 `wall_ms` is 0.0 unless the config sets log_timing=true — wall-clock values
 would break the byte-identical determinism contract.
 
-A run keeps each group's weights in one slice-major stack and hands the task
-its slices (`optim.member_views`); each step stacks the gradients once per group,
-and those stacks live for that step only: they are dropped before the next
-step's `loss_and_grads` runs.
+A run steps update classes (`optim.UpdateClass`): the groups that share a
+policy and a slice shape, in order of first appearance, except that a big
+group stays a class of one. It keeps each class's weights in one slice-major
+arena and hands the task its slices (`optim.member_views`); each step stacks
+the gradients once per class, and those arenas live for that step only: they
+are dropped before the next step's `loss_and_grads` runs. One class step
+makes one finiteness check, one momentum or AdamW update and one decay and
+commit for all its groups, where the 8-16-wide shipped configs spent most of
+a group step in per-call overhead. The polar factor still runs once per group
+unfolding: batching Newton-Schulz across a class's unfoldings waits on phase
+spans owned by the library, because the benchmark's trace hooks read
+`apply_ortho`'s 2-D argument.
 
-Group steps are independent, so a step may fan them out over thread lanes.
+Class steps are independent, so a step may fan them out over thread lanes.
 A group is big when the work r*r*c of its unfolding (r <= c its sides, NS on
 the short side) reaches LANE_WORK = 128**3. A run uses L = min(LANES, big
 groups) lanes, where LANES is the usable cores over the BLAS thread count
 pinned by OPENBLAS_NUM_THREADS (else OMP_NUM_THREADS); with neither set BLAS
 already uses every core, LANES is 1 and every run stays serial. Once per run
 each big group, largest first, goes to the least-loaded lane; the calling
-thread runs lane 0 with every smaller group and vector, a thread pool the
-others. Each group step reads and writes only its own stack and state and
-sets its own errstate, so it needs nothing from the calling thread and the
-bytes equal the serial run's either way. When a step fails, the run raises
-the error of the lowest-index failing group, the one the serial loop raises;
-groups on other lanes, later in group order, may already have committed that
+thread runs lane 0 with every other class, a thread pool the others. Each
+class step reads and writes only its own arena and state and sets its own
+errstate, so it needs nothing from the calling thread and the bytes equal
+the serial run's either way. Every class is stepped even after one fails,
+and the run raises the error of the lowest-index failing group, the one the
+serial per-group loop raises; other classes may already have committed that
 step.
 
 A sampled step's alignment call overlaps the next step when the run samples
@@ -59,7 +67,7 @@ from .config import SCHEDULES, RunConfig, config_hash
 from .diagnostics import AlignmentRecord, default_alignment_pairs, top_singular_alignment
 from .norms import norm
 from .optim import ADAMW, VECTOR_ADAMW, OptimizerState, apply_group_step, build_groups
-from .optim import ParamGroup, member_views, stack_members
+from .optim import ParamGroup, UpdateClass, member_views
 from .tasks import make_task
 
 __all__ = [
@@ -205,18 +213,28 @@ def _ortho_work(group: ParamGroup) -> int:
     return r * r * c
 
 
-def _lanes(groups) -> list[list[tuple[int, ParamGroup]]]:
-    """(index, group) pairs per lane, each lane in group order: each big group,
-    largest first, joins the least-loaded of min(LANES, big groups) lanes, and
-    lane 0 also takes every other group."""
-    work = [_ortho_work(g) for g in groups]
+def _classes(groups) -> list[UpdateClass]:
+    """The groups that share a policy and a slice shape, as classes in order of
+    first appearance; a big group stays a class of one."""
+    members: dict = {}
+    for i, g in enumerate(groups):
+        key = (g.policy, g.shapes[0]) if _ortho_work(g) < LANE_WORK else i
+        members.setdefault(key, []).append(g)
+    return [UpdateClass(tuple(gs)) for gs in members.values()]
+
+
+def _lanes(classes) -> list[list[UpdateClass]]:
+    """Classes per lane, each lane in class order: each big group's class,
+    largest first, joins the least-loaded of min(LANES, big groups) lanes,
+    and lane 0 also takes every other class."""
+    work = [max(_ortho_work(g) for g in c.groups) for c in classes]
     big = sorted((i for i, w in enumerate(work) if w >= LANE_WORK), key=lambda i: -work[i])
     load = [0] * max(1, min(LANES, len(big)))
-    lane_of = [0] * len(groups)
+    lane_of = [0] * len(classes)
     for i in big:
         lane_of[i] = j = load.index(min(load))
         load[j] += work[i]
-    return [[(i, g) for i, g in enumerate(groups) if lane_of[i] == j] for j in range(len(load))]
+    return [[c for i, c in enumerate(classes) if lane_of[i] == j] for j in range(len(load))]
 
 
 def _align_work(groups, pairs) -> int:
@@ -232,14 +250,20 @@ def _align_work(groups, pairs) -> int:
     )
 
 
-def _step_lane(lane, params, grads, states, factor):
-    """Step the lane's groups in order; (index, error) of the first that fails."""
-    for i, g in lane:
+def _group_stacks(arenas, classes) -> dict:
+    """Each group id mapped to its stack: its slice of its class's arena."""
+    return {g.id: arenas[c.id][lo:hi] for c in classes for g, (lo, hi) in zip(c.groups, c.bounds)}
+
+
+def _step_lane(lane, params, grads, states, factor) -> list[Exception]:
+    """Step every class of the lane in order; the errors of those that fail."""
+    failed = []
+    for c in lane:
         try:
-            apply_group_step(params, grads, g, states, lr_factor=factor)
+            apply_group_step(params, grads, c, states, lr_factor=factor)
         except Exception as exc:
-            return i, exc
-    return None
+            failed.append(exc)
+    return failed
 
 
 def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
@@ -249,15 +273,17 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
     groups = build_groups(
         task.layout, cfg.group_k, cfg.stack_set, policy=cfg.policy, adamw_policy=cfg.adamw_policy
     )
-    params = {g.id: stack_members(weights, g) for g in groups}
-    weights = member_views(params, groups)  # the task reads these views every step
-    states = {g.id: OptimizerState() for g in groups}
+    classes = _classes(groups)
+    params = {c.id: c.stack(weights) for c in classes}
+    weights = member_views(params, classes)  # the task reads these views every step
+    states = {c.id: OptimizerState() for c in classes}
+    order = {g.id: i for i, g in enumerate(groups)}
     max_depth = max(g.depth for g in groups)
     pairs = default_alignment_pairs(task.layout)
     metrics: list[MetricsRecord] = []
     alignment: list[AlignmentRecord] = []
 
-    lanes, pool, aligning = _lanes(groups), None, None
+    lanes, pool, aligning = _lanes(classes), None, None
     # a sampled step's alignment runs on a spare core while the next step trains
     overlap = (
         LANES >= 2 and cfg.align_every <= cfg.steps and _align_work(groups, pairs) >= LANE_WORK
@@ -279,27 +305,27 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
                 raise FloatingPointError(f"non-finite loss at step {t}: {exc}") from exc
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at step {t}")
-            grads = {g.id: stack_members(grads, g) for g in groups}
+            grads = {c.id: c.stack(grads) for c in classes}
             factor = schedule_factor(t, cfg.steps, cfg.schedule, cfg.warmup_ratio)
             pending = [
                 pool.submit(_step_lane, lane, params, grads, states, factor) for lane in lanes[1:]
             ]
-            outcomes = [_step_lane(lanes[0], params, grads, states, factor)]
-            failed = [f for f in outcomes + [p.result() for p in pending] if f is not None]
+            failed = _step_lane(lanes[0], params, grads, states, factor)
+            failed += [exc for p in pending for exc in p.result()]
             if failed:  # the serial loop's error: the lowest-index failing group's
-                raise min(failed, key=lambda f: f[0])[1]
+                raise min(failed, key=lambda exc: order[exc.group])
             if (t % cfg.log_every == 0) or (t == cfg.steps - 1):
                 # after the updates, so a non-finite gradient is first rejected
                 # by the group that holds it, naming the group and step
-                mp, td, md = gradient_metrics(grads, groups)
+                mp, td, md = gradient_metrics(_group_stacks(grads, classes), groups)
                 _check_record_sandwich(td, md, max_depth)
                 wall = (time.perf_counter() - tic) * 1000.0 if cfg.log_timing else 0.0
                 metrics.append(MetricsRecord(t, loss, mp, td, md, cfg.policy.eta * factor, wall))
-            del grads  # no gradient stack outlives its step
+            del grads  # no gradient arena outlives its step
             if (t + 1) % cfg.align_every == 0 and pairs:
                 # the rules never write a momentum buffer again, so the views
                 # stay valid while the next steps commit new ones
-                buffers = member_views({g.id: states[g.id].momentum for g in groups}, groups)
+                buffers = member_views({c.id: states[c.id].momentum for c in classes}, classes)
                 if overlap:
                     if aligning is not None:
                         alignment += aligning.result()

@@ -4,9 +4,10 @@ Four desk-scale tasks, all full-batch and deterministic in their seed:
 
 * quadratic          elementwise-anisotropic quadratic over a K-stack
 * aligned_quadratic  quadratic whose gradients live on the shared-right-
-                     vector rank-1 cone (the family that attains the sqrt(K)
-                     norm gap), so stacked orthogonalization is provably at
-                     its best case
+                     vector rank-1 cone: the family that attains the sqrt(K)
+                     norm gap under the mode-2 unfolding only; under mode 1,
+                     which the shipped config uses, its TEON and Muon dual
+                     norms are equal and stacking gains nothing
 * deep_linear        least squares through a product of square matrices,
                      teacher-generated targets, exact backprop
 * micro_attention    a stack of minimal transformer blocks (single-head

@@ -51,8 +51,8 @@ MUTANTS = [
     (
         "decay_after_step",
         "optim.py",
-        "new = _shrink(w, pol.weight_decay, eta) - step",
-        "new = _shrink(w - step, pol.weight_decay, eta)",
+        "new = np.subtract(_shrink(w, pol.weight_decay, eta), step, out=step)",
+        "new = _shrink(np.subtract(w, step, out=step), pol.weight_decay, eta)",
         "weight decay applied to the stepped weights instead of before the step",
     ),
     (
@@ -73,8 +73,8 @@ MUTANTS = [
         "group_step_errstate",
         "optim.py",
         'with np.errstate(over="raise", invalid="raise", divide="raise"):\n'
-        "            step, new_state",
-        "with np.errstate():\n            step, new_state",
+        "            if pol.optimizer == ADAMW:",
+        "with np.errstate():\n            if pol.optimizer == ADAMW:",
         "a group step follows the caller's floating-point policy: with no caller "
         "errstate an overflow only warns and commits inf, or fails unnamed",
     ),
@@ -116,8 +116,8 @@ MUTANTS = [
     (
         "momentum_unused",
         "optim.py",
-        "matricize(buf, mode)",
-        "matricize(gs, mode)",
+        "matricize(buf[lo:hi], mode)",
+        "matricize(gs[lo:hi], mode)",
         "the orthogonalized update ignores the momentum buffer",
     ),
     (
@@ -173,6 +173,55 @@ MUTANTS = [
         "u[:, 0].copy()",
         "u_1 copied to a contiguous vector: ddot takes its SIMD kernel and "
         "left_align moves in the last bits",
+    ),
+    (
+        "class_key_drops_policy",
+        "runner.py",
+        "key = (g.policy, g.shapes[0]) if",
+        "key = g.shapes[0] if",
+        "groups of one slice shape share a class whatever their policy: TEON stacks "
+        "and lone Muon matrices would be stepped under one rule",
+    ),
+    (
+        "big_groups_merge",
+        "runner.py",
+        "key = (g.policy, g.shapes[0]) if _ortho_work(g) < LANE_WORK else i",
+        "key = (g.policy, g.shapes[0])",
+        "a big group joins the class of its policy and shape, so it leaves its own "
+        "lane and the big groups of one shape run serially",
+    ),
+    (
+        "lane_stops_at_first_failing_class",
+        "runner.py",
+        "failed.append(exc)",
+        "return [exc]",
+        "a lane stops at its first failing class, so a lower-index failing group "
+        "in a later class is never met and the run names the wrong group",
+    ),
+    (
+        "momentum_in_place",
+        "optim.py",
+        "buf = policy.mu * buf\n",
+        "buf *= policy.mu\n",
+        "a class writes its new momentum into the committed buffer: the state moves "
+        "before the last group's Newton-Schulz run returns, so a failing class "
+        "commits half a step, and a buffer handed to alignment changes under it",
+    ),
+    (
+        "class_error_unblamed",
+        "optim.py",
+        "for group, (lo, hi) in zip(cls.groups, cls.bounds):\n        part",
+        "for group, (lo, hi) in zip(cls.groups[:0], cls.bounds):\n        part",
+        "a failing class raises its own first error under its first group's name, "
+        "not the error of the group that stepping one by one meets first",
+    ),
+    (
+        "class_mixes_policies",
+        "optim.py",
+        "if g.policy != head.policy or g.shapes[0] != head.shapes[0]:",
+        "if g.shapes[0] != head.shapes[0]:",
+        "an update class accepts groups of another policy and steps them all under "
+        "its first group's rule",
     ),
     (
         "format_16_digits",

@@ -27,11 +27,11 @@ from teon.norms import (
 )
 from teon.optim import (
     OptimizerState,
+    UpdateClass,
     UpdatePolicy,
     apply_group_step,
     build_groups,
     member_views,
-    stack_members,
 )
 from teon.ortho import OrthoScheme, apply_ortho, ortho_exact
 from teon.runner import run
@@ -210,17 +210,16 @@ def _first_reach(optimizer, eta, seed, cap=400):
         pol = UpdatePolicy.teon(1, eta, mu=0.0)
     else:
         pol = UpdatePolicy.muon(eta, mu=0.0)
-    groups = build_groups(task.layout, 4, ("W",), policy=pol)
-    params = {g.id: stack_members(w, g) for g in groups}
-    w = member_views(params, groups)
-    states = {g.id: OptimizerState() for g in groups}
+    # one TEON group, or four lone Muon matrices: one update class either way
+    cls = UpdateClass(tuple(build_groups(task.layout, 4, ("W",), policy=pol)))
+    params = {cls.id: cls.stack(w)}
+    w = member_views(params, [cls])
+    states = {cls.id: OptimizerState()}
     for t in range(cap):
         loss, grads = task.loss_and_grads(w)
         if loss <= 1e-3:
             return t
-        grads = {g.id: stack_members(grads, g) for g in groups}
-        for g in groups:
-            apply_group_step(params, grads, g, states)
+        apply_group_step(params, {cls.id: cls.stack(grads)}, cls, states)
     return None
 
 

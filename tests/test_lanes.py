@@ -1,9 +1,9 @@
-"""Group steps fanned out over thread lanes, and each sampled step's
+"""Class steps fanned out over thread lanes, and each sampled step's
 alignment overlapped with the next step on a spare core: the same bytes and
 the same errors as the serial loop, and no thread left behind. The lane
 count and the size threshold are module constants; the tests set them so that
-every orthogonalized group is big, every alignment call is offloaded and two
-lanes run on any host."""
+every orthogonalized group is big (a class of one), every alignment call is
+offloaded and two lanes run on any host."""
 
 import concurrent.futures
 import sys
@@ -57,15 +57,15 @@ stack_set = QKV,O,MLP1,MLP2
 
 @pytest.fixture
 def lanes(monkeypatch):
-    """Set the lane count (every orthogonalized group is big) and record
-    the threads that step each group."""
+    """Set the lane count (every orthogonalized group is big, a class of
+    one) and record the threads that step each class."""
     monkeypatch.setattr(runner, "LANE_WORK", 1)
     seen = {}
     original = runner.apply_group_step
 
-    def recording(params, grads, group, *args, **kwargs):
-        seen.setdefault(group.id, set()).add(threading.get_ident())
-        return original(params, grads, group, *args, **kwargs)
+    def recording(params, grads, cls, *args, **kwargs):
+        seen.setdefault(cls.id, set()).add(threading.get_ident())
+        return original(params, grads, cls, *args, **kwargs)
 
     monkeypatch.setattr(runner, "apply_group_step", recording)
 
@@ -125,6 +125,12 @@ def _groups(cfg):
     )
 
 
+def _lane_of(classes):
+    """Each group id mapped to the lane that steps its class."""
+    lanes = runner._lanes(classes)
+    return {g.id: j for j, lane in enumerate(lanes) for c in lane for g in c.groups}
+
+
 def _threads(seen):
     return set().union(*seen.values())
 
@@ -146,14 +152,19 @@ def test_big_groups_go_largest_first_to_the_least_loaded_lane(monkeypatch):
     assert work["mlp1.blocks0-1"] == 8 * 8 * 32
     assert work["mlp2.blocks0-1"] == 16 * 16 * 16
     assert work["readout"] == 8**3 and work["readout_bias"] == 0
-    lane0, lane1 = runner._lanes(groups)
-    on = {g.id: lane for lane, members in enumerate((lane0, lane1)) for _, g in members}
+    classes = runner._classes(groups)
+    lane0, lane1 = runner._lanes(classes)
+    on = _lane_of(classes)
     assert on["mlp2.blocks0-1"] == 0 and on["mlp1.blocks0-1"] == 1
     # small groups and vectors stay on the calling thread's lane
     assert on["readout"] == on["readout_bias"] == on["q.blocks2-2"] == 0
-    assert all(i < j for lane in (lane0, lane1) for (i, _), (j, _) in zip(lane, lane[1:]))
-    assert sorted(i for lane in (lane0, lane1) for i, _ in lane) == list(range(len(groups)))
-    loads = [sum(work[g.id] for _, g in lane if work[g.id] >= runner.LANE_WORK) for lane in (lane0, lane1)]
+    index = {c.id: i for i, c in enumerate(classes)}
+    assert all(index[a.id] < index[b.id] for lane in (lane0, lane1) for a, b in zip(lane, lane[1:]))
+    assert sorted(index[c.id] for lane in (lane0, lane1) for c in lane) == list(range(len(classes)))
+    # a big group is a class of one, so a lane's load is the work of its big groups
+    big = {c.id for c in classes if any(work[g.id] >= runner.LANE_WORK for g in c.groups)}
+    assert all(len(c.groups) == 1 for c in classes if c.id in big) and len(big) == 8
+    loads = [sum(work[c.id] for c in lane if c.id in big) for lane in (lane0, lane1)]
     assert abs(loads[0] - loads[1]) <= max(work.values())
 
 
@@ -161,9 +172,10 @@ def test_lanes_are_capped_by_the_number_of_big_groups(monkeypatch):
     groups = _groups(parse_config_text(MODE2_TEON.format(out="unused")))
     monkeypatch.setattr(runner, "LANES", 8)
     monkeypatch.setattr(runner, "LANE_WORK", 8 * 8 * 32)  # mlp1 and mlp2 of blocks 0-1
-    assert len(runner._lanes(groups)) == 2
+    assert len(runner._lanes(runner._classes(groups))) == 2
     monkeypatch.setattr(runner, "LANE_WORK", 16**3)  # mlp2 of blocks 0-1 alone
-    assert runner._lanes(groups) == [list(enumerate(groups))]
+    classes = runner._classes(groups)
+    assert runner._lanes(classes) == [classes]
 
 
 @pytest.mark.parametrize(
@@ -308,7 +320,7 @@ def _plant(monkeypatch, names, at_steps, value=np.nan):
 def test_failing_groups_on_two_lanes_raise_the_serial_error(monkeypatch, lanes, names):
     cfg = parse_config_text((CONFIGS / "deep_linear_muon.ini").read_text(encoding="utf-8"))
     monkeypatch.setattr(runner, "LANES", 2)
-    on = {g.id: lane for lane, members in enumerate(runner._lanes(_groups(cfg))) for _, g in members}
+    on = _lane_of(runner._classes(_groups(cfg)))
     assert on[names[0]] != on[names[1]]
     _plant(monkeypatch, names, (10,))
     messages = []
@@ -329,7 +341,8 @@ def test_an_overflow_on_a_worker_lane_raises_under_plain_warning_filters(monkeyp
     exact = replace(cfg.policy, scheme=OrthoScheme.exact())
     cfg = replace(cfg, steps=3, log_every=100, policy=exact)
     monkeypatch.setattr(runner, "LANES", 2)
-    group = next(g for _, g in runner._lanes(_groups(cfg))[1] if g.kind == TENSOR_GROUP)
+    lane1 = runner._lanes(runner._classes(_groups(cfg)))[1]
+    group = next(c for c in lane1 if c.kind == TENSOR_GROUP)
     _plant(monkeypatch, [group.members[-1]], (1, 2), value=1e308)
     recording = runner.apply_group_step  # the lanes fixture's wrapper
     failed = []
@@ -374,13 +387,13 @@ def _fail_alignment(monkeypatch, at_step):
 
 
 def _record_group_steps(monkeypatch):
-    """The committed step count each group step starts from, in call order."""
+    """The committed step count each class step starts from, in call order."""
     starts = []
     original = runner.apply_group_step
 
-    def recording(params, grads, group, states, *args, **kwargs):
-        starts.append(states[group.id].t)
-        return original(params, grads, group, states, *args, **kwargs)
+    def recording(params, grads, cls, states, *args, **kwargs):
+        starts.append(states[cls.id].t)
+        return original(params, grads, cls, states, *args, **kwargs)
 
     monkeypatch.setattr(runner, "apply_group_step", recording)
     return starts

@@ -21,6 +21,7 @@ from teon.optim import (
     LayoutEntry,
     OptimizerState,
     ParamGroup,
+    UpdateClass,
     UpdatePolicy,
     adamw_step,
     apply_group_step,
@@ -28,9 +29,9 @@ from teon.optim import (
     expand_stack_set,
     member_views,
     ortho_step,
-    stack_members,
 )
 from teon.ortho import OrthoScheme, ortho_exact
+from teon.runner import _classes
 
 
 def _transformer_layout(blocks, dim=8, mlp=16):
@@ -45,22 +46,24 @@ def _transformer_layout(blocks, dim=8, mlp=16):
     return entries
 
 
-def _random_stacks(layout, groups, seed):
-    """Per-group weight and gradient stacks of standard normal entries."""
+def _one(group):
+    """A lone group: a class of one."""
+    return UpdateClass((group,))
+
+
+def _random_stacks(layout, classes, seed):
+    """Per-class weight and gradient arenas of standard normal entries."""
     rng = np.random.default_rng(seed)
     weights = {e.name: rng.standard_normal(e.shape) for e in layout}
     grads = {e.name: rng.standard_normal(e.shape) for e in layout}
-    return (
-        {g.id: stack_members(weights, g) for g in groups},
-        {g.id: stack_members(grads, g) for g in groups},
-    )
+    return {c.id: c.stack(weights) for c in classes}, {c.id: c.stack(grads) for c in classes}
 
 
 def _lone(w, g, policy, states=None):
     """One update of a lone (m, n) matrix: the K=1 stack through `apply_group_step`,
     from `states["w"]` (a fresh state when `states` is None)."""
     params = {"w": w[None].copy()}
-    group = ParamGroup("w", ("w",), (w.shape,), policy)
+    group = _one(ParamGroup("w", ("w",), (w.shape,), policy))
     states = {"w": OptimizerState()} if states is None else states
     apply_group_step(params, {"w": g[None]}, group, states)
     return params["w"][0]
@@ -248,8 +251,8 @@ def test_teon_k1_matches_muon_bitwise(style, scheme):
     # the same engine under a muon and a teon mode-1 policy
     rng = np.random.default_rng(4)
     kw = dict(eta=0.07, mu=0.9, momentum_style=style, scheme=scheme, weight_decay=0.01)
-    muon_g = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.muon(**kw))
-    teon_g = ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.teon(1, **kw))
+    muon_g = _one(ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.muon(**kw)))
+    teon_g = _one(ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.teon(1, **kw)))
     pm = {"w": rng.standard_normal((1, 3, 2))}
     pt = {"w": pm["w"].copy()}
     sm, st = {"w": OptimizerState()}, {"w": OptimizerState()}
@@ -336,7 +339,7 @@ def test_teon_mode1_and_mode2_steps_differ_on_a_generic_stack():
 def test_teon_errors():
     policy = UpdatePolicy.teon(1, 0.1)
     muon_p = UpdatePolicy.muon(0.1)
-    group = ParamGroup("g", ("a", "b"), ((2, 2), (2, 2)), policy)
+    group = _one(ParamGroup("g", ("a", "b"), ((2, 2), (2, 2)), policy))
     params, grads = {"g": np.zeros((2, 2, 2))}, {"g": np.zeros((3, 2, 2))}
     with pytest.raises(ValueError):
         apply_group_step(params, grads, group, {"g": OptimizerState()})
@@ -364,7 +367,7 @@ def test_rules_reject_a_non_finite_gradient_at_step_0(bad):
     g = np.ones((1, 2, 3))
     g[0, 1, 0] = bad
     for policy in (UpdatePolicy.teon(1, 0.1), UpdatePolicy.adamw(0.1)):
-        group = ParamGroup("g", ("a",), ((2, 3),), policy)
+        group = _one(ParamGroup("g", ("a",), ((2, 3),), policy))
         params, states = {"g": np.zeros((1, 2, 3))}, {"g": OptimizerState()}
         pattern = "group 'g' at optimizer step 0: non-finite gradient rejected at step 0"
         with pytest.raises(FloatingPointError, match=pattern):
@@ -407,7 +410,7 @@ def test_adamw_matches_scalar_recursion():
     # through apply_group_step, where the decay lives
     eta, (b1, b2), eps, lam = 0.05, (0.9, 0.999), 1e-8, 0.1
     policy = UpdatePolicy.adamw(eta, adam_betas=(b1, b2), adam_eps=eps, weight_decay=lam)
-    group = ParamGroup("w", ("w",), ((1,),), policy)
+    group = _one(ParamGroup("w", ("w",), ((1,),), policy))
     params = {"w": np.array([[0.7]])}
     states = {"w": OptimizerState()}
     ref, m, v = 0.7, 0.0, 0.0
@@ -423,7 +426,7 @@ def test_adamw_matches_scalar_recursion():
 
 def test_adamw_errors():
     policy = UpdatePolicy.adamw(0.1)
-    group = ParamGroup("w", ("w",), ((3,),), policy)
+    group = _one(ParamGroup("w", ("w",), ((3,),), policy))
     states = {"w": OptimizerState()}
     with pytest.raises(ValueError):
         apply_group_step({"w": np.zeros((1, 3))}, {"w": np.zeros((1, 4))}, group, states)
@@ -591,27 +594,31 @@ def test_member_views_are_slices_of_the_group_stacks(blocks, k, stack_set, optim
     groups = _groups_or_unmatched_token_error(layout, k, stack_set, policy)
     if groups is None:
         return
-    params, _ = _random_stacks(layout, groups, blocks * 10 + k)
-    views = member_views(params, groups)
+    classes = _classes(groups)
+    params, _ = _random_stacks(layout, classes, blocks * 10 + k)
+    views = member_views(params, classes)
     assert sorted(views) == sorted(e.name for e in layout)
     assert sum(g.depth for g in groups) == len(views)
-    for g in groups:
-        assert params[g.id].shape == (g.depth,) + g.shapes[0]
-        assert all(np.shares_memory(views[nm], params[g.id]) for nm in g.members)
-        # slice-major stacks: a task's BLAS calls get each view without a copy
-        assert all(views[nm].flags.c_contiguous for nm in g.members)
-        restacked = stack_members(views, g)
-        assert restacked.shape == params[g.id].shape
-        assert restacked.tobytes() == params[g.id].tobytes()
+    for c in classes:
+        arena = params[c.id]
+        assert arena.shape == (len(c.members),) + c.groups[0].shapes[0]
+        assert all(np.shares_memory(views[nm], arena) for nm in c.members)
+        # slice-major arenas: a task's BLAS calls get each view without a copy
+        assert all(views[nm].flags.c_contiguous for nm in c.members)
+        assert c.stack(views).tobytes() == arena.tobytes()
+        # each group is one slice range of the arena, its stack
+        assert [c.members[lo:hi] for lo, hi in c.bounds] == [g.members for g in c.groups]
+    assert sorted(g.id for c in classes for g in c.groups) == sorted(g.id for g in groups)
 
 
 def test_member_views_skip_missing_and_none_stacks():
     layout = _transformer_layout(1)
     groups = build_groups(layout, 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
-    params, _ = _random_stacks(layout, groups, 3)
+    classes = [_one(g) for g in groups]
+    params, _ = _random_stacks(layout, classes, 3)
     del params["q.blocks0-0"]
     params["b0.o"] = None  # a lone matrix's group id is its name
-    views = member_views(params, groups)
+    views = member_views(params, classes)
     assert sorted(views) == sorted(e.name for e in layout if e.name not in ("b0.q", "b0.o"))
 
 
@@ -624,14 +631,15 @@ def test_apply_group_step_matches_direct_calls():
         LayoutEntry("bias", "bias", (2,), None),
     ]
     groups = build_groups(layout, 2, {"W"}, policy=UpdatePolicy.teon(1, 0.1, mu=0.5))
+    classes = [_one(g) for g in groups]
     ref = {e.name: rng.standard_normal(e.shape) for e in layout}
     grads = {e.name: rng.standard_normal(e.shape) for e in layout}
-    params = {g.id: stack_members(ref, g) for g in groups}
-    gstacks = {g.id: stack_members(grads, g) for g in groups}
-    weights = member_views(params, groups)
-    states = {g.id: OptimizerState() for g in groups}
-    for g in groups:
-        apply_group_step(params, gstacks, g, states)
+    params = {c.id: c.stack(ref) for c in classes}
+    gstacks = {c.id: c.stack(grads) for c in classes}
+    weights = member_views(params, classes)
+    states = {c.id: OptimizerState() for c in classes}
+    for c in classes:
+        apply_group_step(params, gstacks, c, states)
 
     # no decay here, so each new stack is the old one minus the rule's step
     stack = np.stack([ref["l0"], ref["l1"]])
@@ -659,18 +667,19 @@ def test_apply_group_step_lr_factor_equals_a_policy_with_the_stepped_eta():
     policy = UpdatePolicy.teon(1, 0.1, mu=0.5, weight_decay=0.05)
     groups = build_groups(layout, 2, {"W"}, policy=policy)
     assert sorted(g.kind for g in groups) == [MATRIX_SINGLE, TENSOR_GROUP, VECTOR_ADAMW]
+    classes = [_one(g) for g in groups]
     weights = {e.name: rng.standard_normal(e.shape) for e in layout}
-    params = {g.id: stack_members(weights, g) for g in groups}
-    ref = {g.id: stack_members(weights, g) for g in groups}
-    states = {g.id: OptimizerState() for g in groups}
-    ref_states = {g.id: OptimizerState() for g in groups}
+    params = {c.id: c.stack(weights) for c in classes}
+    ref = {c.id: c.stack(weights) for c in classes}
+    states = {c.id: OptimizerState() for c in classes}
+    ref_states = {c.id: OptimizerState() for c in classes}
     for factor in (0.3, 0.77, 1.0, 0.1):
         drawn = {e.name: rng.standard_normal(e.shape) for e in layout}
-        grads = {g.id: stack_members(drawn, g) for g in groups}
+        grads = {c.id: c.stack(drawn) for c in classes}
         for g in groups:
-            apply_group_step(params, grads, g, states, lr_factor=factor)
+            apply_group_step(params, grads, _one(g), states, lr_factor=factor)
             stepped = replace(g.policy, eta=g.policy.eta * factor)
-            ref_group = ParamGroup(g.id, g.members, g.shapes, stepped)
+            ref_group = _one(ParamGroup(g.id, g.members, g.shapes, stepped))
             apply_group_step(ref, grads, ref_group, ref_states)
         for gid in params:
             np.testing.assert_array_equal(params[gid], ref[gid])
@@ -678,20 +687,26 @@ def test_apply_group_step_lr_factor_equals_a_policy_with_the_stepped_eta():
 
 @pytest.mark.parametrize("planted", ["b1.k", "b0.o"])
 def test_apply_group_step_names_group_and_step_of_a_nan_gradient(planted):
-    # b1.k sits in a stacked teon group, b0.o is a lone muon matrix
+    # b1.k sits in a stacked teon group, b0.o is a lone muon matrix; each
+    # shares its update class with groups that hold no NaN
     layout = _transformer_layout(2)
     groups = build_groups(layout, 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
-    params, grads = _random_stacks(layout, groups, 11)
-    states = {g.id: OptimizerState() for g in groups}
-    for g in groups:
-        apply_group_step(params, grads, g, states)
-    member_views(grads, groups)[planted][0, 0] = np.nan
-    group = next(g for g in groups if planted in g.members)
-    healthy = next(g for g in groups if g.kind == group.kind and g is not group)
-    apply_group_step(params, grads, healthy, states)
+    classes = _classes(groups)
+    params, grads = _random_stacks(layout, classes, 11)
+    states = {c.id: OptimizerState() for c in classes}
+    for c in classes:
+        apply_group_step(params, grads, c, states)
+    member_views(grads, classes)[planted][0, 0] = np.nan
+    cls = next(c for c in classes if planted in c.members)
+    group = next(g for g in cls.groups if planted in g.members)
+    assert len(cls.groups) > 1
+    for c in classes:
+        if c is not cls:
+            apply_group_step(params, grads, c, states)
     pattern = rf"group '{re.escape(group.id)}' at optimizer step 1: non-finite gradient"
-    with pytest.raises(FloatingPointError, match=pattern):
-        apply_group_step(params, grads, group, states)
+    with pytest.raises(FloatingPointError, match=pattern) as err:
+        apply_group_step(params, grads, cls, states)
+    assert err.value.group == group.id
 
 
 def _diverging_newton_schulz_group():
@@ -699,6 +714,7 @@ def _diverging_newton_schulz_group():
     scheme = OrthoScheme(OrthoScheme.NEWTON_SCHULZ, schedule=((3.0, 400.0, -402.5),) * 12, steps=12)
     layout = [LayoutEntry("l0", "W", (6, 6), 0), LayoutEntry("l1", "W", (6, 6), 1)]
     (group,) = build_groups(layout, 2, {"W"}, policy=UpdatePolicy.teon(1, 0.1, scheme=scheme))
+    group = _one(group)
     params, grads = _random_stacks(layout, [group], 8)
     zero = {group.id: np.zeros_like(grads[group.id])}
     return group, params, (grads, 1.0), (zero, 1.0), "Newton-Schulz diverged"
@@ -727,17 +743,17 @@ def test_diverging_newton_schulz_is_named_when_warnings_are_errors():
 def _planted_inf(planted):
     # b1.k sits in a stacked teon group, b0.o is a lone muon matrix, readout_bias a vector
     layout = _transformer_layout(2)
-    groups = build_groups(layout, 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
-    params, grads = _random_stacks(layout, groups, 12)
+    classes = [_one(g) for g in build_groups(layout, 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))]
+    params, grads = _random_stacks(layout, classes, 12)
     bad = {gid: stack.copy() for gid, stack in grads.items()}
-    member_views(bad, groups)[planted][0] = np.inf
-    group = next(g for g in groups if planted in g.members)
+    member_views(bad, classes)[planted][0] = np.inf
+    group = next(c for c in classes if planted in c.members)
     return group, params, (bad, 1.0), (grads, 1.0), "non-finite gradient rejected"
 
 
 def _adamw_square_overflow():
     # (1 - b2) * g * g overflows after the first moment is already computed
-    group = ParamGroup("v", ("v",), ((4,),), UpdatePolicy.adamw(0.1))
+    group = _one(ParamGroup("v", ("v",), ((4,),), UpdatePolicy.adamw(0.1)))
     rng = np.random.default_rng(14)
     params, good = {"v": rng.standard_normal((1, 4))}, {"v": rng.standard_normal((1, 4))}
     bad = {"v": np.full((1, 4), 1e200)}
@@ -746,14 +762,14 @@ def _adamw_square_overflow():
 
 def _subtraction_overflow():
     # eta = 1e308: the rule's step is finite, W - step is not
-    group = ParamGroup("w", ("w",), ((2, 3),), UpdatePolicy.adamw(1.0))
+    group = _one(ParamGroup("w", ("w",), ((2, 3),), UpdatePolicy.adamw(1.0)))
     params, grads = {"w": np.full((1, 2, 3), -1e308)}, {"w": np.ones((1, 2, 3))}
     return group, params, (grads, 1e308), (grads, 1.0), "overflow encountered in subtract"
 
 
 def _momentum_overflow():
     # exact scheme, no Newton-Schulz errstate: the second momentum add mu * M + G overflows
-    group = ParamGroup("w", ("w",), ((2, 2),), UpdatePolicy.muon(0.1))
+    group = _one(ParamGroup("w", ("w",), ((2, 2),), UpdatePolicy.muon(0.1)))
     params = {"w": np.random.default_rng(15).standard_normal((1, 2, 2))}
     good, bad = ({"w": np.full((1, 2, 2), v)} for v in (4e307, 1.5e308))
     return group, params, (bad, 1.0), (good, 1.0), "overflow encountered in add"
@@ -808,7 +824,7 @@ def test_apply_group_step_rejects_a_gradient_of_another_shape(w_shape, g_shape):
     # a (1, m, n) step would broadcast silently over a (2, m, n) stack
     k, m, n = w_shape
     policy = UpdatePolicy.teon(1, 0.1, weight_decay=0.1)
-    group = ParamGroup("g", tuple(f"p{i}" for i in range(k)), ((m, n),) * k, policy)
+    group = _one(ParamGroup("g", tuple(f"p{i}" for i in range(k)), ((m, n),) * k, policy))
     params = {"g": np.random.default_rng(13).standard_normal(w_shape)}
     before = params["g"].copy()
     states = {"g": OptimizerState()}
@@ -816,3 +832,146 @@ def test_apply_group_step_rejects_a_gradient_of_another_shape(w_shape, g_shape):
         apply_group_step(params, {"g": np.ones(g_shape)}, group, states)
     assert params["g"].tobytes() == before.tobytes()
     assert states["g"] == OptimizerState()
+
+
+# ----------------------------------------------------------- update classes
+
+
+def test_update_class_needs_one_policy_and_one_slice_shape():
+    teon_p = UpdatePolicy.teon(1, 0.1)
+    a = ParamGroup("a", ("a0", "a1"), ((2, 3),) * 2, teon_p)
+    b = ParamGroup("b", ("b0",), ((2, 3),), teon_p)
+    cls = UpdateClass((a, b))
+    assert (cls.id, cls.policy, cls.kind) == ("a", teon_p, TENSOR_GROUP)
+    assert cls.members == ("a0", "a1", "b0") and cls.bounds == ((0, 2), (2, 3))
+    with pytest.raises(ValueError, match="at least one group"):
+        UpdateClass(())
+    with pytest.raises(ValueError, match="policy and slice shape of 'a'"):
+        UpdateClass((a, ParamGroup("c", ("c0",), ((3, 2),), teon_p)))
+    with pytest.raises(ValueError, match="policy and slice shape of 'a'"):
+        UpdateClass((a, ParamGroup("c", ("c0",), ((2, 3),), UpdatePolicy.teon(2, 0.1))))
+
+
+CLASS_POLICIES = {
+    "teon1_ns": UpdatePolicy.teon(1, 0.1, scheme=OrthoScheme.newton_schulz(5, preset="jordan")),
+    "teon2_ema_decay": UpdatePolicy.teon(2, 0.1, mu=0.9, momentum_style=EMA, weight_decay=0.05),
+    "muon_ns": UpdatePolicy.muon(0.1, scheme=OrthoScheme.newton_schulz(5, preset="jordan")),
+    "muon_exact_decay": UpdatePolicy.muon(0.1, weight_decay=0.05),
+    "adamw_decay": UpdatePolicy.adamw(0.01, weight_decay=0.1),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASS_POLICIES))
+def test_a_class_step_writes_the_bytes_of_its_groups_stepped_alone(name):
+    # five blocks at K=2 give depths 2, 2 and 1; lone matrices are classes of five
+    policy = CLASS_POLICIES[name]
+    layout = _transformer_layout(5)
+    groups = [
+        g for g in build_groups(layout, 2, {"QKV"}, policy=policy) if g.policy == policy
+    ]
+    shape = groups[0].shapes[0]
+    groups = [g for g in groups if g.shapes[0] == shape]
+    cls = UpdateClass(tuple(groups))
+    assert len(groups) >= 5 and len({g.depth for g in groups}) == (2 if policy.mode else 1)
+    alone = [_one(g) for g in groups]
+    rng = np.random.default_rng(16)
+    weights = {nm: rng.standard_normal(shape) for nm in cls.members}
+    params, ref = {cls.id: cls.stack(weights)}, {c.id: c.stack(weights) for c in alone}
+    states, ref_states = {cls.id: OptimizerState()}, {c.id: OptimizerState() for c in alone}
+    for factor in (1.0, 0.5, 0.25):
+        drawn = {nm: rng.standard_normal(shape) for nm in cls.members}
+        apply_group_step(params, {cls.id: cls.stack(drawn)}, cls, states, factor)
+        for c in alone:
+            apply_group_step(ref, {c.id: c.stack(drawn)}, c, ref_states, factor)
+    views, ref_views = member_views(params, [cls]), member_views(ref, alone)
+    assert all(views[nm].tobytes() == ref_views[nm].tobytes() for nm in cls.members)
+    for c, (lo, hi) in zip(alone, cls.bounds):
+        got, want = states[cls.id], ref_states[c.id]
+        assert got.t == want.t == 3
+        for buf, ref_buf in zip(got[1:], want[1:]):
+            assert (buf is None) == (ref_buf is None)
+            assert buf is None or buf[lo:hi].tobytes() == ref_buf.tobytes()
+
+
+def test_update_classes_join_remainder_depths_and_keep_policies_apart():
+    # every role stacked, 3 blocks at K=2: the depth-2 stacks and the depth-1
+    # remainders of one slice shape share a class
+    layout, stack_set = _transformer_layout(3), ("QKV", "O", "MLP1", "MLP2")
+    classes = _classes(build_groups(layout, 2, stack_set, policy=UpdatePolicy.teon(2, 0.1)))
+    ids = [[g.id for g in c.groups] for c in classes]
+    assert ids == [
+        [f"{r}.blocks{b}" for r in ("q", "k", "v", "o") for b in ("0-1", "2-2")],
+        ["mlp1.blocks0-1", "mlp1.blocks2-2"],
+        ["mlp2.blocks0-1", "mlp2.blocks2-2"],
+        ["readout"],
+        ["readout_bias"],
+    ]
+    assert classes[0].bounds == ((0, 2), (2, 3), (3, 5), (5, 6), (6, 8), (8, 9), (9, 11), (11, 12))
+    # QKV stacked: the TEON stacks and the lone Muon O matrices of the same
+    # shape never share a class
+    groups = build_groups(_transformer_layout(2), 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
+    by_id = {g.id: c for c in _classes(groups) for g in c.groups}
+    assert by_id["q.blocks0-1"] is by_id["k.blocks0-1"] is by_id["v.blocks0-1"]
+    assert by_id["b0.o"] is by_id["b1.o"] is not by_id["q.blocks0-1"]
+    assert by_id["b0.o"].policy.optimizer == MUON and by_id["q.blocks0-1"].policy.optimizer == TEON
+
+
+def test_a_big_group_stays_a_class_of_one(monkeypatch):
+    import teon.runner as runner
+
+    groups = build_groups(_transformer_layout(3), 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
+    # the depth-2 mode-1 unfoldings (8 x 16) reach the threshold, depth 1 (8 x 8) does not
+    monkeypatch.setattr(runner, "LANE_WORK", 8 * 8 * 16)
+    ids = [[g.id for g in c.groups] for c in _classes(groups)]
+    assert ids[:4] == [
+        ["q.blocks0-1"],
+        ["q.blocks2-2", "k.blocks2-2", "v.blocks2-2"],
+        ["k.blocks0-1"],
+        ["v.blocks0-1"],
+    ]
+    monkeypatch.setattr(runner, "LANE_WORK", 8 * 8 * 16 + 1)
+    assert [g.id for g in _classes(groups)[0].groups][:2] == ["q.blocks0-1", "q.blocks2-2"]
+
+
+def _two_lone_matrices(policy, shape=(6, 6)):
+    groups = tuple(ParamGroup(nm, (nm,), (shape,), policy) for nm in ("a", "b"))
+    return UpdateClass(groups)
+
+
+def test_a_failing_class_commits_nothing_and_names_the_failing_group():
+    # the schedule diverges on any nonzero momentum; a zero gradient keeps it
+    # zero, while the decay would still move group a's weights
+    scheme = OrthoScheme(OrthoScheme.NEWTON_SCHULZ, schedule=((3.0, 400.0, -402.5),) * 12, steps=12)
+    cls = _two_lone_matrices(UpdatePolicy.muon(0.1, weight_decay=0.1, scheme=scheme))
+    params = {"a": np.random.default_rng(17).standard_normal((2, 6, 6))}
+    states = {"a": OptimizerState()}
+    apply_group_step(params, {"a": np.zeros((2, 6, 6))}, cls, states)  # momentum is held now
+    grads = np.zeros((2, 6, 6))
+    grads[1] = np.random.default_rng(18).standard_normal((6, 6))
+    before = _fingerprint(params["a"], states["a"])
+    pattern = r"^group 'b' at optimizer step 1: Newton-Schulz diverged at step \d+: "
+    with pytest.raises(FloatingPointError, match=pattern) as err:
+        apply_group_step(params, {"a": grads}, cls, states)
+    assert err.value.group == "b"
+    assert _fingerprint(params["a"], states["a"]) == before
+
+
+@pytest.mark.parametrize("first", ["overflow", "nan"])
+def test_a_failing_class_raises_the_error_its_first_failing_group_raises_alone(first):
+    # eta = 1e308: the overflowing group's step is finite, W - step is not; the
+    # other group's gradient holds a NaN, which the class sees first
+    cls = _two_lone_matrices(UpdatePolicy.adamw(1.0), shape=(2, 3))
+    w = np.zeros((2, 2, 3))
+    g = np.ones((2, 2, 3))
+    over, nan = (0, 1) if first == "overflow" else (1, 0)
+    w[over] = -1e308
+    g[nan, 0, 0] = np.nan
+    params, states = {"a": w.copy()}, {"a": OptimizerState()}
+    message = {
+        "overflow": "group 'a' at optimizer step 0: overflow encountered in subtract",
+        "nan": "group 'a' at optimizer step 0: non-finite gradient rejected at step 0",
+    }[first]
+    with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$") as err:
+        apply_group_step(params, {"a": g}, cls, states, 1e308)
+    assert err.value.group == "a"
+    assert params["a"].tobytes() == w.tobytes() and states["a"] == OptimizerState()

@@ -1,5 +1,6 @@
 """Training loop: schedules, metric aggregation, CSV determinism, sweeps."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from oracles import mode2_polar_reference, traced_peak
 from teon.config import RunConfig, parse_config_text
 from teon.linalg import svd
 from teon.norms import norm
-from teon.optim import VECTOR_ADAMW, UpdatePolicy, build_groups, stack_members
+from teon.optim import VECTOR_ADAMW, UpdatePolicy, build_groups
 from teon.runner import (
     ALIGNMENT_COLUMNS,
     ALIGNMENT_HEADER,
@@ -122,11 +123,11 @@ def test_gradient_metrics_against_direct_norms():
         w += rng.standard_normal(w.shape)
     _, grads = task.loss_and_grads(weights)
     groups = build_groups(task.layout, 2, ("W",), policy=UpdatePolicy.teon(1, 0.1))
-    mp, td, md = gradient_metrics({g.id: stack_members(grads, g) for g in groups}, groups)
+    stacks = [np.stack([grads[nm] for nm in g.members]) for g in groups]
+    mp, td, md = gradient_metrics({g.id: s for g, s in zip(groups, stacks)}, groups)
     depth = max(g.depth for g in groups)
     assert depth == 2
 
-    stacks = [np.stack([grads[nm] for nm in g.members]) for g in groups]
     assert mp == max(norm(s) for s in stacks)
     assert td == pytest.approx(
         sum(norm(s, 1, dual=True) for s in stacks), rel=1e-15
@@ -266,16 +267,10 @@ eta = 1e200
         run(cfg)
 
 
-@pytest.mark.parametrize("log_every", [10, 7])
-def test_run_nan_gradient_names_group_and_step_on_logged_and_unlogged_steps(
-    tmp_path, monkeypatch, log_every
-):
-    # step 10 is a logged step at log_every=10 and an unlogged one at 7
+def _plant_nan(monkeypatch, names, at_step):
+    """Set entry [0, 0] of each named gradient to NaN at step `at_step`."""
     import teon.runner as runner
 
-    ini = Path(__file__).resolve().parents[1] / "configs" / "deep_linear_muon.ini"
-    cfg = parse_config_text(ini.read_text(encoding="utf-8"))
-    cfg = replace(cfg, out_path=str(tmp_path), log_every=log_every)
     original = runner.make_task
 
     def planting(*args, **kwargs):
@@ -284,8 +279,9 @@ def test_run_nan_gradient_names_group_and_step_on_logged_and_unlogged_steps(
 
         def loss_and_grads(weights):
             loss, grads = clean(weights)
-            if len(calls) == 10:
-                grads["w3"][0, 0] = np.nan
+            if len(calls) == at_step:
+                for name in names:
+                    grads[name][0, 0] = np.nan
             calls.append(1)
             return loss, grads
 
@@ -293,8 +289,36 @@ def test_run_nan_gradient_names_group_and_step_on_logged_and_unlogged_steps(
         return task
 
     monkeypatch.setattr(runner, "make_task", planting)
+
+
+@pytest.mark.parametrize("log_every", [10, 7])
+def test_run_nan_gradient_names_group_and_step_on_logged_and_unlogged_steps(
+    tmp_path, monkeypatch, log_every
+):
+    # step 10 is a logged step at log_every=10 and an unlogged one at 7
+    ini = Path(__file__).resolve().parents[1] / "configs" / "deep_linear_muon.ini"
+    cfg = parse_config_text(ini.read_text(encoding="utf-8"))
+    cfg = replace(cfg, out_path=str(tmp_path), log_every=log_every)
+    _plant_nan(monkeypatch, ["w3"], 10)
     pattern = r"group 'w3' at optimizer step 10: non-finite gradient"
     with pytest.raises(FloatingPointError, match=pattern):
+        run(cfg, write=False)
+
+
+def test_a_run_raises_the_lowest_index_failing_group_across_classes(monkeypatch):
+    # b1.o shares the class of b0.o, which comes before b0.mlp1's class;
+    # stepped one by one, the groups meet b0.mlp1 (group 4) before b1.o (6)
+    import teon.runner as runner
+
+    ini = Path(__file__).resolve().parents[1] / "configs" / "micro_attention_teon.ini"
+    cfg = parse_config_text(ini.read_text(encoding="utf-8"))
+    task = make_task(cfg.task, cfg.seed, **cfg.task_params)
+    groups = build_groups(task.layout, cfg.group_k, cfg.stack_set, policy=cfg.policy)
+    where = {nm: i for i, c in enumerate(runner._classes(groups)) for nm in c.members}
+    assert where["b0.o"] == where["b1.o"] < where["b0.mlp1"]
+    _plant_nan(monkeypatch, ["b1.o", "b0.mlp1"], 2)
+    message = "group 'b0.mlp1' at optimizer step 2: non-finite gradient rejected at step 2"
+    with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
         run(cfg, write=False)
 
 
@@ -677,5 +701,5 @@ def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, depth
         mp = max(mp, norm(stack))
         td += norm(stack, 1, dual=True)
         md += norm(stack, dual=True)
-    stacks = {g.id: stack_members(grads, g) for g in groups}
+    stacks = {g.id: np.stack([grads[nm] for nm in g.members]) for g in groups}
     assert gradient_metrics(stacks, groups) == (mp, td, md)
