@@ -15,10 +15,18 @@ The training loop (`teon.runner.run`) samples the momentum buffers every
 
 Cost model: a matrix usually sits in several pairs (`b1.q` in Q0-Q1, Q1-Q2,
 Q1-K1 and Q1-V1), so one call takes a whole sampled step and decomposes each
-paired buffer by one SVD, however many pairs it is in. Of each SVD the call
-keeps only u_1, v_1 and the gap, and drops U and Vh at once, so while the
-loop overlaps the call with its next step (`teon.runner`) that step's
-forward and backward pass never meets more than one buffer's factors.
+paired buffer exactly once, however many pairs it is in. The paired buffers
+of one shape go to `svd` as one stack, one LAPACK call that decomposes it
+slice by slice, each slice's factors bitwise those of the matrix alone; a
+shape whose buffers exceed STACK_BYTES is split into stacks of at most that
+size. Fewer calls is the gain: while the loop overlaps the call with its
+next step (`teon.runner`), many small LAPACK calls on the worker barely run
+alongside the training thread's, and a few stacked ones do. Of each call
+the function keeps only u_1, v_1 and the gap of each slice and drops the
+stack, U and Vh at once, so the next step's forward and backward pass
+never meets more than one stack and its factors: at most three times
+STACK_BYTES, whose two 64x64 matrices per stack are what the memory budget
+of the dim-64 attention runs allows.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ __all__ = [
 ]
 
 DEGENERATE_SIGMA_GAP = 1e-8
+# One svd call stacks at most this many bytes of buffers (two 64x64
+# matrices), so it holds at most three times as much: the stack, U and Vh.
+STACK_BYTES = 2 * 64 * 64 * 8
 
 
 @dataclass(frozen=True)
@@ -67,30 +78,40 @@ def top_singular_alignment(buffers: dict, pairs, step: int) -> list[AlignmentRec
     triples over same-shaped matrices. A pair naming a matrix that is not in
     `buffers` is skipped.
     """
-    tops = {}  # name -> (u_1, v_1, sigma_1 - sigma_2), one SVD per paired buffer
-    records = []
-    for pair_id, a, b in pairs:
-        if a not in buffers or b not in buffers:
-            continue
+    live = [(pair_id, a, b) for pair_id, a, b in pairs if a in buffers and b in buffers]
+    by_shape: dict = {}  # shape -> {name: None}, the paired buffers in first-use order
+    for _, a, b in live:
         shape_a, shape_b = np.shape(buffers[a]), np.shape(buffers[b])
         if shape_a != shape_b:
             raise ValueError(f"alignment needs equal shapes, got {shape_a} vs {shape_b}")
-        for name in (a, b):
-            if name not in tops:
-                u, s, vh = svd(buffers[name])
-                # u_1 is copied out of U's first two columns, so it keeps the
-                # non-unit stride of the view u[:, 0] (unit only when U has
-                # one column): OpenBLAS's ddot takes its SIMD kernel only when
-                # both strides are 1 and one scalar loop for any other, and a
-                # contiguous u_1 would move left_align's last bits
-                gap = float(s[0] - s[1]) if len(s) > 1 else float(s[0])
-                tops[name] = (u[:, :2].copy()[:, 0], vh[0].copy(), gap)
-                del u, s, vh  # U and Vh die here, not with the call
+        by_shape.setdefault(shape_a, {}).update({a: None, b: None})
+    tops = {}  # name -> (u_1, v_1, sigma_1 - sigma_2)
+    for (m, n), names in by_shape.items():
+        per_call = max(1, STACK_BYTES // (8 * m * n))
+        names = list(names)
+        for lo in range(0, len(names), per_call):
+            tops.update(_tops(buffers, names[lo : lo + per_call]))
+    records = []
+    for pair_id, a, b in live:
         (ua, va, gap_a), (ub, vb, gap_b) = tops[a], tops[b]
         left = float(abs(np.dot(ua, ub)))
         right = float(abs(np.dot(va, vb)))
         records.append(AlignmentRecord(step, pair_id, left, right, min(gap_a, gap_b)))
     return records
+
+
+def _tops(buffers: dict, names: list) -> dict:
+    """name -> (u_1, v_1, sigma_1 - sigma_2) of each named same-shaped buffer,
+    from one `svd` call on their stack."""
+    u, s, vh = svd(np.stack([buffers[name] for name in names]))
+    # u_1 is read out of a copy of U's first two columns, so it keeps the
+    # non-unit stride of the view u[b, :, 0] (unit only when U has one
+    # column): OpenBLAS's ddot takes its SIMD kernel only when both strides
+    # are 1 and one scalar loop for any other, and a contiguous u_1 would
+    # move left_align's last bits
+    u1, v1 = u[:, :, :2].copy(), vh[:, 0].copy()
+    gaps = s[:, 0] - s[:, 1] if s.shape[1] > 1 else s[:, 0]
+    return {name: (u1[i, :, 0], v1[i], float(gaps[i])) for i, name in enumerate(names)}
 
 
 def default_alignment_pairs(layout) -> list[tuple[str, str, str]]:

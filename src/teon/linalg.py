@@ -50,18 +50,20 @@ def _validated(a, ndim: int, what: str) -> np.ndarray:
 
 
 def matricize(t: np.ndarray, mode: int) -> np.ndarray:
-    """Unfold a (K, m, n) tensor along `mode` in {1, 2, 3} (block layout)."""
+    """Unfold a (K, m, n) tensor along `mode` in {1, 2, 3} (block layout);
+    leading batch axes, as in a (G, K, m, n) stack, unfold tensor by tensor."""
     t = np.asarray(t)
-    if t.ndim != 3:
+    if t.ndim < 3:
         raise ValueError(f"matricize expects a (K, m, n) tensor, got ndim={t.ndim}")
-    k, m, n = t.shape
+    *lead, k, m, n = t.shape
+    axes = tuple(range(len(lead)))
     if mode == 1:
         # [X1 X2 ... XK]: (m, K, n) laid out row-major gives exactly the block row.
-        return t.transpose(1, 0, 2).reshape(m, k * n)
+        return t.transpose(*axes, -2, -3, -1).reshape(*lead, m, k * n)
     if mode == 2:
-        return t.transpose(2, 0, 1).reshape(n, k * m)
+        return t.transpose(*axes, -1, -3, -2).reshape(*lead, n, k * m)
     if mode == 3:
-        return t.reshape(k, m * n)
+        return t.reshape(*lead, k, m * n)
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
 
@@ -88,6 +90,11 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u (m, r) has orthonormal columns, s (r,) is non-increasing and >= 0,
     vh (r, n) has orthonormal rows. The ground-truth oracle everywhere else.
 
+    A (B, m, n) stack is decomposed slice by slice in one LAPACK call, with
+    (B, m, r), (B, r) and (B, r, n) factors; slice b's factors equal, bit for
+    bit, those of the slice alone, so a caller may batch whatever matrices
+    share a shape.
+
     Deterministic for a fixed input on a fixed NumPy/BLAS build and BLAS
     thread count; LAPACK's blocked SVD runs on the threaded BLAS, so the
     last bits can change with the thread count. Non-convergence is surfaced
@@ -95,7 +102,7 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     # checked even after callers: on one -inf entry LAPACK returns non-finite
     # factors or, for some 39x24 Gaussian matrices, not within 15 s
-    a = as_matrix(a)
+    a = as_tensor3(a) if np.ndim(a) == 3 else as_matrix(a)
     try:
         return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover - hardware dependent

@@ -45,13 +45,21 @@ __all__ = [
 ]
 
 
-def norm(t: np.ndarray, mode: int | None = None, dual: bool = False) -> float:
+def norm(t: np.ndarray, mode: int | None = None, dual: bool = False) -> float | np.ndarray:
     """The muon norm of a (K, m, n) tensor (`mode=None`) or its teon-`mode`
-    norm (`mode` in 1-3); the dual (nuclear) norm if `dual`."""
-    t = as_tensor3(t)
+    norm (`mode` in 1-3); the dual (nuclear) norm if `dual`. A (G, K, m, n)
+    stack gives one value per tensor, as a (G,) array, from one SVD call;
+    a lone tensor is a stack of one and gives a float."""
+    t = np.asarray(t)
+    lone = t.ndim != 4
+    # validated once, as the stack of all slices, then seen as (G, K, m, n)
+    slices = as_tensor3(t if lone else t.reshape((-1,) + t.shape[2:]))
+    t = slices.reshape((-1,) + t.shape[-3:])
     # muon: batched singular values across slices; matricize rejects a bad mode
     s = np.linalg.svd(t if mode is None else matricize(t, mode), compute_uv=False)
-    return float(s.sum()) if dual else float(s.max())
+    s = s.reshape(len(s), -1)  # one contiguous row of values per tensor
+    values = s.sum(axis=1) if dual else s.max(axis=1)
+    return float(values[0]) if lone else values
 
 
 # ------------------------------------------------------------- comparability

@@ -24,6 +24,14 @@ unfolding: batching Newton-Schulz across a class's unfoldings waits on phase
 spans owned by the library, because the benchmark's trace hooks read
 `apply_ortho`'s 2-D argument.
 
+A logged step's `gradient_metrics` reads the same gradient arenas: one
+value-only SVD of each class's arena gives both muon norms of all its
+groups, and one `norm` call per class and depth their teon-1 duals. A
+depth-1 group's teon-1 dual repeats its slice's SVD; dropping that call
+waits on the same spans, as the trace requires `norm` calls. The
+per-group values are summed in group (build) order, so the bytes equal
+those of summing group by group whatever the class order.
+
 Class steps are independent, so a step may fan them out over thread lanes.
 A group is big when the work r*r*c of its unfolding (r <= c its sides, NS on
 the short side) reaches LANE_WORK = 128**3. A run uses L = min(LANES, big
@@ -178,21 +186,48 @@ class RunResult:
     alignment_path: Path | None = None
 
 
-def gradient_metrics(grads: dict, groups) -> tuple[float, float, float]:
+def gradient_metrics(arenas: dict, classes, groups) -> tuple[float, float, float]:
     """(max slice spectral norm, sum of stacked nuclear duals, sum of
-    per-slice nuclear duals) over all matrix groups, from `grads` keyed by
-    group id to each group's gradient stack."""
+    per-slice nuclear duals) over all matrix groups, from `arenas` keyed by
+    class id to each class's gradient arena. One value-only SVD of each arena
+    gives both muon norms of every group, one `norm` call per class and
+    depth the teon-1 duals; the per-group values are added in the order of
+    `groups`, as summing group by group would add them."""
+    values = {}  # group id -> (slice sigma_1 max, teon-1 dual, slice nuclear sum)
+    for c in classes:
+        if c.kind == VECTOR_ADAMW:
+            continue
+        arena = arenas[c.id]
+        s = np.linalg.svd(arena, compute_uv=False)
+        duals = {}
+        for members, stack in _depth_stacks(arena, c):
+            duals.update(zip(members, norm(stack, 1, dual=True)))
+        for g, (lo, hi) in zip(c.groups, c.bounds):
+            values[g.id] = (float(s[lo:hi].max()), float(duals[g.id]), float(s[lo:hi].sum()))
     muon_primal = teon1_dual = muon_dual = 0.0
     for g in groups:
-        if g.kind == VECTOR_ADAMW:
-            continue
-        stack = grads[g.id]
-        # one value-only SVD of the slices gives both muon norms
-        s = np.linalg.svd(stack, compute_uv=False)
-        muon_primal = max(muon_primal, float(s.max()))
-        teon1_dual += norm(stack, 1, dual=True)
-        muon_dual += float(s.sum())
+        if g.id in values:
+            primal, teon1, dual = values[g.id]
+            muon_primal = max(muon_primal, primal)
+            teon1_dual += teon1
+            muon_dual += dual
     return muon_primal, teon1_dual, muon_dual
+
+
+def _depth_stacks(arena: np.ndarray, c: UpdateClass):
+    """(group ids, (G, K, m, n) stack) for each depth K among the class's
+    groups: a view of the arena when those groups lie end to end, as they do
+    unless a class holds the remainders of several roles, else a copy."""
+    by_depth: dict = {}
+    for g, bounds in zip(c.groups, c.bounds):
+        by_depth.setdefault(g.depth, []).append((g.id, bounds))
+    for k, parts in by_depth.items():
+        (lo, _), (_, hi) = parts[0][1], parts[-1][1]
+        if hi - lo == k * len(parts):
+            stack = arena[lo:hi]
+        else:
+            stack = np.concatenate([arena[a:b] for _, (a, b) in parts])
+        yield [gid for gid, _ in parts], stack.reshape((len(parts), k) + arena.shape[1:])
 
 
 def _check_record_sandwich(teon_dual: float, muon_dual: float, max_depth: int):
@@ -248,11 +283,6 @@ def _align_work(groups, pairs) -> int:
         for name, shape in zip(g.members, g.shapes)
         if name in paired
     )
-
-
-def _group_stacks(arenas, classes) -> dict:
-    """Each group id mapped to its stack: its slice of its class's arena."""
-    return {g.id: arenas[c.id][lo:hi] for c in classes for g, (lo, hi) in zip(c.groups, c.bounds)}
 
 
 def _step_lane(lane, params, grads, states, factor) -> list[Exception]:
@@ -317,7 +347,7 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
             if (t % cfg.log_every == 0) or (t == cfg.steps - 1):
                 # after the updates, so a non-finite gradient is first rejected
                 # by the group that holds it, naming the group and step
-                mp, td, md = gradient_metrics(_group_stacks(grads, classes), groups)
+                mp, td, md = gradient_metrics(grads, classes, groups)
                 _check_record_sandwich(td, md, max_depth)
                 wall = (time.perf_counter() - tic) * 1000.0 if cfg.log_timing else 0.0
                 metrics.append(MetricsRecord(t, loss, mp, td, md, cfg.policy.eta * factor, wall))

@@ -102,8 +102,8 @@ MUTANTS = [
     (
         "metrics_max",
         "runner.py",
-        "float(s.max())",
-        "float(s.min())",
+        "float(s[lo:hi].max())",
+        "float(s[lo:hi].min())",
         "grad_muon_norm logs the smallest slice singular value, not the largest",
     ),
     (
@@ -169,8 +169,8 @@ MUTANTS = [
     (
         "contiguous_u1",
         "diagnostics.py",
-        "u[:, :2].copy()[:, 0]",
-        "u[:, 0].copy()",
+        "u[:, :, :2].copy()",
+        "u[:, :, :1].copy()",
         "u_1 copied to a contiguous vector: ddot takes its SIMD kernel and "
         "left_align moves in the last bits",
     ),
@@ -222,6 +222,31 @@ MUTANTS = [
         "if g.shapes[0] != head.shapes[0]:",
         "an update class accepts groups of another policy and steps them all under "
         "its first group's rule",
+    ),
+    (
+        "metrics_in_class_order",
+        "runner.py",
+        "    for g in groups:\n        if g.id in values:",
+        "    for g in (g for c in classes for g in c.groups):\n        if g.id in values:",
+        "gradient_metrics adds the per-group teon-1 and muon duals class by class, "
+        "not in build order, so a config whose classes interleave its groups logs "
+        "other last bits",
+    ),
+    (
+        "alignment_factors_misassigned",
+        "diagnostics.py",
+        "for i, name in enumerate(names)}",
+        "for i, name in enumerate(names[::-1])}",
+        "a batched alignment call hands each buffer the factors of another slice "
+        "of its stack",
+    ),
+    (
+        "batched_mode1_axes_of_mode2",
+        "linalg.py",
+        "t.transpose(*axes, -2, -3, -1).reshape(*lead, m, k * n)",
+        "t.transpose(*axes, -1, -3, -2).reshape(*lead, m, k * n)",
+        "the mode-1 unfolding of a (G, K, m, n) batch (and of a lone tensor) "
+        "reads the slices in mode 2's axis order",
     ),
     (
         "format_16_digits",

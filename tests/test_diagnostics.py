@@ -166,7 +166,29 @@ def test_records_match_the_reference_bitwise_in_pair_order():
         assert rec == AlignmentRecord(3, pid, *alignment_reference(buffers[x], buffers[y]))
 
 
+def test_batched_records_match_the_reference_bitwise_over_mixed_shapes():
+    rng = np.random.default_rng(22)
+    shapes = {"t": (9, 4), "w": (3, 8), "r": (1, 6), "c": (6, 1), "s": (16, 16)}
+    buffers = {
+        f"{p}{i}": rng.standard_normal(shape) for p, shape in shapes.items() for i in range(3)
+    }
+    buffers["s3"] = buffers["s0"] * 2.0  # equal directions: alignment exactly 1
+    pairs = [
+        (f"{p}{i}-{p}{j}", f"{p}{i}", f"{p}{j}")
+        for p in shapes
+        for i, j in ((0, 1), (1, 2), (2, 0), (1, 1))
+    ]
+    pairs.append(("s0-s3", "s0", "s3"))
+    rng.shuffle(pairs)  # first use interleaves the shapes
+    records = top_singular_alignment(buffers, pairs, step=5)
+    assert records == [
+        AlignmentRecord(5, pid, *alignment_reference(buffers[a], buffers[b]))
+        for pid, a, b in pairs
+    ]
+
+
 def _counting_svd(monkeypatch):
+    """The arguments of every `svd` call the diagnostics make."""
     import teon.diagnostics as diag
 
     seen = []
@@ -175,16 +197,30 @@ def _counting_svd(monkeypatch):
     return seen
 
 
+def _decomposed(seen):
+    """Every matrix the recorded calls decomposed, one per stacked slice."""
+    assert all(np.ndim(x) == 3 for x in seen)
+    return [a for x in seen for a in x]
+
+
 def test_one_call_decomposes_each_paired_buffer_once(monkeypatch):
+    # exactly once per sampled step, in one call per shape
     seen = _counting_svd(monkeypatch)
     rng = np.random.default_rng(24)
     buffers = {nm: rng.standard_normal((5, 4)) for nm in ("w0", "w1", "w2", "unpaired")}
-    pairs = [("a", "w0", "w1"), ("b", "w1", "w2"), ("c", "w0", "w2"), ("d", "w0", "gone")]
-    assert len(top_singular_alignment(buffers, pairs, step=2)) == 3
-    assert sorted(id(x) for x in seen) == sorted(id(buffers[nm]) for nm in ("w0", "w1", "w2"))
+    buffers.update({nm: rng.standard_normal((3, 6)) for nm in ("x0", "x1")})
+    pairs = [
+        ("a", "w0", "w1"), ("x", "x0", "x1"), ("b", "w1", "w2"), ("c", "w0", "w2"),
+        ("d", "w0", "gone"), ("e", "x1", "x0"),
+    ]
+    assert len(top_singular_alignment(buffers, pairs, step=2)) == 5
+    assert [x.shape for x in seen] == [(3, 5, 4), (2, 3, 6)]
+    paired = ("w0", "w1", "w2", "x0", "x1")
+    assert [a.tobytes() for a in _decomposed(seen)] == [buffers[nm].tobytes() for nm in paired]
 
 
 def test_track_run_decomposes_each_buffer_once_per_sampled_step(monkeypatch):
+    # exactly once per sampled step, in one call per shape
     seen = _counting_svd(monkeypatch)
     rng = np.random.default_rng(24)
     names = ("w0", "w1", "w2")
@@ -193,7 +229,10 @@ def test_track_run_decomposes_each_buffer_once_per_sampled_step(monkeypatch):
     ]
     pairs = [("a", "w0", "w1"), ("b", "w1", "w2"), ("c", "w0", "w2")]
     records = list(track_run(snapshots, pairs, every=2))
-    assert len(seen) == 2 * len(names)
+    assert [x.shape for x in seen] == [(len(names), 5, 4)] * 2
+    assert [a.tobytes() for a in _decomposed(seen)] == [
+        bufs[nm].tobytes() for s, bufs in snapshots if s % 2 == 0 for nm in names
+    ]
     expected = [
         AlignmentRecord(s, pid, *alignment_reference(bufs[x], bufs[y]))
         for s, bufs in snapshots

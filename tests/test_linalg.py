@@ -104,6 +104,22 @@ def test_roundtrip_bit_exact(m, n, k, mode, seed):
     assert np.array_equal(back, t)  # bit-exact, no tolerance
 
 
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_a_batch_of_tensors_unfolds_tensor_by_tensor(mode):
+    # (G, K, m, n): each tensor's unfolding, bitwise, for non-square slices,
+    # where mode 1 and mode 2 differ in shape as well as in order
+    t = np.random.default_rng(12).standard_normal((3, 2, 4, 5))
+    batch = matricize(t, mode)
+    assert batch.shape == (3,) + matricize(t[0], mode).shape
+    for g in range(3):
+        assert batch[g].tobytes() == matricize(t[g], mode).tobytes()
+    square = np.random.default_rng(13).standard_normal((2, 3, 4, 4))
+    for g in range(2):
+        assert np.array_equal(matricize(square, mode)[g], matricize(square[g], mode))
+    with pytest.raises(ValueError, match="ndim=2"):
+        matricize(t[0, 0], mode)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(1, 6),
@@ -170,3 +186,32 @@ def test_svd_determinism():
     a = np.random.default_rng(11).standard_normal((8, 8))
     for x, y in zip(svd(a), svd(a.copy())):
         assert np.array_equal(x, y)
+
+
+# every batched diagnostic (gradient_metrics, norm, top_singular_alignment)
+# writes the bytes of its per-matrix form only because of this
+STACK_SHAPES = [(7, 5), (5, 7), (1, 9), (9, 1), (8, 8), (16, 32), (64, 64), (128, 48), (24, 128)]
+
+
+@pytest.mark.parametrize("shape", STACK_SHAPES)
+def test_a_stacked_svd_equals_each_slice_alone_bitwise(shape):
+    stack = np.random.default_rng(sum(shape)).standard_normal((5,) + shape)
+    values = np.linalg.svd(stack, compute_uv=False)
+    factors = np.linalg.svd(stack, full_matrices=False)
+    for b, a in enumerate(stack):
+        assert values[b].tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
+        for got, alone in zip(factors, np.linalg.svd(a, full_matrices=False)):
+            assert got[b].tobytes() == alone.tobytes()
+
+
+def test_svd_of_a_stack_is_numpys_and_rejects_a_non_finite_slice():
+    stack = np.random.default_rng(14).standard_normal((3, 6, 4))
+    got = svd(stack)
+    assert [x.shape for x in got] == [(3, 6, 4), (3, 4), (3, 4, 4)]
+    for x, want in zip(got, np.linalg.svd(stack, full_matrices=False)):
+        assert np.array_equal(x, want)
+    stack[2, 5, 3] = -np.inf
+    with pytest.raises(ValueError, match="finite"):
+        svd(stack)
+    with pytest.raises(ValueError, match="ndim=4"):
+        svd(stack[None])

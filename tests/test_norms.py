@@ -106,6 +106,25 @@ def test_norm_matches_matricization_spectra(m, n, k, seed):
     assert norm(t) == float(batched.max()) and norm(t, dual=True) == float(batched.sum())
 
 
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_a_stack_of_tensors_gives_each_tensors_norm_bitwise(mode, dual):
+    stack = np.random.default_rng(15).standard_normal((4, 3, 5, 7))
+    values = norm(stack, mode, dual=dual)
+    assert isinstance(values, np.ndarray) and values.shape == (4,)
+    assert [float(v) for v in values] == [norm(t, mode, dual=dual) for t in stack]
+    assert isinstance(norm(stack[0], mode, dual=dual), float)
+
+
+def test_a_stack_of_tensors_is_validated_as_a_whole():
+    stack = np.ones((2, 3, 4, 4))
+    stack[1, 2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        norm(stack, 1)
+    with pytest.raises(ValueError, match="ndim=5"):
+        norm(np.ones((1, 2, 3, 4, 4)))
+
+
 def test_primal_norm_batch_matches_norm():
     rng = np.random.default_rng(1)
     ts = rng.standard_normal((32, 3, 3, 2))

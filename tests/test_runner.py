@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import mode2_polar_reference, traced_peak
-from teon.config import RunConfig, parse_config_text
+from teon.config import RunConfig, parse_config, parse_config_text
 from teon.linalg import svd
 from teon.norms import norm
 from teon.optim import VECTOR_ADAMW, UpdatePolicy, build_groups
@@ -19,6 +19,7 @@ from teon.runner import (
     MetricsRecord,
     SWEEP_HEADER,
     _check_record_sandwich,
+    _classes,
     csv_row,
     gradient_metrics,
     run,
@@ -115,6 +116,12 @@ def test_metrics_record_csv_row_format():
     ]
 
 
+def _class_arenas(grads, groups):
+    """The run's update classes of `groups` and their gradient arenas."""
+    classes = _classes(groups)
+    return {c.id: c.stack(grads) for c in classes}, classes
+
+
 def test_gradient_metrics_against_direct_norms():
     task = make_task("quadratic", 11, m=5, n=4, K=4)
     rng = np.random.default_rng(2)
@@ -124,7 +131,7 @@ def test_gradient_metrics_against_direct_norms():
     _, grads = task.loss_and_grads(weights)
     groups = build_groups(task.layout, 2, ("W",), policy=UpdatePolicy.teon(1, 0.1))
     stacks = [np.stack([grads[nm] for nm in g.members]) for g in groups]
-    mp, td, md = gradient_metrics({g.id: s for g, s in zip(groups, stacks)}, groups)
+    mp, td, md = gradient_metrics(*_class_arenas(grads, groups), groups)
     depth = max(g.depth for g in groups)
     assert depth == 2
 
@@ -545,15 +552,17 @@ def _attn_cfg(out, optimizer, *, steps, align_every=1):
 
 
 def test_one_sampled_step_decomposes_each_paired_buffer_once(tmp_path, monkeypatch):
+    # exactly once per sampled step, in one call per shape
     import teon.diagnostics as diag
 
     calls = []
     original = diag.svd
-    monkeypatch.setattr(diag, "svd", lambda x: calls.append(1) or original(x))
+    monkeypatch.setattr(diag, "svd", lambda x: calls.append(x.shape) or original(x))
     res = run(_attn_cfg(tmp_path, "muon", steps=1), write=False)
     # 6 roles x 4 blocks: 18 consecutive-block pairs + 4 x {QK, KV, QV}
     assert len(res.alignment) == 30
-    assert len(calls) == 24
+    # the 16 Q/K/V/O matrices, then the 4 MLP1 and the 4 MLP2 matrices
+    assert calls == [(16, 8, 8), (4, 16, 8), (4, 8, 16)]
 
 
 def test_the_task_reads_the_same_weight_arrays_at_every_step(tmp_path, monkeypatch):
@@ -651,11 +660,14 @@ def _param_bytes(cfg):
 
 @pytest.mark.parametrize("optimizer", MEMORY_OPTIMIZERS)
 def test_run_drops_each_steps_gradient_stacks_before_the_next(optimizer, monkeypatch):
-    # One step's gradients (the task's dict, then the group stacks) are alive
-    # at a time, and a sampled step's SVD factors die with its alignment
-    # call: 5.4x the parameter bytes here, with task construction included.
-    # The previous step's stacks kept through the next step (6.4x) break the
-    # bound, with the group steps on one lane or two, and so do the factors.
+    # One step's gradients (the task's dict, then the class arenas) are
+    # alive at a time, and an alignment call's stacks and SVD factors die
+    # with the call: 5.4x the parameter bytes here at one lane, with task
+    # construction included, and up to 5.7x at two, where a call holding at
+    # most one stack of two 64x64 buffers and its factors overlaps the next
+    # step. The previous step's stacks kept through the next step (6.4x)
+    # break the bound, with the class steps on one lane or two, and so do
+    # the factors, or one stack per shape (6.9x at two lanes).
     import teon.runner as runner
 
     monkeypatch.setattr(runner, "LANE_WORK", 1)
@@ -670,9 +682,12 @@ def test_run_drops_each_steps_gradient_stacks_before_the_next(optimizer, monkeyp
 @pytest.mark.parametrize("optimizer", MEMORY_OPTIMIZERS)
 def test_training_loop_frees_each_sampled_steps_svd_factors(optimizer, monkeypatch):
     # The loop alone, with the task built before tracing: 5.25x the parameter
-    # bytes. Keeping every paired buffer's U and V alive through the next
-    # step's forward and backward pass adds 1.7x, serial or with each
-    # alignment call overlapped with the next step (forced on: LANE_WORK = 1).
+    # bytes serial, 5.46x with each alignment call overlapped with the next
+    # step (forced on: LANE_WORK = 1), the call's stack of at most two 64x64
+    # buffers and its U and Vh alive meanwhile. Keeping every paired
+    # buffer's U and V alive through the next step's forward and backward
+    # pass adds 1.7x, serial or overlapped, and one stack per shape (all
+    # sixteen 64x64 buffers at once) reaches 6.7x overlapped.
     import teon.runner as runner
 
     cfg = _memory_cfg(optimizer)
@@ -686,13 +701,8 @@ def test_training_loop_frees_each_sampled_steps_svd_factors(optimizer, monkeypat
         assert peak <= 5.7 * param_bytes, (lanes, peak / param_bytes)
 
 
-@pytest.mark.parametrize("optimizer,depth", [("muon", 1), ("teon", 2)])
-def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, depth):
-    task = make_task("micro_attention", 5, dim=8, seq=4, batch=2, blocks=4)
-    _, grads = task.loss_and_grads(task.init_weights(np.random.default_rng(6)))
-    policy = UpdatePolicy.teon(1, 0.1) if optimizer == "teon" else UpdatePolicy.muon(0.1)
-    groups = build_groups(task.layout, 2, ("QKV", "MLP1"), policy=policy)
-    assert max(g.depth for g in groups) == depth
+def _three_norm_formula(grads, groups):
+    """gradient_metrics' three values summed group by group in build order."""
     mp = td = md = 0.0
     for g in groups:
         if g.kind == VECTOR_ADAMW:
@@ -701,5 +711,47 @@ def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, depth
         mp = max(mp, norm(stack))
         td += norm(stack, 1, dual=True)
         md += norm(stack, dual=True)
-    stacks = {g.id: np.stack([grads[nm] for nm in g.members]) for g in groups}
-    assert gradient_metrics(stacks, groups) == (mp, td, md)
+    return mp, td, md
+
+
+@pytest.mark.parametrize(
+    "optimizer,k,stack_set,depths",
+    [
+        pytest.param("muon", 2, ("QKV", "MLP1"), {1}, id="muon-1"),
+        pytest.param("teon", 2, ("QKV", "MLP1"), {1, 2}, id="teon-2"),
+        # K=3 over 4 blocks: depths 3, 1, 3, 1, ... in the one Q/K/V/O class
+        pytest.param("teon", 3, ("QKV", "O"), {1, 3}, id="teon-3-remainders"),
+    ],
+)
+def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, k, stack_set, depths):
+    task = make_task("micro_attention", 5, dim=8, seq=4, batch=2, blocks=4)
+    _, grads = task.loss_and_grads(task.init_weights(np.random.default_rng(6)))
+    policy = UpdatePolicy.teon(1, 0.1) if optimizer == "teon" else UpdatePolicy.muon(0.1)
+    groups = build_groups(task.layout, k, stack_set, policy=policy)
+    arenas, classes = _class_arenas(grads, groups)
+    assert {g.depth for g in groups} == depths
+    if k == 3:
+        (attn,) = [c for c in classes if c.kind == "tensor_group"]
+        assert [g.depth for g in attn.groups] == [3, 1] * 4
+    assert gradient_metrics(arenas, classes, groups) == _three_norm_formula(grads, groups)
+
+
+def test_gradient_metrics_adds_the_groups_in_build_order_not_class_order():
+    # micro_attention_teon: the lone Muon O, MLP1 and MLP2 matrices of each
+    # block interleave in build order, but each role is one class
+    path = Path(__file__).parents[1] / "configs" / "micro_attention_teon.ini"
+    cfg = parse_config(path)
+    task = make_task(cfg.task, cfg.seed, **cfg.task_params)
+    groups = build_groups(task.layout, cfg.group_k, cfg.stack_set, policy=cfg.policy)
+    classes = _classes(groups)
+    in_class_order = [g for c in classes for g in c.groups]
+    assert in_class_order != groups and sorted(in_class_order, key=groups.index) == groups
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        weights = task.init_weights(rng)
+        for w in weights.values():
+            w += rng.standard_normal(w.shape)
+        _, grads = task.loss_and_grads(weights)
+        arenas = {c.id: c.stack(grads) for c in classes}
+        want = _three_norm_formula(grads, groups)
+        assert gradient_metrics(arenas, classes, groups) == want
