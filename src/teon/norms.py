@@ -45,11 +45,15 @@ __all__ = [
 ]
 
 
-def norm(t: np.ndarray, mode: int | None = None, dual: bool = False) -> float | np.ndarray:
+def norm(
+    t: np.ndarray, mode: int | None = None, dual: bool | tuple = False
+) -> float | np.ndarray | tuple:
     """The muon norm of a (K, m, n) tensor (`mode=None`) or its teon-`mode`
     norm (`mode` in 1-3); the dual (nuclear) norm if `dual`. A (G, K, m, n)
     stack gives one value per tensor, as a (G,) array, from one SVD call;
-    a lone tensor is a stack of one and gives a float."""
+    a lone tensor is a stack of one and gives a float. A tuple of flags,
+    such as `dual=(False, True)`, gives a tuple of those norms, (primal,
+    dual), from the same SVD and validation."""
     t = np.asarray(t)
     lone = t.ndim != 4
     # validated once, as the stack of all slices, then seen as (G, K, m, n)
@@ -58,8 +62,12 @@ def norm(t: np.ndarray, mode: int | None = None, dual: bool = False) -> float | 
     # muon: batched singular values across slices; matricize rejects a bad mode
     s = np.linalg.svd(t if mode is None else matricize(t, mode), compute_uv=False)
     s = s.reshape(len(s), -1)  # one contiguous row of values per tensor
-    values = s.sum(axis=1) if dual else s.max(axis=1)
-    return float(values[0]) if lone else values
+
+    def pick(d):
+        values = s.sum(axis=1) if d else s.max(axis=1)
+        return float(values[0]) if lone else values
+
+    return tuple(map(pick, dual)) if isinstance(dual, tuple) else pick(dual)
 
 
 # ------------------------------------------------------------- comparability
@@ -93,10 +101,8 @@ def check_comparability(t: np.ndarray, mode: int) -> ComparabilityReport:
     t = as_tensor3(t)
     k = t.shape[0]
     root_k = np.sqrt(k)
-    mp = norm(t)
-    tp = norm(t, mode)
-    md = norm(t, dual=True)
-    td = norm(t, mode, dual=True)
+    mp, md = norm(t, dual=(False, True))
+    tp, td = norm(t, mode, dual=(False, True))
     slacks = (
         tp - mp,            # muon_primal <= teon_primal
         root_k * mp - tp,   # teon_primal <= sqrt(K) muon_primal

@@ -25,11 +25,11 @@ spans owned by the library, because the benchmark's trace hooks read
 `apply_ortho`'s 2-D argument.
 
 A logged step's `gradient_metrics` reads the same gradient arenas: one
-value-only SVD of each class's arena gives both muon norms of all its
-groups, and one `norm` call per class and depth their teon-1 duals. A
-depth-1 group's teon-1 dual repeats its slice's SVD; dropping that call
-waits on the same spans, as the trace requires `norm` calls. The
-per-group values are summed in group (build) order, so the bytes equal
+`norm` call per class and depth gives both muon norms of those groups from
+one SVD, and a depth-1 group's teon-1 dual is its muon dual, since its
+mode-1 unfolding is the slice itself, so each gradient slice is decomposed
+once. Only a deeper stack takes a second `norm` call, for its unfolding.
+The per-group values are summed in group (build) order, so the bytes equal
 those of summing group by group whatever the class order.
 
 Class steps are independent, so a step may fan them out over thread lanes.
@@ -189,21 +189,20 @@ class RunResult:
 def gradient_metrics(arenas: dict, classes, groups) -> tuple[float, float, float]:
     """(max slice spectral norm, sum of stacked nuclear duals, sum of
     per-slice nuclear duals) over all matrix groups, from `arenas` keyed by
-    class id to each class's gradient arena. One value-only SVD of each arena
-    gives both muon norms of every group, one `norm` call per class and
-    depth the teon-1 duals; the per-group values are added in the order of
-    `groups`, as summing group by group would add them."""
+    class id to each class's gradient arena. One `norm` call per class and
+    depth gives both muon norms of every group of that depth from one SVD.
+    A depth-1 group's teon-1 dual is its muon dual, as its mode-1 unfolding
+    is the slice itself; a deeper stack takes one more `norm` call. The
+    per-group values are added in the order of `groups`, as summing group
+    by group would add them."""
     values = {}  # group id -> (slice sigma_1 max, teon-1 dual, slice nuclear sum)
     for c in classes:
         if c.kind == VECTOR_ADAMW:
             continue
-        arena = arenas[c.id]
-        s = np.linalg.svd(arena, compute_uv=False)
-        duals = {}
-        for members, stack in _depth_stacks(arena, c):
-            duals.update(zip(members, norm(stack, 1, dual=True)))
-        for g, (lo, hi) in zip(c.groups, c.bounds):
-            values[g.id] = (float(s[lo:hi].max()), float(duals[g.id]), float(s[lo:hi].sum()))
+        for members, stack in _depth_stacks(arenas[c.id], c):
+            primal, dual = norm(stack, None, dual=(False, True))
+            teon1 = dual if stack.shape[1] == 1 else norm(stack, 1, dual=True)
+            values.update(zip(members, zip(primal.tolist(), teon1.tolist(), dual.tolist())))
     muon_primal = teon1_dual = muon_dual = 0.0
     for g in groups:
         if g.id in values:

@@ -101,10 +101,27 @@ MUTANTS = [
     ),
     (
         "metrics_max",
+        "norms.py",
+        "else s.max(axis=1)",
+        "else s.min(axis=1)",
+        "every primal norm, grad_muon_norm among them, takes the smallest singular "
+        "value, not the largest",
+    ),
+    (
+        "depth1_teon1_from_primal",
         "runner.py",
-        "float(s[lo:hi].max())",
-        "float(s[lo:hi].min())",
-        "grad_muon_norm logs the smallest slice singular value, not the largest",
+        "teon1 = dual if stack.shape[1] == 1",
+        "teon1 = primal if stack.shape[1] == 1",
+        "a depth-1 stack logs its largest singular value as its teon-1 dual, not "
+        "the nuclear norm of its slice",
+    ),
+    (
+        "deep_teon1_from_muon_dual",
+        "runner.py",
+        "stack.shape[1] == 1 else",
+        "stack.shape[1] >= 1 else",
+        "a deeper stack logs the sum of its slices' nuclear norms as its teon-1 dual, "
+        "not the nuclear norm of its mode-1 unfolding",
     ),
     (
         "ns_spectral_prenorm",

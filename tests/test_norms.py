@@ -106,14 +106,20 @@ def test_norm_matches_matricization_spectra(m, n, k, seed):
     assert norm(t) == float(batched.max()) and norm(t, dual=True) == float(batched.sum())
 
 
-@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("dual", [False, True, (False, True)])
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_a_stack_of_tensors_gives_each_tensors_norm_bitwise(mode, dual):
+    # a tuple of flags gives each flag's norm from one SVD, bitwise the
+    # value that flag gives alone, for a stack and for a lone tensor
     stack = np.random.default_rng(15).standard_normal((4, 3, 5, 7))
-    values = norm(stack, mode, dual=dual)
-    assert isinstance(values, np.ndarray) and values.shape == (4,)
-    assert [float(v) for v in values] == [norm(t, mode, dual=dual) for t in stack]
-    assert isinstance(norm(stack[0], mode, dual=dual), float)
+    flags = dual if isinstance(dual, tuple) else (dual,)
+    got, lone = norm(stack, mode, dual=dual), norm(stack[0], mode, dual=dual)
+    if not isinstance(dual, tuple):
+        got, lone = (got,), (lone,)
+    for d, values, value in zip(flags, got, lone, strict=True):
+        assert isinstance(values, np.ndarray) and values.shape == (4,)
+        assert [float(v) for v in values] == [norm(t, mode, dual=d) for t in stack]
+        assert isinstance(value, float) and value == norm(stack[0], mode, dual=d)
 
 
 def test_a_stack_of_tensors_is_validated_as_a_whole():

@@ -736,6 +736,51 @@ def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, k, st
     assert gradient_metrics(arenas, classes, groups) == _three_norm_formula(grads, groups)
 
 
+def test_gradient_metrics_decomposes_each_gradient_slice_once(monkeypatch):
+    # per-matrix Muon at dim 64, logged every step: one value-only SVD per
+    # class and depth gives every group's muon primal and dual, and a depth-1
+    # group's teon-1 dual is that dual, not a second SVD of the same slices
+    cfg = parse_config_text(
+        """
+[run]
+task = micro_attention
+steps = 1
+seed = 0
+out_path = unused
+log_every = 1
+
+[task]
+dim = 64
+seq = 16
+batch = 8
+blocks = 4
+
+[optimizer]
+optimizer = muon
+eta = 0.02
+"""
+    )
+    task = make_task(cfg.task, cfg.seed, **cfg.task_params)
+    _, grads = task.loss_and_grads(task.init_weights(np.random.default_rng(1)))
+    groups = build_groups(task.layout, cfg.group_k, cfg.stack_set, policy=cfg.policy)
+    arenas, classes = _class_arenas(grads, groups)
+    calls = []
+    original = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg,
+        "svd",
+        lambda a, **kw: calls.append((a.shape, kw.get("compute_uv", True))) or original(a, **kw),
+    )
+    metrics = gradient_metrics(arenas, classes, groups)
+    # the 16 Q/K/V/O matrices and the readout, then the 4 MLP1 and the 4 MLP2
+    assert calls == [
+        ((17, 1, 64, 64), False),
+        ((4, 1, 128, 64), False),
+        ((4, 1, 64, 128), False),
+    ]
+    assert metrics == _three_norm_formula(grads, groups)
+
+
 def test_gradient_metrics_adds_the_groups_in_build_order_not_class_order():
     # micro_attention_teon: the lone Muon O, MLP1 and MLP2 matrices of each
     # block interleave in build order, but each role is one class
