@@ -35,6 +35,12 @@ P1_TOLERANCE = 1.1
 
 Triple = tuple[float, float, float]
 
+# The most NS steps a scheme may take. The presets hold at most 8 rows, and
+# the longest schedule any check runs is 30 cubic steps (criterion 2 and
+# `teon check`); 100 leaves room above both, while a larger count is a typo
+# that would build that many rows and run that many iterations per unfolding.
+_NS_STEPS_MAX = 100
+
 # Named NS schedules, fitted to a step count by `_resolve_schedule`.
 PRESETS: dict[str, tuple[Triple, ...]] = {
     # Textbook polar iteration p(x) = 1.5x - 0.5x^3: monotone convergence on (0, 1].
@@ -66,8 +72,6 @@ PRESETS: dict[str, tuple[Triple, ...]] = {
 def _resolve_schedule(rows: tuple[Triple, ...], steps: int) -> tuple[Triple, ...]:
     # One row broadcasts; longer tables are truncated to `steps` or padded by
     # repeating their final row (the tuned tables end in a fixed-point row).
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     if len(rows) == 1:
         return rows * steps
     if steps <= len(rows):
@@ -118,9 +122,12 @@ class OrthoScheme:
 
     @classmethod
     def newton_schulz(cls, steps: int, *, preset: str) -> "OrthoScheme":
-        """Build an NS scheme from a name in ``PRESETS``, fitted to `steps`."""
+        """Build an NS scheme from a name in ``PRESETS``, fitted to `steps`
+        (1 to ``_NS_STEPS_MAX``)."""
         if preset not in PRESETS:
             raise ValueError(f"unknown Newton-Schulz preset {preset!r}; valid: {sorted(PRESETS)}")
+        if not 1 <= steps <= _NS_STEPS_MAX:
+            raise ValueError(f"ns_steps must lie in [1, {_NS_STEPS_MAX}], got {steps}")
         return cls(
             kind=cls.NEWTON_SCHULZ,
             schedule=_resolve_schedule(PRESETS[preset], steps),

@@ -32,34 +32,32 @@ once. Only a deeper stack takes a second `norm` call, for its unfolding.
 The per-group values are summed in group (build) order, so the bytes equal
 those of summing group by group whatever the class order.
 
-Class steps are independent, so a step may fan them out over thread lanes.
-A group is big when the work r*r*c of its unfolding (r <= c its sides, NS on
-the short side) reaches LANE_WORK = 128**3. A run uses L = min(LANES, big
-groups) lanes, where LANES is the usable cores over the BLAS thread count
-pinned by OPENBLAS_NUM_THREADS (else OMP_NUM_THREADS); with neither set BLAS
-already uses every core, LANES is 1 and every run stays serial. Once per run
-each big group, largest first, goes to the least-loaded lane; the calling
-thread runs lane 0 with every other class, a thread pool the others. Each
-class step reads and writes only its own arena and state and sets its own
-errstate, so it needs nothing from the calling thread and the bytes equal
-the serial run's either way. Every class is stepped even after one fails,
-and the run raises the error of the lowest-index failing group, the one the
-serial per-group loop raises; other classes may already have committed that
-step.
-
-A sampled step's alignment call overlaps the next step when the run samples
-alignment at all, a spare core exists (LANES >= 2) and the call's SVD work,
-r*r*c summed over the distinct paired matrices that keep a momentum buffer,
-reaches LANE_WORK; below it, as on the 8-16-wide shipped configs, the overlap
-hides no time and the pool only adds memory. The call then goes to one extra
-worker of the pool and the loop goes on; its records are collected at the
-next sampled step or when the loop ends, so they keep step order. The call
-reads momentum buffers that the pure rules never write again, and the next
-step only reads the weights, so the bytes equal the serial run's. When
-anything raises while a call is pending, the run waits for it and raises its
-error if it failed, else the step's: the serial order. The pool has L - 1
-workers, plus one when alignment overlaps; it is built only when it has any
-and is shut down when the run ends.
+Before the first step, `_plan` decides how the run executes, from the
+groups, the alignment pairs, the config and the spare lanes: the usable cores
+over the BLAS thread count pinned by OPENBLAS_NUM_THREADS (else
+OMP_NUM_THREADS), read when `run()` starts; with neither set BLAS already uses
+every core and the run stays serial. A group is big when the work r*r*c of
+its unfolding (r <= c its sides, NS on the short side) reaches LANE_WORK =
+128**3, and a big group is a class of one. Class steps are independent, so
+the run spreads them over L = min(spare lanes, big groups) lanes: each big
+group, largest first, goes to the least-loaded lane, and lane 0, on the
+calling thread, also takes every other class. A sampled step's alignment
+call overlaps the next step when the run samples alignment at all, a spare
+core exists and the call's SVD work, r*r*c summed over the distinct paired
+matrices that keep a momentum buffer, reaches LANE_WORK; below it, as on the
+8-16-wide shipped configs, the overlap hides no time and the pool only adds
+memory. The pool has L - 1 workers, plus one when alignment overlaps; it is
+built only when it has any and is shut down when the run ends. Each class
+step reads and writes only its own arena and state and sets its own
+errstate, and the alignment call reads momentum buffers that the pure rules
+never write again while the next step only reads the weights, so the bytes
+equal the serial run's. Every class is stepped even after one fails, and the
+run raises the error of the lowest-index failing group, the one the serial
+per-group loop raises; other classes may already have committed that step.
+An overlapped call's records are collected at the next sampled step or when
+the loop ends, so they keep step order; when anything raises while a call is
+pending, the run waits for it and raises its error if it failed, else the
+step's: the serial order.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ from .config import SCHEDULES, RunConfig, config_hash
 from .diagnostics import AlignmentRecord, default_alignment_pairs, top_singular_alignment
 from .norms import norm
 from .optim import ADAMW, VECTOR_ADAMW, OptimizerState, apply_group_step, build_groups
-from .optim import ParamGroup, UpdateClass, member_views
+from .optim import UpdateClass, member_views
 from .tasks import make_task
 
 __all__ = [
@@ -116,9 +114,6 @@ def _spare_lanes() -> int:
         return 1  # not pinned: BLAS already runs on every core
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, (cores or 1) // threads)
-
-
-LANES = _spare_lanes()
 
 
 def schedule_factor(step: int, total: int, kind: str, warmup_ratio: float) -> float:
@@ -238,50 +233,45 @@ def _check_record_sandwich(teon_dual: float, muon_dual: float, max_depth: int):
         )
 
 
-def _ortho_work(group: ParamGroup) -> int:
-    """r*r*c of the group's mode-`policy.mode` unfolding (r <= c); 0 under adamw."""
-    if group.policy.optimizer == ADAMW:
-        return 0
-    (m, n), k = group.shapes[0], group.depth
-    r, c = sorted((n, m * k) if group.policy.mode == 2 else (m, n * k))
+def _work(m: int, n: int) -> int:
+    """r*r*c of an m x n matrix (r <= c its sides): the work of its
+    Newton-Schulz run on the short side, or of its SVD."""
+    r, c = sorted((m, n))
     return r * r * c
 
 
-def _classes(groups) -> list[UpdateClass]:
-    """The groups that share a policy and a slice shape, as classes in order of
-    first appearance; a big group stays a class of one."""
+def _plan(groups, pairs, cfg: RunConfig, spare: int, *, lane_work: int = LANE_WORK):
+    """How a run of `groups` executes on `spare` usable lanes, as the module
+    docstring describes: (the update classes, in order of first appearance;
+    the classes of each lane, in that order; whether alignment overlaps).
+    `lane_work` exists for the tests alone: a run plans at LANE_WORK."""
     members: dict = {}
+    work = {}  # group id -> r*r*c of its mode-`policy.mode` unfolding, 0 under adamw
     for i, g in enumerate(groups):
-        key = (g.policy, g.shapes[0]) if _ortho_work(g) < LANE_WORK else i
+        work[g.id] = 0
+        if g.policy.optimizer != ADAMW:
+            (m, n), k = g.shapes[0], g.depth
+            work[g.id] = _work(*((n, m * k) if g.policy.mode == 2 else (m, n * k)))
+        key = (g.policy, g.shapes[0]) if work[g.id] < lane_work else i
         members.setdefault(key, []).append(g)
-    return [UpdateClass(tuple(gs)) for gs in members.values()]
-
-
-def _lanes(classes) -> list[list[UpdateClass]]:
-    """Classes per lane, each lane in class order: each big group's class,
-    largest first, joins the least-loaded of min(LANES, big groups) lanes,
-    and lane 0 also takes every other class."""
-    work = [max(_ortho_work(g) for g in c.groups) for c in classes]
-    big = sorted((i for i, w in enumerate(work) if w >= LANE_WORK), key=lambda i: -work[i])
-    load = [0] * max(1, min(LANES, len(big)))
-    lane_of = [0] * len(classes)
-    for i in big:
-        lane_of[i] = j = load.index(min(load))
-        load[j] += work[i]
-    return [[c for i, c in enumerate(classes) if lane_of[i] == j] for j in range(len(load))]
-
-
-def _align_work(groups, pairs) -> int:
-    """r*r*c (r <= c) summed over the distinct paired matrices that keep a
-    momentum buffer: the work of one sampled step's alignment SVDs."""
+    classes = [UpdateClass(tuple(gs)) for gs in members.values()]
+    # a big group is a class of one: largest first, to the least-loaded lane
+    big = sorted((c for c in classes if work[c.id] >= lane_work), key=lambda c: -work[c.id])
+    load = [0] * max(1, min(spare, len(big)))
+    lane_of = {}
+    for c in big:
+        lane_of[c.id] = j = load.index(min(load))
+        load[j] += work[c.id]
+    lanes = [[c for c in classes if lane_of.get(c.id, 0) == j] for j in range(len(load))]
     paired = {name for _, a, b in pairs for name in (a, b)}
-    return sum(
-        min(shape) ** 2 * max(shape)
+    align = sum(
+        _work(*shape)
         for g in groups
         if g.policy.optimizer != ADAMW
         for name, shape in zip(g.members, g.shapes)
         if name in paired
     )
+    return classes, lanes, spare >= 2 and cfg.align_every <= cfg.steps and align >= lane_work
 
 
 def _step_lane(lane, params, grads, states, factor) -> list[Exception]:
@@ -302,21 +292,17 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
     groups = build_groups(
         task.layout, cfg.group_k, cfg.stack_set, policy=cfg.policy, adamw_policy=cfg.adamw_policy
     )
-    classes = _classes(groups)
+    pairs = default_alignment_pairs(task.layout)
+    classes, lanes, overlap = _plan(groups, pairs, cfg, _spare_lanes())
     params = {c.id: c.stack(weights) for c in classes}
     weights = member_views(params, classes)  # the task reads these views every step
     states = {c.id: OptimizerState() for c in classes}
     order = {g.id: i for i, g in enumerate(groups)}
     max_depth = max(g.depth for g in groups)
-    pairs = default_alignment_pairs(task.layout)
     metrics: list[MetricsRecord] = []
     alignment: list[AlignmentRecord] = []
 
-    lanes, pool, aligning = _lanes(classes), None, None
-    # a sampled step's alignment runs on a spare core while the next step trains
-    overlap = (
-        LANES >= 2 and cfg.align_every <= cfg.steps and _align_work(groups, pairs) >= LANE_WORK
-    )
+    pool = aligning = None
     if len(lanes) > 1 or overlap:
         # imported only here: the import alone costs a serial run 6 ms and 0.6 MB
         from concurrent.futures import ThreadPoolExecutor

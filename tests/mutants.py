@@ -178,8 +178,8 @@ MUTANTS = [
     (
         "overlap_below_lane_work",
         "runner.py",
-        "_align_work(groups, pairs) >= LANE_WORK",
-        "_align_work(groups, pairs) > 0",
+        "and align >= lane_work",
+        "and align > 0",
         "every run that samples alignment hands its calls to a worker, so the "
         "8-16-wide shipped configs pay for a pool and a handoff that hide nothing",
     ),
@@ -202,10 +202,18 @@ MUTANTS = [
     (
         "big_groups_merge",
         "runner.py",
-        "key = (g.policy, g.shapes[0]) if _ortho_work(g) < LANE_WORK else i",
+        "key = (g.policy, g.shapes[0]) if work[g.id] < lane_work else i",
         "key = (g.policy, g.shapes[0])",
         "a big group joins the class of its policy and shape, so it leaves its own "
         "lane and the big groups of one shape run serially",
+    ),
+    (
+        "spare_lanes_fixed_at_one",
+        "runner.py",
+        "_plan(groups, pairs, cfg, _spare_lanes())",
+        "_plan(groups, pairs, cfg, 1)",
+        "a run ignores the BLAS thread pin and the cores it finds when it starts, "
+        "so every run stays serial",
     ),
     (
         "lane_stops_at_first_failing_class",
@@ -264,6 +272,14 @@ MUTANTS = [
         "t.transpose(*axes, -1, -3, -2).reshape(*lead, m, k * n)",
         "the mode-1 unfolding of a (G, K, m, n) batch (and of a lone tensor) "
         "reads the slices in mode 2's axis order",
+    ),
+    (
+        "ns_steps_unbounded",
+        "ortho.py",
+        "if not 1 <= steps <= _NS_STEPS_MAX:",
+        "if not 1 <= steps:",
+        "a config may ask for any number of NS steps: 10**20 ends in an OverflowError "
+        "traceback, 100000 silently builds a 100000-row schedule",
     ),
     (
         "format_16_digits",

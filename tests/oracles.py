@@ -1,14 +1,17 @@
 """Reference oracles the tests hold the library to. They restate the
 paper's claims as directly as possible and validate nothing. `traced_peak`
-is the memory probe the memory-budget tests share."""
+is the memory probe the memory-budget tests share, and `update_classes` the
+class split of a run that the optimizer and runner tests share."""
 
 import tracemalloc
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from teon.diagnostics import top_singular_alignment
 from teon.norms import norm, ntr_step_muon, ntr_step_teon
+from teon.runner import LANE_WORK, _plan
 
 
 def primal_norm_batch(ts, mode):
@@ -173,3 +176,9 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def update_classes(groups, lane_work=LANE_WORK):
+    """The update classes a run of `groups` steps: the first part of its plan,
+    on one lane with no alignment pairs."""
+    return _plan(groups, (), SimpleNamespace(steps=1, align_every=1), 1, lane_work=lane_work)[0]

@@ -92,6 +92,18 @@ def test_run_command_writes_csvs(tmp_path, capsys):
     assert (tmp_path / "out" / "alignment.csv").exists()
 
 
+def test_run_command_rejects_a_huge_ns_steps_in_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "huge.ini"
+    huge = "mode = 1\nscheme = newton_schulz\nns_steps = 99999999999999999999"
+    text = GOOD_INI.format(out=tmp_path / "out").replace("mode = 1", huge)
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "[optimizer] ns_steps must lie in [1, " in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_command_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(

@@ -6,7 +6,8 @@ import pytest
 
 from teon.config import RunConfig, SCHEDULES, config_hash, parse_config, parse_config_text
 from teon.optim import ADAMW, MUON, TEON, UpdatePolicy
-from teon.ortho import OrthoScheme
+from teon import ortho
+from teon.ortho import _NS_STEPS_MAX, OrthoScheme
 
 MINIMAL = """
 [run]
@@ -208,6 +209,24 @@ def test_unknown_ns_preset_is_a_config_error():
     bad = MINIMAL.replace("mode = 1", "mode = 1\nscheme = newton_schulz\nns_preset = bogus")
     with pytest.raises(ValueError, match=r"\[optimizer\] unknown Newton-Schulz preset 'bogus'"):
         parse_config_text(bad)
+
+
+@pytest.mark.parametrize("steps", [0, -1, _NS_STEPS_MAX + 1, 10**20])
+def test_ns_steps_outside_its_bound_is_a_config_error_before_any_schedule(monkeypatch, steps):
+    def unreachable(rows, steps):
+        raise AssertionError("a schedule was built")
+
+    monkeypatch.setattr(ortho, "_resolve_schedule", unreachable)
+    bad = MINIMAL.replace("mode = 1", f"mode = 1\nscheme = newton_schulz\nns_steps = {steps}")
+    message = rf"\[optimizer\] ns_steps must lie in \[1, {_NS_STEPS_MAX}\], got {steps}$"
+    with pytest.raises(ValueError, match=message):
+        parse_config_text(bad)
+
+
+def test_ns_steps_at_its_bound_builds_the_schedule():
+    longest = f"mode = 1\nscheme = newton_schulz\nns_steps = {_NS_STEPS_MAX}"
+    ok = MINIMAL.replace("mode = 1", longest)
+    assert len(parse_config_text(ok).policy.scheme.schedule) == _NS_STEPS_MAX
 
 
 def test_runconfig_validation_surface():

@@ -1,9 +1,10 @@
-"""Class steps fanned out over thread lanes, and each sampled step's
-alignment overlapped with the next step on a spare core: the same bytes and
-the same errors as the serial loop, and no thread left behind. The lane
-count and the size threshold are module constants; the tests set them so that
-every orthogonalized group is big (a class of one), every alignment call is
-offloaded and two lanes run on any host."""
+"""The run plan, class steps fanned out over thread lanes, and each sampled
+step's alignment overlapped with the next step on a spare core: the same
+bytes and the same errors as the serial loop, and no thread left behind.
+Plan tests call `runner._plan` with an explicit spare-lane count. Whole-run
+tests set the plan's inputs through the `lanes` fixture (conftest.py), so
+that every orthogonalized group is big (a class of one), every alignment
+call is offloaded and two lanes run on any host."""
 
 import concurrent.futures
 import sys
@@ -17,7 +18,8 @@ import pytest
 
 import teon.runner as runner
 from teon.config import parse_config_text
-from teon.optim import TENSOR_GROUP, build_groups
+from teon.diagnostics import default_alignment_pairs
+from teon.optim import ADAMW, TENSOR_GROUP, LayoutEntry, build_groups
 from teon.ortho import OrthoScheme
 from teon.runner import run, sweep
 from teon.tasks import make_task
@@ -56,10 +58,9 @@ stack_set = QKV,O,MLP1,MLP2
 
 
 @pytest.fixture
-def lanes(monkeypatch):
-    """Set the lane count (every orthogonalized group is big, a class of
-    one) and record the threads that step each class."""
-    monkeypatch.setattr(runner, "LANE_WORK", 1)
+def stepping(monkeypatch, lanes):
+    """`stepping(n)` sets `lanes(n)` and returns the threads that step each
+    class from then on, by class id."""
     seen = {}
     original = runner.apply_group_step
 
@@ -69,8 +70,8 @@ def lanes(monkeypatch):
 
     monkeypatch.setattr(runner, "apply_group_step", recording)
 
-    def set_lanes(n):
-        monkeypatch.setattr(runner, "LANES", n)
+    def set_lanes(n, lane_work=1):
+        lanes(n, lane_work)
         seen.clear()
         return seen
 
@@ -125,10 +126,19 @@ def _groups(cfg):
     )
 
 
-def _lane_of(classes):
+def _lane_of(lanes):
     """Each group id mapped to the lane that steps its class."""
-    lanes = runner._lanes(classes)
     return {g.id: j for j, lane in enumerate(lanes) for c in lane for g in c.groups}
+
+
+def _unfolding_work(g):
+    """r*r*c of the group's mode-`policy.mode` unfolding (r <= c): a mode-2
+    unfolding of a (K, m, n) stack is n x Km, any other m x Kn; 0 under adamw."""
+    if g.policy.optimizer == ADAMW:
+        return 0
+    (m, n), k = g.shapes[0], g.depth
+    r, c = sorted((n, m * k) if g.policy.mode == 2 else (m, n * k))
+    return r * r * c
 
 
 def _threads(seen):
@@ -141,20 +151,39 @@ def _configs():
     return cfgs
 
 
-def test_big_groups_go_largest_first_to_the_least_loaded_lane(monkeypatch):
+def test_a_group_is_big_when_its_unfolding_work_reaches_the_threshold():
     cfg = parse_config_text(MODE2_TEON.format(out="unused"))
     groups = _groups(cfg)
-    monkeypatch.setattr(runner, "LANES", 2)
-    monkeypatch.setattr(runner, "LANE_WORK", 8 * 8 * 12)  # every 8 x 12 or wider unfolding
-    work = {g.id: runner._ortho_work(g) for g in groups}
+    work = {g.id: _unfolding_work(g) for g in groups}
     # mode 2 unfolds a (2, m, n) stack to n x 2m; the readout is a lone 8 x 8 muon matrix
     assert work["q.blocks0-1"] == 8 * 8 * 16
     assert work["mlp1.blocks0-1"] == 8 * 8 * 32
     assert work["mlp2.blocks0-1"] == 16 * 16 * 16
     assert work["readout"] == 8**3 and work["readout_bias"] == 0
-    classes = runner._classes(groups)
-    lane0, lane1 = runner._lanes(classes)
-    on = _lane_of(classes)
+    for w in sorted(set(work.values()) - {0}):
+        for lane_work in (w, w + 1):
+            # as many lanes as big groups, each stepped alone
+            classes, lanes, _ = runner._plan(groups, (), cfg, len(groups), lane_work=lane_work)
+            big = [g for g in groups if work[g.id] >= lane_work]
+            assert len(lanes) == max(1, len(big))
+            alone = {c.id for c in classes if len(c.groups) == 1}
+            assert {g.id for g in big} <= alone
+    # a stacked group is a class of one at its own work, and shares its class just above it
+    for gid in ("q.blocks0-1", "mlp1.blocks0-1", "mlp2.blocks0-1"):
+        for lane_work, alone in ((work[gid], True), (work[gid] + 1, False)):
+            classes = runner._plan(groups, (), cfg, 1, lane_work=lane_work)[0]
+            cls = next(c for c in classes if any(g.id == gid for g in c.groups))
+            assert (len(cls.groups) == 1) == alone, (gid, lane_work)
+
+
+def test_big_groups_go_largest_first_to_the_least_loaded_lane():
+    cfg = parse_config_text(MODE2_TEON.format(out="unused"))
+    groups = _groups(cfg)
+    work = {g.id: _unfolding_work(g) for g in groups}
+    lane_work = 8 * 8 * 12  # every 8 x 12 or wider unfolding
+    classes, (lane0, lane1), overlap = runner._plan(groups, (), cfg, 2, lane_work=lane_work)
+    assert not overlap  # no alignment pairs
+    on = _lane_of((lane0, lane1))
     assert on["mlp2.blocks0-1"] == 0 and on["mlp1.blocks0-1"] == 1
     # small groups and vectors stay on the calling thread's lane
     assert on["readout"] == on["readout_bias"] == on["q.blocks2-2"] == 0
@@ -162,20 +191,19 @@ def test_big_groups_go_largest_first_to_the_least_loaded_lane(monkeypatch):
     assert all(index[a.id] < index[b.id] for lane in (lane0, lane1) for a, b in zip(lane, lane[1:]))
     assert sorted(index[c.id] for lane in (lane0, lane1) for c in lane) == list(range(len(classes)))
     # a big group is a class of one, so a lane's load is the work of its big groups
-    big = {c.id for c in classes if any(work[g.id] >= runner.LANE_WORK for g in c.groups)}
+    big = {c.id for c in classes if any(work[g.id] >= lane_work for g in c.groups)}
     assert all(len(c.groups) == 1 for c in classes if c.id in big) and len(big) == 8
     loads = [sum(work[c.id] for c in lane if c.id in big) for lane in (lane0, lane1)]
     assert abs(loads[0] - loads[1]) <= max(work.values())
 
 
-def test_lanes_are_capped_by_the_number_of_big_groups(monkeypatch):
-    groups = _groups(parse_config_text(MODE2_TEON.format(out="unused")))
-    monkeypatch.setattr(runner, "LANES", 8)
-    monkeypatch.setattr(runner, "LANE_WORK", 8 * 8 * 32)  # mlp1 and mlp2 of blocks 0-1
-    assert len(runner._lanes(runner._classes(groups))) == 2
-    monkeypatch.setattr(runner, "LANE_WORK", 16**3)  # mlp2 of blocks 0-1 alone
-    classes = runner._classes(groups)
-    assert runner._lanes(classes) == [classes]
+def test_lanes_are_capped_by_the_number_of_big_groups():
+    cfg = parse_config_text(MODE2_TEON.format(out="unused"))
+    groups = _groups(cfg)
+    # mlp1 and mlp2 of blocks 0-1
+    assert len(runner._plan(groups, (), cfg, 8, lane_work=8 * 8 * 32)[1]) == 2
+    classes, lanes, _ = runner._plan(groups, (), cfg, 8, lane_work=16**3)  # mlp2 of blocks 0-1
+    assert lanes == [classes]
 
 
 @pytest.mark.parametrize(
@@ -201,15 +229,141 @@ def test_lane_count_is_the_cores_over_the_pinned_blas_threads(monkeypatch, env, 
     assert runner._spare_lanes() == expected
 
 
-def test_two_lanes_write_the_serial_bytes(tmp_path, lanes, aligned):
+ATTN128_TEON = """
+[run]
+task = micro_attention
+steps = 20
+seed = 0
+out_path = unused
+log_every = 20
+align_every = 1000
+
+[task]
+dim = 128
+seq = 16
+batch = 8
+blocks = 4
+
+[optimizer]
+optimizer = teon
+eta = 0.02
+mode = 1
+scheme = newton_schulz
+ns_steps = 5
+ns_preset = jordan
+adam_eta = 0.005
+
+[grouping]
+K = 2
+stack_set = QKV,O,MLP1,MLP2
+"""
+
+
+def _attention_layout(dim, blocks):
+    """micro_attention's layout, built without the task's arrays and gradient check."""
+    layout = []
+    for b in range(blocks):
+        layout += [LayoutEntry(f"b{b}.{r.lower()}", r, (dim, dim), b) for r in ("Q", "K", "V", "O")]
+        layout.append(LayoutEntry(f"b{b}.mlp1", "MLP1", (2 * dim, dim), b))
+        layout.append(LayoutEntry(f"b{b}.mlp2", "MLP2", (dim, 2 * dim), b))
+    return layout + [
+        LayoutEntry("readout", "OUT", (dim, dim), None),
+        LayoutEntry("readout_bias", "bias", (dim,), None),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,sizes,overlap",
+    [
+        ("aligned_quadratic_teon", [1], False),
+        ("deep_linear_muon", [1], False),
+        ("micro_attention_adamw", [4], False),
+        ("micro_attention_teon", [5], False),
+        # the benchmark's attention workloads: per-matrix Muon at dim 64 with
+        # alignment every step, and TEON K=2 on every block role at dim 128
+        ("attn64_diag", [4], True),
+        ("attn128_train", [8, 6], False),
+    ],
+)
+def test_todays_plans_on_two_spare_lanes_and_on_one(name, sizes, overlap):
+    if name == "attn64_diag":
+        cfg = replace(parse_config_text(ATTN64_MUON.format(out="unused")), steps=20)
+    elif name == "attn128_train":
+        cfg = parse_config_text(ATTN128_TEON)
+    else:
+        cfg = parse_config_text((CONFIGS / f"{name}.ini").read_text(encoding="utf-8"))
+    if cfg.task == "micro_attention":
+        params = cfg.task_params
+        layout = _attention_layout(params["dim"], params["blocks"])
+        if params["dim"] <= 8:
+            assert layout == make_task(cfg.task, cfg.seed, **params).layout
+    else:
+        layout = make_task(cfg.task, cfg.seed, **cfg.task_params).layout
+    groups = build_groups(
+        layout, cfg.group_k, cfg.stack_set, policy=cfg.policy, adamw_policy=cfg.adamw_policy
+    )
+    pairs = default_alignment_pairs(layout)
+    classes, lanes, overlaps = runner._plan(groups, pairs, cfg, 2)
+    assert ([len(lane) for lane in lanes], overlaps) == (sizes, overlap)
+    assert runner._plan(groups, pairs, cfg, 1)[1:] == ([classes], False)
+
+
+QUAD128_MUON = """
+[run]
+task = quadratic
+steps = 2
+seed = 0
+out_path = {out}
+
+[task]
+m = 128
+n = 128
+K = 2
+
+[optimizer]
+optimizer = muon
+eta = 0.02
+scheme = newton_schulz
+"""
+
+
+def test_the_blas_thread_pin_is_read_when_the_run_starts(tmp_path, monkeypatch):
+    # two lone 128 x 128 Muon matrices: each group's work is exactly LANE_WORK;
+    # teon.runner was imported long before the variables change
+    seen = []
+    original = runner.apply_group_step
+
+    def recording(params, grads, cls, *args, **kwargs):
+        seen.append(threading.get_ident())
+        return original(params, grads, cls, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "apply_group_step", recording)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    outputs = []
+    for pinned in (False, True):
+        if pinned:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        seen.clear()
+        cfg = parse_config_text(QUAD128_MUON.format(out=tmp_path / str(pinned)))
+        res = run(cfg)
+        outputs.append([p.read_bytes() for p in (res.metrics_path, res.alignment_path)])
+        threads = set(seen)
+        assert len(seen) == 4 and threading.get_ident() in threads
+        assert len(threads) == (2 if pinned else 1)
+    assert outputs[0] == outputs[1]
+
+
+def test_two_lanes_write_the_serial_bytes(tmp_path, stepping, aligned):
     main = threading.get_ident()
     for idx, cfg in enumerate(_configs()):
         # aligned_quadratic stacks all its layers in one group, and adamw
         # orthogonalizes nothing: those runs have fewer than two big groups
-        big = sum(runner._ortho_work(g) > 0 for g in _groups(cfg))
+        big = sum(_unfolding_work(g) > 0 for g in _groups(cfg))
         outputs = []
         for n in (1, 2):
-            seen = lanes(n)
+            seen = stepping(n)
             aligned.clear()
             res = run(replace(cfg, out_path=str(tmp_path / f"{idx}-{n}")))
             outputs.append([p.read_bytes() for p in (res.metrics_path, res.alignment_path)])
@@ -226,16 +380,15 @@ def test_two_lanes_write_the_serial_bytes(tmp_path, lanes, aligned):
 
 
 def test_alignment_overlaps_the_next_step_at_dim_64_and_writes_the_serial_bytes(
-    tmp_path, lanes, aligned, monkeypatch
+    tmp_path, stepping, aligned
 ):
     # at the shipped threshold: the 24 paired buffers (16 of 64 x 64, 8 of
     # 64 x 128 or 128 x 64: 32 * 64**3) reach LANE_WORK, while no group does
-    monkeypatch.setattr(runner, "LANE_WORK", 128**3)
     cfg = parse_config_text(ATTN64_MUON.format(out="unused"))
     main = threading.get_ident()
     outputs = []
     for n in (1, 2):
-        seen = lanes(n)
+        seen = stepping(n, runner.LANE_WORK)
         aligned.clear()
         res = run(replace(cfg, out_path=str(tmp_path / str(n))))
         outputs.append([p.read_bytes() for p in (res.metrics_path, res.alignment_path)])
@@ -245,12 +398,10 @@ def test_alignment_overlaps_the_next_step_at_dim_64_and_writes_the_serial_bytes(
     assert outputs[0] == outputs[1]
 
 
-def test_shipped_configs_align_on_the_calling_thread_at_the_shipped_threshold(
-    monkeypatch, aligned
-):
+def test_shipped_configs_align_on_the_calling_thread_at_the_shipped_threshold(lanes, aligned):
     # their paired buffers are 8-16 wide, far below LANE_WORK: overlapping
     # their calls hid no time on shipped_sweep and cost every run the pool
-    monkeypatch.setattr(runner, "LANES", 2)
+    lanes(2, runner.LANE_WORK)
     main = threading.get_ident()
     for cfg in _configs():
         aligned.clear()
@@ -274,14 +425,14 @@ def test_buffers_handed_to_alignment_are_never_written_afterwards(lanes, aligned
 
 
 def test_more_lanes_than_cores_under_fast_thread_switching_write_the_serial_bytes(
-    tmp_path, lanes
+    tmp_path, stepping
 ):
     # every state write lands in one shared dict: a lost update would leave a
     # group a step behind and move the bytes
     cfg = parse_config_text(MODE2_TEON.format(out="unused"))
     outputs = []
     for n in (1, 4):
-        seen = lanes(n)
+        seen = stepping(n)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -319,8 +470,7 @@ def _plant(monkeypatch, names, at_steps, value=np.nan):
 @pytest.mark.parametrize("names", [("w1", "w2"), ("w2", "w3"), ("w3", "w0")])
 def test_failing_groups_on_two_lanes_raise_the_serial_error(monkeypatch, lanes, names):
     cfg = parse_config_text((CONFIGS / "deep_linear_muon.ini").read_text(encoding="utf-8"))
-    monkeypatch.setattr(runner, "LANES", 2)
-    on = _lane_of(runner._classes(_groups(cfg)))
+    on = _lane_of(runner._plan(_groups(cfg), (), cfg, 2, lane_work=1)[1])
     assert on[names[0]] != on[names[1]]
     _plant(monkeypatch, names, (10,))
     messages = []
@@ -340,19 +490,18 @@ def test_an_overflow_on_a_worker_lane_raises_under_plain_warning_filters(monkeyp
     cfg = parse_config_text((CONFIGS / "micro_attention_teon.ini").read_text(encoding="utf-8"))
     exact = replace(cfg.policy, scheme=OrthoScheme.exact())
     cfg = replace(cfg, steps=3, log_every=100, policy=exact)
-    monkeypatch.setattr(runner, "LANES", 2)
-    lane1 = runner._lanes(runner._classes(_groups(cfg)))[1]
+    lane1 = runner._plan(_groups(cfg), (), cfg, 2, lane_work=1)[1][1]
     group = next(c for c in lane1 if c.kind == TENSOR_GROUP)
     _plant(monkeypatch, [group.members[-1]], (1, 2), value=1e308)
-    recording = runner.apply_group_step  # the lanes fixture's wrapper
+    original = runner.apply_group_step
     failed = []
 
     def fingerprinting(params, grads, g, states, *args, **kwargs):
         if g.id != group.id:
-            return recording(params, grads, g, states, *args, **kwargs)
+            return original(params, grads, g, states, *args, **kwargs)
         stack, state = params[g.id].tobytes(), states[g.id]
         try:
-            return recording(params, grads, g, states, *args, **kwargs)
+            return original(params, grads, g, states, *args, **kwargs)
         except FloatingPointError:
             assert params[g.id].tobytes() == stack and states[g.id] is state
             failed.append(threading.current_thread() is threading.main_thread())

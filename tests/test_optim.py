@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import mode2_polar_reference
+from oracles import mode2_polar_reference, update_classes
 from teon.norms import build_max_gain_tensor
 from teon.optim import (
     ACCUMULATE,
@@ -31,7 +31,6 @@ from teon.optim import (
     ortho_step,
 )
 from teon.ortho import OrthoScheme, ortho_exact
-from teon.runner import _classes
 
 
 def _transformer_layout(blocks, dim=8, mlp=16):
@@ -594,7 +593,7 @@ def test_member_views_are_slices_of_the_group_stacks(blocks, k, stack_set, optim
     groups = _groups_or_unmatched_token_error(layout, k, stack_set, policy)
     if groups is None:
         return
-    classes = _classes(groups)
+    classes = update_classes(groups)
     params, _ = _random_stacks(layout, classes, blocks * 10 + k)
     views = member_views(params, classes)
     assert sorted(views) == sorted(e.name for e in layout)
@@ -691,7 +690,7 @@ def test_apply_group_step_names_group_and_step_of_a_nan_gradient(planted):
     # shares its update class with groups that hold no NaN
     layout = _transformer_layout(2)
     groups = build_groups(layout, 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
-    classes = _classes(groups)
+    classes = update_classes(groups)
     params, grads = _random_stacks(layout, classes, 11)
     states = {c.id: OptimizerState() for c in classes}
     for c in classes:
@@ -897,7 +896,7 @@ def test_update_classes_join_remainder_depths_and_keep_policies_apart():
     # every role stacked, 3 blocks at K=2: the depth-2 stacks and the depth-1
     # remainders of one slice shape share a class
     layout, stack_set = _transformer_layout(3), ("QKV", "O", "MLP1", "MLP2")
-    classes = _classes(build_groups(layout, 2, stack_set, policy=UpdatePolicy.teon(2, 0.1)))
+    classes = update_classes(build_groups(layout, 2, stack_set, policy=UpdatePolicy.teon(2, 0.1)))
     ids = [[g.id for g in c.groups] for c in classes]
     assert ids == [
         [f"{r}.blocks{b}" for r in ("q", "k", "v", "o") for b in ("0-1", "2-2")],
@@ -910,27 +909,26 @@ def test_update_classes_join_remainder_depths_and_keep_policies_apart():
     # QKV stacked: the TEON stacks and the lone Muon O matrices of the same
     # shape never share a class
     groups = build_groups(_transformer_layout(2), 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
-    by_id = {g.id: c for c in _classes(groups) for g in c.groups}
+    by_id = {g.id: c for c in update_classes(groups) for g in c.groups}
     assert by_id["q.blocks0-1"] is by_id["k.blocks0-1"] is by_id["v.blocks0-1"]
     assert by_id["b0.o"] is by_id["b1.o"] is not by_id["q.blocks0-1"]
     assert by_id["b0.o"].policy.optimizer == MUON and by_id["q.blocks0-1"].policy.optimizer == TEON
 
 
-def test_a_big_group_stays_a_class_of_one(monkeypatch):
-    import teon.runner as runner
-
+def test_a_big_group_stays_a_class_of_one():
     groups = build_groups(_transformer_layout(3), 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
     # the depth-2 mode-1 unfoldings (8 x 16) reach the threshold, depth 1 (8 x 8) does not
-    monkeypatch.setattr(runner, "LANE_WORK", 8 * 8 * 16)
-    ids = [[g.id for g in c.groups] for c in _classes(groups)]
+    ids = [[g.id for g in c.groups] for c in update_classes(groups, 8 * 8 * 16)]
     assert ids[:4] == [
         ["q.blocks0-1"],
         ["q.blocks2-2", "k.blocks2-2", "v.blocks2-2"],
         ["k.blocks0-1"],
         ["v.blocks0-1"],
     ]
-    monkeypatch.setattr(runner, "LANE_WORK", 8 * 8 * 16 + 1)
-    assert [g.id for g in _classes(groups)[0].groups][:2] == ["q.blocks0-1", "q.blocks2-2"]
+    assert [g.id for g in update_classes(groups, 8 * 8 * 16 + 1)[0].groups][:2] == [
+        "q.blocks0-1",
+        "q.blocks2-2",
+    ]
 
 
 def _two_lone_matrices(policy, shape=(6, 6)):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import mode2_polar_reference, traced_peak
+from oracles import mode2_polar_reference, traced_peak, update_classes
 from teon.config import RunConfig, parse_config, parse_config_text
 from teon.linalg import svd
 from teon.norms import norm
@@ -19,7 +19,6 @@ from teon.runner import (
     MetricsRecord,
     SWEEP_HEADER,
     _check_record_sandwich,
-    _classes,
     csv_row,
     gradient_metrics,
     run,
@@ -118,7 +117,7 @@ def test_metrics_record_csv_row_format():
 
 def _class_arenas(grads, groups):
     """The run's update classes of `groups` and their gradient arenas."""
-    classes = _classes(groups)
+    classes = update_classes(groups)
     return {c.id: c.stack(grads) for c in classes}, classes
 
 
@@ -321,7 +320,7 @@ def test_a_run_raises_the_lowest_index_failing_group_across_classes(monkeypatch)
     cfg = parse_config_text(ini.read_text(encoding="utf-8"))
     task = make_task(cfg.task, cfg.seed, **cfg.task_params)
     groups = build_groups(task.layout, cfg.group_k, cfg.stack_set, policy=cfg.policy)
-    where = {nm: i for i, c in enumerate(runner._classes(groups)) for nm in c.members}
+    where = {nm: i for i, c in enumerate(update_classes(groups)) for nm in c.members}
     assert where["b0.o"] == where["b1.o"] < where["b0.mlp1"]
     _plant_nan(monkeypatch, ["b1.o", "b0.mlp1"], 2)
     message = "group 'b0.mlp1' at optimizer step 2: non-finite gradient rejected at step 2"
@@ -659,7 +658,7 @@ def _param_bytes(cfg):
 
 
 @pytest.mark.parametrize("optimizer", MEMORY_OPTIMIZERS)
-def test_run_drops_each_steps_gradient_stacks_before_the_next(optimizer, monkeypatch):
+def test_run_drops_each_steps_gradient_stacks_before_the_next(optimizer, lanes):
     # One step's gradients (the task's dict, then the class arenas) are
     # alive at a time, and an alignment call's stacks and SVD factors die
     # with the call: 5.4x the parameter bytes here at one lane, with task
@@ -668,19 +667,16 @@ def test_run_drops_each_steps_gradient_stacks_before_the_next(optimizer, monkeyp
     # step. The previous step's stacks kept through the next step (6.4x)
     # break the bound, with the class steps on one lane or two, and so do
     # the factors, or one stack per shape (6.9x at two lanes).
-    import teon.runner as runner
-
-    monkeypatch.setattr(runner, "LANE_WORK", 1)
     cfg = _memory_cfg(optimizer)
     param_bytes = _param_bytes(cfg)
-    for lanes in (1, 2):
-        monkeypatch.setattr(runner, "LANES", lanes)
+    for n in (1, 2):
+        lanes(n)
         peak = traced_peak(lambda: run(cfg, write=False))
-        assert peak <= 5.8 * param_bytes, (lanes, peak / param_bytes)
+        assert peak <= 5.8 * param_bytes, (n, peak / param_bytes)
 
 
 @pytest.mark.parametrize("optimizer", MEMORY_OPTIMIZERS)
-def test_training_loop_frees_each_sampled_steps_svd_factors(optimizer, monkeypatch):
+def test_training_loop_frees_each_sampled_steps_svd_factors(optimizer, monkeypatch, lanes):
     # The loop alone, with the task built before tracing: 5.25x the parameter
     # bytes serial, 5.46x with each alignment call overlapped with the next
     # step (forced on: LANE_WORK = 1), the call's stack of at most two 64x64
@@ -694,11 +690,10 @@ def test_training_loop_frees_each_sampled_steps_svd_factors(optimizer, monkeypat
     param_bytes = _param_bytes(cfg)
     task = make_task(cfg.task, cfg.seed, **cfg.task_params)
     monkeypatch.setattr(runner, "make_task", lambda *args, **kwargs: task)
-    for lanes, lane_work in ((1, runner.LANE_WORK), (2, 1)):
-        monkeypatch.setattr(runner, "LANES", lanes)
-        monkeypatch.setattr(runner, "LANE_WORK", lane_work)
+    for n, lane_work in ((1, runner.LANE_WORK), (2, 1)):
+        lanes(n, lane_work)
         peak = traced_peak(lambda: run(cfg, write=False))
-        assert peak <= 5.7 * param_bytes, (lanes, peak / param_bytes)
+        assert peak <= 5.7 * param_bytes, (n, peak / param_bytes)
 
 
 def _three_norm_formula(grads, groups):
@@ -788,7 +783,7 @@ def test_gradient_metrics_adds_the_groups_in_build_order_not_class_order():
     cfg = parse_config(path)
     task = make_task(cfg.task, cfg.seed, **cfg.task_params)
     groups = build_groups(task.layout, cfg.group_k, cfg.stack_set, policy=cfg.policy)
-    classes = _classes(groups)
+    classes = update_classes(groups)
     in_class_order = [g for c in classes for g in c.groups]
     assert in_class_order != groups and sorted(in_class_order, key=groups.index) == groups
     rng = np.random.default_rng(8)
