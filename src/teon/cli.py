@@ -129,8 +129,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, RuntimeError, FloatingPointError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, FloatingPointError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

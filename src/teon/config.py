@@ -75,6 +75,11 @@ _OPTIMIZER_KEYS = {
     "adam_beta2": (float, 0.999),
     "adam_eps": (float, 1e-8),
 }
+# The largest [task] integer: the biggest size the harness or its tests run
+# is 128 (dim of the attn128_train benchmark), and 1024 leaves 8x room above
+# it; a larger value is a typo or far beyond a float64 desk-scale run, and
+# it would fail only in the task's allocation, without naming its key.
+_TASK_DIM_MAX = 1024
 _GROUPING_KEYS = {"K": (int, 2), "stack_set": (str, "QKV")}
 _SCHEDULE_KEYS = {"kind": (str, "constant"), "warmup_ratio": (float, 0.0)}
 
@@ -124,8 +129,8 @@ class RunConfig:
             raise ValueError(f"grouping K must be >= 1, got {self.group_k}")
         expand_stack_set(self.stack_set)
         for key, val in self.task_params.items():
-            if isinstance(val, int) and val < 1:
-                raise ValueError(f"task dimension {key} must be positive, got {val}")
+            if isinstance(val, int) and not 1 <= val <= _TASK_DIM_MAX:
+                raise ValueError(f"[task] {key} must lie in [1, {_TASK_DIM_MAX}], got {val}")
         if self.adamw_policy.optimizer != ADAMW:
             raise ValueError("adamw_policy must be an adamw policy")
 

@@ -27,17 +27,17 @@ member a vector group, anything else a lone matrix. `expand_stack_set` alone
 expands and checks the `stack_set` tokens that pick the stacked roles, always
 in STACK_TOKENS order.
 
-Groups that share a policy and a slice shape are stepped as one UpdateClass.
-A class's parameters live in one arena for a whole run (`UpdateClass.stack`:
-(B, m, n) for matrices, (B, d) for vectors, B the summed depths), each group
-the slice range `bounds[i]`, a (K, m, n) or (1, d) stack; `member_views`
-maps each member name to its C-contiguous slice. A lone group is a class of
-one. `apply_group_step` alone writes arenas and states: one finiteness check,
-one errstate, one momentum or adamw update and one
+Groups that share a policy, a slice shape and a depth K are stepped as one
+UpdateClass. A class's parameters live in one arena for a whole run
+(`UpdateClass.stack`: (G*K, m, n) for matrices, (G, d) for vectors), a
+(G, K, m, n) stack whose i-th group is the slices [i*K, (i+1)*K);
+`member_views` maps each member name to its C-contiguous slice. A lone group
+is a class of one. `apply_group_step` alone writes arenas and states: one
+finiteness check, one errstate, one momentum or adamw update and one
 W <- (1 - eta * lambda) * W - step (decay only if lambda > 0) per class,
 committed with the new state once all of it has succeeded. The polar factor
-still runs once per group unfolding, through `apply_ortho` on a 2-D array:
-the unfoldings of one class differ in shape when its depths do.
+still runs once per group unfolding, through `apply_ortho` on a 2-D array,
+though all the unfoldings of a class share one shape.
 """
 
 from __future__ import annotations
@@ -207,30 +207,28 @@ class ParamGroup:
 
 @dataclass(frozen=True)
 class UpdateClass:
-    """Groups stepped as one: they share a policy and a slice shape, so their
-    stacks lie end to end in one arena, `groups[i]` at the slice range
-    `bounds[i]`. `members` lists every member name in arena order; `id`,
-    `policy` and `kind` (the update path, which the benchmark's trace reads)
-    are the first group's."""
+    """Groups stepped as one: they share a policy, a slice shape and a depth,
+    so their stacks lie end to end in one arena, `groups[i]` at the slices
+    [i * depth, (i + 1) * depth). `members` lists every member name in arena
+    order; `id`, `policy`, `kind` (the update path, which the benchmark's
+    trace reads) and `depth` are the first group's."""
 
     groups: tuple[ParamGroup, ...]
     id: str = field(init=False)
     members: tuple[str, ...] = field(init=False)
-    bounds: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
         if not self.groups:
             raise ValueError("an update class needs at least one group")
         head = self.groups[0]
         for g in self.groups[1:]:
-            if g.policy != head.policy or g.shapes[0] != head.shapes[0]:
+            if g.policy != head.policy or g.shapes[0] != head.shapes[0] or g.depth != head.depth:
                 raise ValueError(
-                    f"group {g.id!r} does not share the policy and slice shape of {head.id!r}"
+                    f"group {g.id!r} does not share the policy, slice shape and depth "
+                    f"of {head.id!r}"
                 )
-        ends = np.cumsum([g.depth for g in self.groups]).tolist()
         object.__setattr__(self, "id", head.id)
         object.__setattr__(self, "members", tuple(nm for g in self.groups for nm in g.members))
-        object.__setattr__(self, "bounds", tuple(zip([0] + ends[:-1], ends)))
 
     @property
     def policy(self) -> UpdatePolicy:
@@ -239,6 +237,10 @@ class UpdateClass:
     @property
     def kind(self) -> str:
         return self.groups[0].kind
+
+    @property
+    def depth(self) -> int:
+        return self.groups[0].depth
 
     def stack(self, arrays: dict) -> np.ndarray:
         """The members' arrays from `arrays` (keyed by name) stacked on a new
@@ -265,10 +267,10 @@ def _shrink(w: np.ndarray, weight_decay: float, eta: float) -> np.ndarray:
 
 
 def ortho_step(
-    gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float, bounds=None
+    gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float, depth=None
 ) -> tuple[np.ndarray, OptimizerState]:
-    """One orthogonalized step from a (B, m, n) gradient arena at step size
-    `eta`, each slice range of `bounds` one group's stack (by default the
+    """One orthogonalized step from a (G*K, m, n) gradient arena at step size
+    `eta`, each run of K = `depth` slices one group's stack (by default the
     whole arena is one group): update the momentum arena once, orthogonalize
     each group's mode-`policy.mode` unfolding (mode 1 for muon, whose groups
     have K=1), fold back, and return `(eta * sqrt(m / n)) * O_t` with the
@@ -279,10 +281,12 @@ def ortho_step(
     gs = np.asarray(gs, dtype=np.float64)
     if gs.ndim != 3:
         raise ValueError(f"ortho_step needs a (K, m, n) gradient stack, got ndim={gs.ndim}")
-    k, m, n = gs.shape  # slice dims m, n, not the unfolded ones
-    bounds = ((0, k),) if bounds is None else bounds
-    if policy.optimizer == MUON and len(bounds) != k:
+    b, m, n = gs.shape  # slice dims m, n, not the unfolded ones
+    k = b if depth is None else depth
+    if policy.optimizer == MUON and k != 1:
         raise ValueError(f"a muon policy updates one matrix (K=1) per group, got K={k}")
+    if not 1 <= k <= b or b % k:
+        raise ValueError(f"an arena of {b} slices holds no whole groups of depth {k}")
     buf = state.momentum
     if buf is None:
         buf = np.zeros_like(gs)
@@ -296,12 +300,13 @@ def ortho_step(
     buf += gs if policy.momentum_style == ACCUMULATE else (1.0 - policy.mu) * gs
     mode = policy.mode or 1
     scale, step = eta * np.sqrt(m / n), None
-    for lo, hi in bounds:
+    for lo in range(0, b, k):
+        hi = lo + k
         o = apply_ortho(matricize(buf[lo:hi], mode), policy.scheme)
         # allocated once the first polar factor exists, as a lone group's step
         # always was: lanes that run NS side by side hold no idle step arena
         step = np.empty_like(gs) if step is None else step
-        np.multiply(scale, fold(o, mode, (hi - lo, m, n)), out=step[lo:hi])
+        np.multiply(scale, fold(o, mode, (k, m, n)), out=step[lo:hi])
     return step, OptimizerState(state.t + 1, buf)
 
 
@@ -445,7 +450,7 @@ def _class_step(cls: UpdateClass, w, g, state, eta) -> tuple[np.ndarray, Optimiz
             if pol.optimizer == ADAMW:
                 step, new_state = adamw_step(g, state, pol, eta)
             else:
-                step, new_state = ortho_step(g, state, pol, eta, cls.bounds)
+                step, new_state = ortho_step(g, state, pol, eta, cls.depth)
             # into the step's own arena, which no one else holds
             new = np.subtract(_shrink(w, pol.weight_decay, eta), step, out=step)
     except FloatingPointError as exc:
@@ -480,7 +485,8 @@ def apply_group_step(
         w[...] = new
         states[cls.id] = new_state
         return
-    for group, (lo, hi) in zip(cls.groups, cls.bounds):
+    for i, group in enumerate(cls.groups):
+        lo, hi = i * cls.depth, (i + 1) * cls.depth
         part = OptimizerState(state.t, *(b if b is None else b[lo:hi] for b in state[1:]))
         try:
             _class_step(UpdateClass((group,)), w[lo:hi], g[lo:hi], part, eta)

@@ -12,25 +12,27 @@ comment lines.
 would break the byte-identical determinism contract.
 
 A run steps update classes (`optim.UpdateClass`): the groups that share a
-policy and a slice shape, in order of first appearance, except that a big
-group stays a class of one. It keeps each class's weights in one slice-major
-arena and hands the task its slices (`optim.member_views`); each step stacks
-the gradients once per class, and those arenas live for that step only: they
-are dropped before the next step's `loss_and_grads` runs. One class step
-makes one finiteness check, one momentum or AdamW update and one decay and
-commit for all its groups, where the 8-16-wide shipped configs spent most of
-a group step in per-call overhead. The polar factor still runs once per group
-unfolding: batching Newton-Schulz across a class's unfoldings waits on phase
-spans owned by the library, because the benchmark's trace hooks read
-`apply_ortho`'s 2-D argument.
+policy, a slice shape and a depth K, in order of first appearance, except
+that a big group stays a class of one; a depth-K stack and its depth-r
+remainder are two classes. It keeps each class's weights in one slice-major
+arena, a (G, K, m, n) stack, and hands the task its slices
+(`optim.member_views`); each step stacks the gradients once per class, and
+those arenas live for that step only: they are dropped before the next
+step's `loss_and_grads` runs. One class step makes one finiteness check, one
+momentum or AdamW update and one decay and commit for all its groups, where
+the 8-16-wide shipped configs spent most of a group step in per-call
+overhead. The polar factor still runs once per group unfolding: batching
+Newton-Schulz across a class's unfoldings waits on phase spans owned by the
+library, because the benchmark's trace hooks read `apply_ortho`'s 2-D
+argument.
 
 A logged step's `gradient_metrics` reads the same gradient arenas: one
-`norm` call per class and depth gives both muon norms of those groups from
-one SVD, and a depth-1 group's teon-1 dual is its muon dual, since its
-mode-1 unfolding is the slice itself, so each gradient slice is decomposed
-once. Only a deeper stack takes a second `norm` call, for its unfolding.
-The per-group values are summed in group (build) order, so the bytes equal
-those of summing group by group whatever the class order.
+`norm` call on each matrix class's (G, K, m, n) view gives both muon norms
+of its groups from one SVD. A depth-1 group's teon-1 dual is its muon dual,
+since its mode-1 unfolding is the slice itself; only a deeper class takes a
+second `norm` call, for its unfoldings. The per-group values are summed in
+group (build) order, so the bytes equal those of summing group by group
+whatever the class order.
 
 Before the first step, `_plan` decides how the run executes, from the
 groups, the alignment pairs, the config and the spare lanes: the usable cores
@@ -184,20 +186,19 @@ class RunResult:
 def gradient_metrics(arenas: dict, classes, groups) -> tuple[float, float, float]:
     """(max slice spectral norm, sum of stacked nuclear duals, sum of
     per-slice nuclear duals) over all matrix groups, from `arenas` keyed by
-    class id to each class's gradient arena. One `norm` call per class and
-    depth gives both muon norms of every group of that depth from one SVD.
-    A depth-1 group's teon-1 dual is its muon dual, as its mode-1 unfolding
-    is the slice itself; a deeper stack takes one more `norm` call. The
-    per-group values are added in the order of `groups`, as summing group
-    by group would add them."""
+    class id to each class's gradient arena: one `norm` call per class, on
+    its (G, K, m, n) view, and one more for a deeper class's teon-1 duals
+    (a depth-1 group's is its muon dual). The per-group values are added in
+    the order of `groups`, as summing group by group would add them."""
     values = {}  # group id -> (slice sigma_1 max, teon-1 dual, slice nuclear sum)
     for c in classes:
         if c.kind == VECTOR_ADAMW:
             continue
-        for members, stack in _depth_stacks(arenas[c.id], c):
-            primal, dual = norm(stack, None, dual=(False, True))
-            teon1 = dual if stack.shape[1] == 1 else norm(stack, 1, dual=True)
-            values.update(zip(members, zip(primal.tolist(), teon1.tolist(), dual.tolist())))
+        stack = arenas[c.id].reshape(len(c.groups), c.depth, *c.groups[0].shapes[0])
+        primal, dual = norm(stack, None, dual=(False, True))
+        teon1 = dual if stack.shape[1] == 1 else norm(stack, 1, dual=True)
+        ids = [g.id for g in c.groups]
+        values.update(zip(ids, zip(primal.tolist(), teon1.tolist(), dual.tolist())))
     muon_primal = teon1_dual = muon_dual = 0.0
     for g in groups:
         if g.id in values:
@@ -206,22 +207,6 @@ def gradient_metrics(arenas: dict, classes, groups) -> tuple[float, float, float
             teon1_dual += teon1
             muon_dual += dual
     return muon_primal, teon1_dual, muon_dual
-
-
-def _depth_stacks(arena: np.ndarray, c: UpdateClass):
-    """(group ids, (G, K, m, n) stack) for each depth K among the class's
-    groups: a view of the arena when those groups lie end to end, as they do
-    unless a class holds the remainders of several roles, else a copy."""
-    by_depth: dict = {}
-    for g, bounds in zip(c.groups, c.bounds):
-        by_depth.setdefault(g.depth, []).append((g.id, bounds))
-    for k, parts in by_depth.items():
-        (lo, _), (_, hi) = parts[0][1], parts[-1][1]
-        if hi - lo == k * len(parts):
-            stack = arena[lo:hi]
-        else:
-            stack = np.concatenate([arena[a:b] for _, (a, b) in parts])
-        yield [gid for gid, _ in parts], stack.reshape((len(parts), k) + arena.shape[1:])
 
 
 def _check_record_sandwich(teon_dual: float, muon_dual: float, max_depth: int):
@@ -252,7 +237,7 @@ def _plan(groups, pairs, cfg: RunConfig, spare: int, *, lane_work: int = LANE_WO
         if g.policy.optimizer != ADAMW:
             (m, n), k = g.shapes[0], g.depth
             work[g.id] = _work(*((n, m * k) if g.policy.mode == 2 else (m, n * k)))
-        key = (g.policy, g.shapes[0]) if work[g.id] < lane_work else i
+        key = (g.policy, g.shapes[0], g.depth) if work[g.id] < lane_work else i
         members.setdefault(key, []).append(g)
     classes = [UpdateClass(tuple(gs)) for gs in members.values()]
     # a big group is a class of one: largest first, to the least-loaded lane

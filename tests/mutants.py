@@ -194,16 +194,24 @@ MUTANTS = [
     (
         "class_key_drops_policy",
         "runner.py",
-        "key = (g.policy, g.shapes[0]) if",
-        "key = g.shapes[0] if",
+        "key = (g.policy, g.shapes[0], g.depth) if",
+        "key = (g.shapes[0], g.depth) if",
         "groups of one slice shape share a class whatever their policy: TEON stacks "
         "and lone Muon matrices would be stepped under one rule",
     ),
     (
+        "class_key_drops_depth",
+        "runner.py",
+        "key = (g.policy, g.shapes[0], g.depth) if",
+        "key = (g.policy, g.shapes[0]) if",
+        "a depth-K stack and its depth-r remainder are planned into one class, whose "
+        "arena is no (G, K, m, n) stack",
+    ),
+    (
         "big_groups_merge",
         "runner.py",
-        "key = (g.policy, g.shapes[0]) if work[g.id] < lane_work else i",
-        "key = (g.policy, g.shapes[0])",
+        "key = (g.policy, g.shapes[0], g.depth) if work[g.id] < lane_work else i",
+        "key = (g.policy, g.shapes[0], g.depth)",
         "a big group joins the class of its policy and shape, so it leaves its own "
         "lane and the big groups of one shape run serially",
     ),
@@ -235,18 +243,26 @@ MUTANTS = [
     (
         "class_error_unblamed",
         "optim.py",
-        "for group, (lo, hi) in zip(cls.groups, cls.bounds):\n        part",
-        "for group, (lo, hi) in zip(cls.groups[:0], cls.bounds):\n        part",
+        "for i, group in enumerate(cls.groups):\n        lo, hi",
+        "for i, group in enumerate(cls.groups[:0]):\n        lo, hi",
         "a failing class raises its own first error under its first group's name, "
         "not the error of the group that stepping one by one meets first",
     ),
     (
         "class_mixes_policies",
         "optim.py",
-        "if g.policy != head.policy or g.shapes[0] != head.shapes[0]:",
-        "if g.shapes[0] != head.shapes[0]:",
+        "if g.policy != head.policy or g.shapes[0]",
+        "if g.shapes[0]",
         "an update class accepts groups of another policy and steps them all under "
         "its first group's rule",
+    ),
+    (
+        "class_check_drops_depth",
+        "optim.py",
+        "g.shapes[0] != head.shapes[0] or g.depth != head.depth:",
+        "g.shapes[0] != head.shapes[0]:",
+        "an update class accepts a group of another depth, so its arena is no "
+        "(G, K, m, n) stack and its groups' slices are misplaced",
     ),
     (
         "metrics_in_class_order",
@@ -280,6 +296,14 @@ MUTANTS = [
         "if not 1 <= steps:",
         "a config may ask for any number of NS steps: 10**20 ends in an OverflowError "
         "traceback, 100000 silently builds a 100000-row schedule",
+    ),
+    (
+        "task_dim_unbounded",
+        "config.py",
+        "not 1 <= val <= _TASK_DIM_MAX",
+        "not 1 <= val",
+        "a config may ask for any task dimension: a huge one fails only in the task's "
+        "allocation, with an error that names no key",
     ),
     (
         "format_16_digits",

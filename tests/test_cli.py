@@ -104,6 +104,28 @@ def test_run_command_rejects_a_huge_ns_steps_in_one_error_line(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "exc,line",
+    [
+        (MemoryError("Unable to allocate 14.6 TiB"), "error: Unable to allocate 14.6 TiB\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ],
+)
+def test_run_command_reports_an_allocation_failure_in_one_error_line(
+    monkeypatch, tmp_path, capsys, exc, line
+):
+    # a task too large for the host: its constructor raises, and no array is allocated
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(teon.runner, "make_task", out_of_memory)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(GOOD_INI.format(out=tmp_path / "out"), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_command_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(

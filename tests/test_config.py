@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import pytest
 
 from teon.config import RunConfig, SCHEDULES, config_hash, parse_config, parse_config_text
+from teon.config import _TASK_DIM_MAX
 from teon.optim import ADAMW, MUON, TEON, UpdatePolicy
 from teon import ortho
 from teon.ortho import _NS_STEPS_MAX, OrthoScheme
@@ -229,6 +230,20 @@ def test_ns_steps_at_its_bound_builds_the_schedule():
     assert len(parse_config_text(ok).policy.scheme.schedule) == _NS_STEPS_MAX
 
 
+@pytest.mark.parametrize("value", [0, _TASK_DIM_MAX + 1, 10**20])
+@pytest.mark.parametrize("key,line", [("m", "m = 4"), ("n", "n = 3"), ("K", "K = 4")])
+def test_a_task_dimension_outside_its_bound_is_a_config_error(key, line, value):
+    # parsed only: no task is built, so no test allocates a huge array
+    message = rf"\[task\] {key} must lie in \[1, {_TASK_DIM_MAX}\], got {value}$"
+    with pytest.raises(ValueError, match=message):
+        parse_config_text(MINIMAL.replace(line, f"{key} = {value}"))
+
+
+def test_a_task_dimension_at_its_bound_parses():
+    cfg = parse_config_text(MINIMAL.replace("m = 4", f"m = {_TASK_DIM_MAX}"))
+    assert cfg.task_params == {"m": _TASK_DIM_MAX, "n": 3, "K": 4}
+
+
 def test_runconfig_validation_surface():
     with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
         parse_config_text(MINIMAL.replace("steps = 5", "steps = 0"))
@@ -246,7 +261,7 @@ def test_runconfig_validation_surface():
     sched2 = MINIMAL + "\n[schedule]\nkind = cosine\nwarmup_ratio = 1.5\n"
     with pytest.raises(ValueError, match=r"warmup_ratio must lie in \[0, 1\]"):
         parse_config_text(sched2)
-    with pytest.raises(ValueError, match="task dimension m must be positive"):
+    with pytest.raises(ValueError, match=r"\[task\] m must lie in \[1, \d+\], got 0$"):
         parse_config_text(MINIMAL.replace("m = 4", "m = 0"))
 
 

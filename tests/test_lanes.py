@@ -168,12 +168,18 @@ def test_a_group_is_big_when_its_unfolding_work_reaches_the_threshold():
             assert len(lanes) == max(1, len(big))
             alone = {c.id for c in classes if len(c.groups) == 1}
             assert {g.id for g in big} <= alone
-    # a stacked group is a class of one at its own work, and shares its class just above it
-    for gid in ("q.blocks0-1", "mlp1.blocks0-1", "mlp2.blocks0-1"):
-        for lane_work, alone in ((work[gid], True), (work[gid] + 1, False)):
+    # a stacked group is a class of one at its own work; just above it, it
+    # joins the groups of its policy, slice shape and depth, where it has any
+    joined = {
+        "q.blocks0-1": ["q.blocks0-1", "k.blocks0-1", "v.blocks0-1", "o.blocks0-1"],
+        "mlp1.blocks0-1": ["mlp1.blocks0-1"],
+        "mlp2.blocks0-1": ["mlp2.blocks0-1"],
+    }
+    for gid, ids in joined.items():
+        for lane_work, want in ((work[gid], [gid]), (work[gid] + 1, ids)):
             classes = runner._plan(groups, (), cfg, 1, lane_work=lane_work)[0]
             cls = next(c for c in classes if any(g.id == gid for g in c.groups))
-            assert (len(cls.groups) == 1) == alone, (gid, lane_work)
+            assert [g.id for g in cls.groups] == want, (gid, lane_work)
 
 
 def test_big_groups_go_largest_first_to_the_least_loaded_lane():
@@ -306,6 +312,28 @@ def test_todays_plans_on_two_spare_lanes_and_on_one(name, sizes, overlap):
     classes, lanes, overlaps = runner._plan(groups, pairs, cfg, 2)
     assert ([len(lane) for lane in lanes], overlaps) == (sizes, overlap)
     assert runner._plan(groups, pairs, cfg, 1)[1:] == ([classes], False)
+
+
+@pytest.mark.parametrize("layout", ["golden_mode2", "k3_over_4_blocks"])
+def test_no_class_mixes_depths_and_each_arena_is_a_g_k_m_n_stack(layout):
+    # the golden mode-2 layout (K=2 over 3 blocks) and K=3 over 4 blocks:
+    # every stacked role has a deeper stack and a depth-1 remainder
+    text = (Path(__file__).parent / "golden" / "mode2_teon.ini").read_text(encoding="utf-8")
+    if layout == "k3_over_4_blocks":
+        text = text.replace("blocks = 3", "blocks = 4").replace("K = 2", "K = 3")
+    cfg = parse_config_text(text)
+    task = make_task(cfg.task, cfg.seed, **cfg.task_params)
+    groups = build_groups(task.layout, cfg.group_k, cfg.stack_set, policy=cfg.policy)
+    assert {g.depth for g in groups} == {1, cfg.group_k}
+    weights = task.init_weights(np.random.default_rng(0))
+    for lane_work in (runner.LANE_WORK, 1):
+        for c in runner._plan(groups, (), cfg, 2, lane_work=lane_work)[0]:
+            assert [g.depth for g in c.groups] == [c.depth] * len(c.groups)
+            arena = c.stack(weights)
+            stack = arena.reshape(len(c.groups), c.depth, *arena.shape[1:])
+            assert np.shares_memory(stack, arena)
+            for g, part in zip(c.groups, stack):
+                assert part.tobytes() == np.stack([weights[nm] for nm in g.members]).tobytes()
 
 
 QUAD128_MUON = """

@@ -346,6 +346,9 @@ def test_teon_errors():
         ortho_step(np.zeros((2, 2, 2)), OptimizerState(), muon_p, 0.1)
     with pytest.raises(ValueError, match="ndim=2"):
         ortho_step(np.zeros((2, 2)), OptimizerState(), policy, policy.eta)
+    for b, depth in ((2, 0), (2, 3), (3, 2)):
+        with pytest.raises(ValueError, match=f"{b} slices holds no whole groups of depth {depth}"):
+            ortho_step(np.ones((b, 2, 2)), OptimizerState(), policy, policy.eta, depth)
 
 
 def test_ortho_step_rejects_adamw_and_muon_beyond_depth_one():
@@ -356,6 +359,7 @@ def test_ortho_step_rejects_adamw_and_muon_beyond_depth_one():
         ortho_step(g2, OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
     # the depth-1 stack takes either policy, and deeper stacks take teon
     ortho_step(g1, OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
+    ortho_step(g2, OptimizerState(), UpdatePolicy.muon(0.1), 0.1, depth=1)  # two lone matrices
     ortho_step(g1, OptimizerState(), UpdatePolicy.teon(2, 0.1), 0.1)
     ortho_step(g2, OptimizerState(), UpdatePolicy.teon(2, 0.1), 0.1)
 
@@ -605,8 +609,12 @@ def test_member_views_are_slices_of_the_group_stacks(blocks, k, stack_set, optim
         # slice-major arenas: a task's BLAS calls get each view without a copy
         assert all(views[nm].flags.c_contiguous for nm in c.members)
         assert c.stack(views).tobytes() == arena.tobytes()
-        # each group is one slice range of the arena, its stack
-        assert [c.members[lo:hi] for lo, hi in c.bounds] == [g.members for g in c.groups]
+        # each group is the next `depth` slices of the arena, its stack
+        k = c.depth
+        assert [g.depth for g in c.groups] == [k] * len(c.groups)
+        assert [c.members[i * k : (i + 1) * k] for i in range(len(c.groups))] == [
+            g.members for g in c.groups
+        ]
     assert sorted(g.id for c in classes for g in c.groups) == sorted(g.id for g in groups)
 
 
@@ -839,16 +847,22 @@ def test_apply_group_step_rejects_a_gradient_of_another_shape(w_shape, g_shape):
 def test_update_class_needs_one_policy_and_one_slice_shape():
     teon_p = UpdatePolicy.teon(1, 0.1)
     a = ParamGroup("a", ("a0", "a1"), ((2, 3),) * 2, teon_p)
-    b = ParamGroup("b", ("b0",), ((2, 3),), teon_p)
+    b = ParamGroup("b", ("b0", "b1"), ((2, 3),) * 2, teon_p)
     cls = UpdateClass((a, b))
-    assert (cls.id, cls.policy, cls.kind) == ("a", teon_p, TENSOR_GROUP)
-    assert cls.members == ("a0", "a1", "b0") and cls.bounds == ((0, 2), (2, 3))
+    assert (cls.id, cls.policy, cls.kind, cls.depth) == ("a", teon_p, TENSOR_GROUP, 2)
+    assert cls.members == ("a0", "a1", "b0", "b1")
     with pytest.raises(ValueError, match="at least one group"):
         UpdateClass(())
-    with pytest.raises(ValueError, match="policy and slice shape of 'a'"):
-        UpdateClass((a, ParamGroup("c", ("c0",), ((3, 2),), teon_p)))
-    with pytest.raises(ValueError, match="policy and slice shape of 'a'"):
-        UpdateClass((a, ParamGroup("c", ("c0",), ((2, 3),), UpdatePolicy.teon(2, 0.1))))
+    message = "group 'c' does not share the policy, slice shape and depth of 'a'"
+    with pytest.raises(ValueError, match=message):
+        UpdateClass((a, ParamGroup("c", ("c0", "c1"), ((3, 2),) * 2, teon_p)))
+    with pytest.raises(ValueError, match=message):
+        UpdateClass((a, ParamGroup("c", ("c0", "c1"), ((2, 3),) * 2, UpdatePolicy.teon(2, 0.1))))
+    # a depth-2 stack and its depth-1 remainder are two classes
+    with pytest.raises(ValueError, match=message):
+        UpdateClass((a, ParamGroup("c", ("c0",), ((2, 3),), teon_p)))
+    with pytest.raises(ValueError, match="group 'a' does not share .* of 'c'$"):
+        UpdateClass((ParamGroup("c", ("c0",), ((2, 3),), teon_p), a))
 
 
 CLASS_POLICIES = {
@@ -862,50 +876,56 @@ CLASS_POLICIES = {
 
 @pytest.mark.parametrize("name", list(CLASS_POLICIES))
 def test_a_class_step_writes_the_bytes_of_its_groups_stepped_alone(name):
-    # five blocks at K=2 give depths 2, 2 and 1; lone matrices are classes of five
+    # five blocks at K=2 give a class of six depth-2 Q/K/V stacks and one of
+    # the three depth-1 remainders; lone matrices are classes of depth 1
     policy = CLASS_POLICIES[name]
     layout = _transformer_layout(5)
     groups = [
         g for g in build_groups(layout, 2, {"QKV"}, policy=policy) if g.policy == policy
     ]
     shape = groups[0].shapes[0]
-    groups = [g for g in groups if g.shapes[0] == shape]
-    cls = UpdateClass(tuple(groups))
-    assert len(groups) >= 5 and len({g.depth for g in groups}) == (2 if policy.mode else 1)
-    alone = [_one(g) for g in groups]
+    depths = sorted({g.depth for g in groups if g.shapes[0] == shape})
+    assert depths == ([1, 2] if policy.mode else [1])
     rng = np.random.default_rng(16)
-    weights = {nm: rng.standard_normal(shape) for nm in cls.members}
-    params, ref = {cls.id: cls.stack(weights)}, {c.id: c.stack(weights) for c in alone}
-    states, ref_states = {cls.id: OptimizerState()}, {c.id: OptimizerState() for c in alone}
-    for factor in (1.0, 0.5, 0.25):
-        drawn = {nm: rng.standard_normal(shape) for nm in cls.members}
-        apply_group_step(params, {cls.id: cls.stack(drawn)}, cls, states, factor)
-        for c in alone:
-            apply_group_step(ref, {c.id: c.stack(drawn)}, c, ref_states, factor)
-    views, ref_views = member_views(params, [cls]), member_views(ref, alone)
-    assert all(views[nm].tobytes() == ref_views[nm].tobytes() for nm in cls.members)
-    for c, (lo, hi) in zip(alone, cls.bounds):
-        got, want = states[cls.id], ref_states[c.id]
-        assert got.t == want.t == 3
-        for buf, ref_buf in zip(got[1:], want[1:]):
-            assert (buf is None) == (ref_buf is None)
-            assert buf is None or buf[lo:hi].tobytes() == ref_buf.tobytes()
+    for k in depths:
+        cls = UpdateClass(tuple(g for g in groups if g.shapes[0] == shape and g.depth == k))
+        assert len(cls.groups) >= 3
+        alone = [_one(g) for g in cls.groups]
+        weights = {nm: rng.standard_normal(shape) for nm in cls.members}
+        params, ref = {cls.id: cls.stack(weights)}, {c.id: c.stack(weights) for c in alone}
+        states, ref_states = {cls.id: OptimizerState()}, {c.id: OptimizerState() for c in alone}
+        for factor in (1.0, 0.5, 0.25):
+            drawn = {nm: rng.standard_normal(shape) for nm in cls.members}
+            apply_group_step(params, {cls.id: cls.stack(drawn)}, cls, states, factor)
+            for c in alone:
+                apply_group_step(ref, {c.id: c.stack(drawn)}, c, ref_states, factor)
+        views, ref_views = member_views(params, [cls]), member_views(ref, alone)
+        assert all(views[nm].tobytes() == ref_views[nm].tobytes() for nm in cls.members)
+        for i, c in enumerate(alone):
+            got, want = states[cls.id], ref_states[c.id]
+            assert got.t == want.t == 3
+            for buf, ref_buf in zip(got[1:], want[1:]):
+                assert (buf is None) == (ref_buf is None)
+                assert buf is None or buf[i * k : (i + 1) * k].tobytes() == ref_buf.tobytes()
 
 
-def test_update_classes_join_remainder_depths_and_keep_policies_apart():
-    # every role stacked, 3 blocks at K=2: the depth-2 stacks and the depth-1
-    # remainders of one slice shape share a class
+def test_update_classes_keep_remainder_depths_and_policies_apart():
+    # every role stacked, 3 blocks at K=2: the depth-2 stacks of one slice
+    # shape share a class, and their depth-1 remainders form their own
     layout, stack_set = _transformer_layout(3), ("QKV", "O", "MLP1", "MLP2")
     classes = update_classes(build_groups(layout, 2, stack_set, policy=UpdatePolicy.teon(2, 0.1)))
     ids = [[g.id for g in c.groups] for c in classes]
     assert ids == [
-        [f"{r}.blocks{b}" for r in ("q", "k", "v", "o") for b in ("0-1", "2-2")],
-        ["mlp1.blocks0-1", "mlp1.blocks2-2"],
-        ["mlp2.blocks0-1", "mlp2.blocks2-2"],
+        [f"{r}.blocks0-1" for r in ("q", "k", "v", "o")],
+        [f"{r}.blocks2-2" for r in ("q", "k", "v", "o")],
+        ["mlp1.blocks0-1"],
+        ["mlp1.blocks2-2"],
+        ["mlp2.blocks0-1"],
+        ["mlp2.blocks2-2"],
         ["readout"],
         ["readout_bias"],
     ]
-    assert classes[0].bounds == ((0, 2), (2, 3), (3, 5), (5, 6), (6, 8), (8, 9), (9, 11), (11, 12))
+    assert [c.depth for c in classes] == [2, 1, 2, 1, 2, 1, 1, 1]
     # QKV stacked: the TEON stacks and the lone Muon O matrices of the same
     # shape never share a class
     groups = build_groups(_transformer_layout(2), 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
@@ -925,9 +945,10 @@ def test_a_big_group_stays_a_class_of_one():
         ["k.blocks0-1"],
         ["v.blocks0-1"],
     ]
-    assert [g.id for g in update_classes(groups, 8 * 8 * 16 + 1)[0].groups][:2] == [
-        "q.blocks0-1",
-        "q.blocks2-2",
+    ids = [[g.id for g in c.groups] for c in update_classes(groups, 8 * 8 * 16 + 1)]
+    assert ids[:2] == [
+        ["q.blocks0-1", "k.blocks0-1", "v.blocks0-1"],
+        ["q.blocks2-2", "k.blocks2-2", "v.blocks2-2"],
     ]
 
 

@@ -714,11 +714,13 @@ def _three_norm_formula(grads, groups):
     [
         pytest.param("muon", 2, ("QKV", "MLP1"), {1}, id="muon-1"),
         pytest.param("teon", 2, ("QKV", "MLP1"), {1, 2}, id="teon-2"),
-        # K=3 over 4 blocks: depths 3, 1, 3, 1, ... in the one Q/K/V/O class
+        # K=3 over 4 blocks: a Q/K/V/O class of depth 3 and one of its depth-1 remainders
         pytest.param("teon", 3, ("QKV", "O"), {1, 3}, id="teon-3-remainders"),
     ],
 )
-def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, k, stack_set, depths):
+def test_gradient_metrics_equals_the_three_norm_formula_exactly(
+    monkeypatch, optimizer, k, stack_set, depths
+):
     task = make_task("micro_attention", 5, dim=8, seq=4, batch=2, blocks=4)
     _, grads = task.loss_and_grads(task.init_weights(np.random.default_rng(6)))
     policy = UpdatePolicy.teon(1, 0.1) if optimizer == "teon" else UpdatePolicy.muon(0.1)
@@ -726,14 +728,24 @@ def test_gradient_metrics_equals_the_three_norm_formula_exactly(optimizer, k, st
     arenas, classes = _class_arenas(grads, groups)
     assert {g.depth for g in groups} == depths
     if k == 3:
-        (attn,) = [c for c in classes if c.kind == "tensor_group"]
-        assert [g.depth for g in attn.groups] == [3, 1] * 4
+        stacked = [(c.depth, len(c.groups)) for c in classes if c.kind == "tensor_group"]
+        assert stacked == [(3, 4), (1, 4)]
+    import teon.runner as runner
+
+    seen = []
+    monkeypatch.setattr(runner, "norm", lambda t, *a, **kw: seen.append(t) or norm(t, *a, **kw))
     assert gradient_metrics(arenas, classes, groups) == _three_norm_formula(grads, groups)
+    # one call on each matrix class's (G, K, m, n) arena view, one more on a deeper one's
+    calls = [c for c in classes if c.kind != VECTOR_ADAMW for _ in range(1 + (c.depth > 1))]
+    assert [t.shape for t in seen] == [
+        (len(c.groups), c.depth) + c.groups[0].shapes[0] for c in calls
+    ]
+    assert all(np.shares_memory(t, arenas[c.id]) for t, c in zip(seen, calls))
 
 
 def test_gradient_metrics_decomposes_each_gradient_slice_once(monkeypatch):
     # per-matrix Muon at dim 64, logged every step: one value-only SVD per
-    # class and depth gives every group's muon primal and dual, and a depth-1
+    # class gives every group's muon primal and dual, and a depth-1
     # group's teon-1 dual is that dual, not a second SVD of the same slices
     cfg = parse_config_text(
         """
