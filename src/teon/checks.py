@@ -132,9 +132,9 @@ def _bound_identity() -> CheckResult:
 
 
 def _k1_collapse(rng) -> CheckResult:
-    w = rng.standard_normal((1, 3, 2))
+    w = rng.standard_normal((1, 1, 3, 2))
     params_m, params_t = {"w": w}, {"w": w.copy()}
-    g_seq = [rng.standard_normal((1, 3, 2)) for _ in range(8)]
+    g_seq = [rng.standard_normal((1, 1, 3, 2)) for _ in range(8)]
     muon = UpdatePolicy.muon(0.1, weight_decay=0.01)
     group_m, group_t = (
         UpdateClass((ParamGroup("w", ("w",), ((3, 2),), p),))

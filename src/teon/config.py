@@ -172,6 +172,9 @@ def _parse_section(cp, name: str, schema: dict, source: str):
 
 def _build_policies(opt: dict, present: set, source: str):
     name = opt["optimizer"]
+    for key in ("adam_beta1", "adam_beta2"):
+        if not 0.0 <= opt[key] < 1.0:  # named here: the policy knows only the pair
+            raise ValueError(f"{source}: [optimizer] {key} must lie in [0, 1), got {opt[key]}")
     betas = (opt["adam_beta1"], opt["adam_beta2"])
     adam_eta = opt["adam_eta"] if opt["adam_eta"] is not None else opt["eta"]
     try:

@@ -87,7 +87,7 @@ def top_singular_alignment(buffers: dict, pairs, step: int) -> list[AlignmentRec
         by_shape.setdefault(shape_a, {}).update({a: None, b: None})
     tops = {}  # name -> (u_1, v_1, sigma_1 - sigma_2)
     for (m, n), names in by_shape.items():
-        per_call = max(1, STACK_BYTES // (8 * m * n))
+        per_call = max(1, STACK_BYTES // max(1, 8 * m * n))  # an empty shape goes to svd
         names = list(names)
         for lo in range(0, len(names), per_call):
             tops.update(_tops(buffers, names[lo : lo + per_call]))

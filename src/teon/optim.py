@@ -28,14 +28,15 @@ expands and checks the `stack_set` tokens that pick the stacked roles, always
 in STACK_TOKENS order.
 
 Groups that share a policy, a slice shape and a depth K are stepped as one
-UpdateClass. A class's parameters live in one arena for a whole run
-(`UpdateClass.stack`: (G*K, m, n) for matrices, (G, d) for vectors), a
-(G, K, m, n) stack whose i-th group is the slices [i*K, (i+1)*K);
-`member_views` maps each member name to its C-contiguous slice. A lone group
-is a class of one. `apply_group_step` alone writes arenas and states: one
-finiteness check, one errstate, one momentum or adamw update and one
-W <- (1 - eta * lambda) * W - step (decay only if lambda > 0) per class,
-committed with the new state once all of it has succeeded. The polar factor
+UpdateClass. A class's parameters live in one arena for a whole run, the
+stack of its G groups (`UpdateClass.stack`: (G, K, m, n) for matrices,
+(G, 1, d) for vectors), so group i is `arena[i]` in the weights, the
+gradients and every state buffer; `member_views` maps each member name to
+its C-contiguous slice. A lone group is a class of one. `apply_group_step`
+alone writes arenas and states: one dtype, shape and finiteness check, one
+errstate, one momentum or adamw update and one W <- (1 - eta * lambda) * W -
+step (decay only if lambda > 0) per class, committed with the new state once
+all of it has succeeded. The polar factor
 still runs once per group unfolding, through `apply_ortho` on a 2-D array,
 though all the unfoldings of a class share one shape.
 """
@@ -207,11 +208,11 @@ class ParamGroup:
 
 @dataclass(frozen=True)
 class UpdateClass:
-    """Groups stepped as one: they share a policy, a slice shape and a depth,
-    so their stacks lie end to end in one arena, `groups[i]` at the slices
-    [i * depth, (i + 1) * depth). `members` lists every member name in arena
-    order; `id`, `policy`, `kind` (the update path, which the benchmark's
-    trace reads) and `depth` are the first group's."""
+    """Groups stepped as one: they share a policy, a slice shape and a depth
+    K, so their stacks form one (G, K) + slice shape arena, `groups[i]` at
+    `arena[i]`. `members` lists every member name in arena order; `id`,
+    `policy` and `kind` (the update path, which the benchmark's trace reads)
+    are the first group's."""
 
     groups: tuple[ParamGroup, ...]
     id: str = field(init=False)
@@ -238,14 +239,11 @@ class UpdateClass:
     def kind(self) -> str:
         return self.groups[0].kind
 
-    @property
-    def depth(self) -> int:
-        return self.groups[0].depth
-
     def stack(self, arrays: dict) -> np.ndarray:
-        """The members' arrays from `arrays` (keyed by name) stacked on a new
-        first axis: the class's arena."""
-        return np.stack([arrays[nm] for nm in self.members])
+        """The class's arena: the members' arrays from `arrays` (keyed by
+        name) stacked as (G, K) + their shape, group i at index i."""
+        slices = np.stack([arrays[nm] for nm in self.members])
+        return slices.reshape(len(self.groups), -1, *slices.shape[1:])
 
 
 class OptimizerState(NamedTuple):
@@ -267,26 +265,22 @@ def _shrink(w: np.ndarray, weight_decay: float, eta: float) -> np.ndarray:
 
 
 def ortho_step(
-    gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float, depth=None
+    gs: np.ndarray, state: OptimizerState, policy: UpdatePolicy, eta: float
 ) -> tuple[np.ndarray, OptimizerState]:
-    """One orthogonalized step from a (G*K, m, n) gradient arena at step size
-    `eta`, each run of K = `depth` slices one group's stack (by default the
-    whole arena is one group): update the momentum arena once, orthogonalize
-    each group's mode-`policy.mode` unfolding (mode 1 for muon, whose groups
-    have K=1), fold back, and return `(eta * sqrt(m / n)) * O_t` with the
-    advanced state. Plain arithmetic: an overflow follows the caller's
-    `np.errstate`, as NumPy's own functions do."""
+    """One orthogonalized step from a (G, K, m, n) gradient arena at step size
+    `eta`: update the momentum arena once, orthogonalize each group's
+    mode-`policy.mode` unfolding (mode 1 for muon, whose groups have K=1),
+    fold back, and return `(eta * sqrt(m / n)) * O_t` with the advanced
+    state. Plain arithmetic: an overflow follows the caller's `np.errstate`,
+    as NumPy's own functions do."""
     if policy.optimizer == ADAMW:
         raise ValueError("ortho_step needs a muon or teon policy, got 'adamw'")
     gs = np.asarray(gs, dtype=np.float64)
-    if gs.ndim != 3:
-        raise ValueError(f"ortho_step needs a (K, m, n) gradient stack, got ndim={gs.ndim}")
-    b, m, n = gs.shape  # slice dims m, n, not the unfolded ones
-    k = b if depth is None else depth
+    if gs.ndim != 4:
+        raise ValueError(f"ortho_step needs a (G, K, m, n) gradient arena, got ndim={gs.ndim}")
+    _, k, m, n = gs.shape  # slice dims m, n, not the unfolded ones
     if policy.optimizer == MUON and k != 1:
         raise ValueError(f"a muon policy updates one matrix (K=1) per group, got K={k}")
-    if not 1 <= k <= b or b % k:
-        raise ValueError(f"an arena of {b} slices holds no whole groups of depth {k}")
     buf = state.momentum
     if buf is None:
         buf = np.zeros_like(gs)
@@ -300,13 +294,12 @@ def ortho_step(
     buf += gs if policy.momentum_style == ACCUMULATE else (1.0 - policy.mu) * gs
     mode = policy.mode or 1
     scale, step = eta * np.sqrt(m / n), None
-    for lo in range(0, b, k):
-        hi = lo + k
-        o = apply_ortho(matricize(buf[lo:hi], mode), policy.scheme)
+    for i in range(len(gs)):
+        o = apply_ortho(matricize(buf[i], mode), policy.scheme)
         # allocated once the first polar factor exists, as a lone group's step
         # always was: lanes that run NS side by side hold no idle step arena
         step = np.empty_like(gs) if step is None else step
-        np.multiply(scale, fold(o, mode, (k, m, n)), out=step[lo:hi])
+        np.multiply(scale, fold(o, mode, (k, m, n)), out=step[i])
     return step, OptimizerState(state.t + 1, buf)
 
 
@@ -433,15 +426,20 @@ def build_groups(
 
 
 def member_views(arenas: dict, classes) -> dict:
-    """Each member name mapped to its slice of `arenas[c.id]`, a view;
-    classes whose arena is missing or None are skipped."""
+    """Each member name mapped to its slice of `arenas[c.id]`, a view: the
+    i-th of `c.members` is `arena[divmod(i, K)]`. Classes whose arena is
+    missing or None are skipped."""
     live = [(c, arenas[c.id]) for c in classes if arenas.get(c.id) is not None]
-    return {nm: arena[i] for c, arena in live for i, nm in enumerate(c.members)}
+    return {nm: a[divmod(i, a.shape[1])] for c, a in live for i, nm in enumerate(c.members)}
 
 
 def _class_step(cls: UpdateClass, w, g, state, eta) -> tuple[np.ndarray, OptimizerState]:
-    """The class's new arena and state, uncommitted; a FloatingPointError names
-    the class's first group and the committed optimizer step."""
+    """The class's new arena and state, uncommitted; an error names the class's
+    first group, a FloatingPointError also the committed optimizer step."""
+    if w.dtype != np.float64:
+        raise ValueError(f"group {cls.id!r}: weights must be float64, got {w.dtype}")
+    if g.shape != w.shape:
+        raise ValueError(f"group {cls.id!r}: gradient shape {g.shape} does not match {w.shape}")
     pol = cls.policy
     try:
         if not np.isfinite(g).all():
@@ -450,7 +448,7 @@ def _class_step(cls: UpdateClass, w, g, state, eta) -> tuple[np.ndarray, Optimiz
             if pol.optimizer == ADAMW:
                 step, new_state = adamw_step(g, state, pol, eta)
             else:
-                step, new_state = ortho_step(g, state, pol, eta, cls.depth)
+                step, new_state = ortho_step(g, state, pol, eta)
             # into the step's own arena, which no one else holds
             new = np.subtract(_shrink(w, pol.weight_decay, eta), step, out=step)
     except FloatingPointError as exc:
@@ -461,21 +459,20 @@ def _class_step(cls: UpdateClass, w, g, state, eta) -> tuple[np.ndarray, Optimiz
 def apply_group_step(
     params: dict, grads: dict, cls: UpdateClass, states: dict, lr_factor=1.0
 ) -> None:
-    """The one place that writes an arena or a state. Checks that `grads[cls.id]`
-    is finite and has the shape of `params[cls.id]`, takes the `adamw_step` or
-    `ortho_step` from it and `states[cls.id]` at `eta = cls.policy.eta *
-    lr_factor` and applies decay and step; only then overwrites the arena in
-    place and stores the new state. A shape mismatch raises ValueError; a
-    non-finite gradient, a diverging Newton-Schulz run or an overflow (under
-    its own errstate) raises FloatingPointError naming a group and its
-    committed optimizer step; either leaves every arena and state untouched.
-    When a class fails, its groups are stepped alone, in order and
-    uncommitted, and the first that fails raises: the error, and the group,
-    that stepping the groups one by one meets first. Its `group` attribute
-    is that group's id."""
+    """The one place that writes an arena or a state. Checks that the float64
+    arena `params[cls.id]` and `grads[cls.id]` share a shape and that the
+    gradient is finite, takes the `adamw_step` or `ortho_step` from it and
+    `states[cls.id]` at `eta = cls.policy.eta * lr_factor` and applies decay
+    and step; only then overwrites the arena in place and stores the new
+    state. Another dtype or shape raises ValueError; a non-finite gradient, a
+    diverging Newton-Schulz run or an overflow (under its own errstate)
+    raises FloatingPointError naming a group and its committed optimizer
+    step; either leaves every arena and state untouched. When a class fails,
+    its groups are stepped alone, in order and uncommitted, each on its
+    `[i:i+1]` of the arenas and state buffers, and the first that fails
+    raises: the error, and the group, that stepping the groups one by one
+    meets first. Its `group` attribute is that group's id."""
     w, g, state = params[cls.id], grads[cls.id], states[cls.id]
-    if g.shape != w.shape:
-        raise ValueError(f"group {cls.id!r}: gradient shape {g.shape} does not match {w.shape}")
     eta = cls.policy.eta * lr_factor
     try:
         new, new_state = _class_step(cls, w, g, state, eta)
@@ -486,12 +483,11 @@ def apply_group_step(
         states[cls.id] = new_state
         return
     for i, group in enumerate(cls.groups):
-        lo, hi = i * cls.depth, (i + 1) * cls.depth
-        part = OptimizerState(state.t, *(b if b is None else b[lo:hi] for b in state[1:]))
+        part = OptimizerState(state.t, *(b if b is None else b[i : i + 1] for b in state[1:]))
         try:
-            _class_step(UpdateClass((group,)), w[lo:hi], g[lo:hi], part, eta)
+            _class_step(UpdateClass((group,)), w[i : i + 1], g[i : i + 1], part, eta)
         except Exception as exc:
             exc.group = group.id
             raise
-    error.group = cls.id  # pragma: no cover - every failure belongs to one group
+    error.group = cls.id  # pragma: no cover - a failure that no group meets alone
     raise error

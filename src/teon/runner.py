@@ -14,21 +14,20 @@ would break the byte-identical determinism contract.
 A run steps update classes (`optim.UpdateClass`): the groups that share a
 policy, a slice shape and a depth K, in order of first appearance, except
 that a big group stays a class of one; a depth-K stack and its depth-r
-remainder are two classes. It keeps each class's weights in one slice-major
-arena, a (G, K, m, n) stack, and hands the task its slices
-(`optim.member_views`); each step stacks the gradients once per class, and
-those arenas live for that step only: they are dropped before the next
-step's `loss_and_grads` runs. One class step makes one finiteness check, one
-momentum or AdamW update and one decay and commit for all its groups, where
-the 8-16-wide shipped configs spent most of a group step in per-call
-overhead. The polar factor still runs once per group unfolding: batching
-Newton-Schulz across a class's unfoldings waits on phase spans owned by the
-library, because the benchmark's trace hooks read `apply_ortho`'s 2-D
-argument.
+remainder are two classes. It keeps each class's weights in one arena, the
+(G, K, m, n) stack of its groups ((G, 1, d) for vectors), and hands the task
+its slices (`optim.member_views`); each step stacks the gradients into the
+same shape once per class, and those arenas live for that step only: they
+are dropped before the next step's `loss_and_grads` runs. One class step
+makes one finiteness check, one momentum or AdamW update and one decay and
+commit for all its groups. The polar factor still runs once per group
+unfolding: batching Newton-Schulz across a class's unfoldings waits on phase
+spans owned by the library, because the benchmark's trace hooks read
+`apply_ortho`'s 2-D argument.
 
 A logged step's `gradient_metrics` reads the same gradient arenas: one
-`norm` call on each matrix class's (G, K, m, n) view gives both muon norms
-of its groups from one SVD. A depth-1 group's teon-1 dual is its muon dual,
+`norm` call on each matrix class's arena gives both muon norms of its
+groups from one SVD. A depth-1 group's teon-1 dual is its muon dual,
 since its mode-1 unfolding is the slice itself; only a deeper class takes a
 second `norm` call, for its unfoldings. The per-group values are summed in
 group (build) order, so the bytes equal those of summing group by group
@@ -186,15 +185,15 @@ class RunResult:
 def gradient_metrics(arenas: dict, classes, groups) -> tuple[float, float, float]:
     """(max slice spectral norm, sum of stacked nuclear duals, sum of
     per-slice nuclear duals) over all matrix groups, from `arenas` keyed by
-    class id to each class's gradient arena: one `norm` call per class, on
-    its (G, K, m, n) view, and one more for a deeper class's teon-1 duals
+    class id to each class's (G, K, m, n) gradient arena: one `norm` call
+    per class, and one more for a deeper class's teon-1 duals
     (a depth-1 group's is its muon dual). The per-group values are added in
     the order of `groups`, as summing group by group would add them."""
     values = {}  # group id -> (slice sigma_1 max, teon-1 dual, slice nuclear sum)
     for c in classes:
         if c.kind == VECTOR_ADAMW:
             continue
-        stack = arenas[c.id].reshape(len(c.groups), c.depth, *c.groups[0].shapes[0])
+        stack = arenas[c.id]
         primal, dual = norm(stack, None, dual=(False, True))
         teon1 = dual if stack.shape[1] == 1 else norm(stack, 1, dual=True)
         ids = [g.id for g in c.groups]

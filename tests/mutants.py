@@ -1,10 +1,11 @@
 """Mutation gate: small wrong edits of `src/teon` that tier-1 must catch.
 
-    python tests/mutants.py
+    python tests/mutants.py [ID ...]
 
-For each entry, the script copies `src/teon` into a temporary directory,
-replaces the entry's old text (which must occur exactly once in its file)
-with the new text, and runs the tier-1 suite (`pytest -x -q tests`) with that
+For each entry (only the named ones when IDs are given; an unknown ID exits
+1), the script copies `src/teon` into a temporary directory, replaces the
+entry's old text (which must occur exactly once in its file) with the new
+text, and runs the tier-1 suite (`pytest -x -q tests`) with that
 copy first on the import path; before the tests run it checks that `teon`
 was imported from the copy. A mutant is killed when the suite fails. The
 script prints one line per entry and exits 1 if any mutant survives or a
@@ -133,8 +134,8 @@ MUTANTS = [
     (
         "momentum_unused",
         "optim.py",
-        "matricize(buf[lo:hi], mode)",
-        "matricize(gs[lo:hi], mode)",
+        "matricize(buf[i], mode)",
+        "matricize(gs[i], mode)",
         "the orthogonalized update ignores the momentum buffer",
     ),
     (
@@ -243,10 +244,32 @@ MUTANTS = [
     (
         "class_error_unblamed",
         "optim.py",
-        "for i, group in enumerate(cls.groups):\n        lo, hi",
-        "for i, group in enumerate(cls.groups[:0]):\n        lo, hi",
+        "for i, group in enumerate(cls.groups):\n        part",
+        "for i, group in enumerate(cls.groups[:0]):\n        part",
         "a failing class raises its own first error under its first group's name, "
         "not the error of the group that stepping one by one meets first",
+    ),
+    (
+        "arena_groups_transposed",
+        "optim.py",
+        "slices.reshape(len(self.groups), -1, *slices.shape[1:])",
+        "slices.reshape(-1, len(self.groups), *slices.shape[1:])",
+        "a class arena is laid out (K, G) instead of (G, K): with G != K every "
+        "group's stack mixes the slices of other groups",
+    ),
+    (
+        "weights_dtype_unchecked",
+        "optim.py",
+        "if w.dtype != np.float64:",
+        "if w.dtype == object:",
+        "an integer weight arena takes every step truncated to integers",
+    ),
+    (
+        "alignment_empty_shape_divides_by_zero",
+        "diagnostics.py",
+        "STACK_BYTES // max(1, 8 * m * n)",
+        "STACK_BYTES // (8 * m * n)",
+        "alignment of an empty buffer raises ZeroDivisionError, not svd's ValueError",
     ),
     (
         "class_mixes_policies",
@@ -306,6 +329,14 @@ MUTANTS = [
         "allocation, with an error that names no key",
     ),
     (
+        "adam_beta_key_unnamed",
+        "config.py",
+        'for key in ("adam_beta1", "adam_beta2"):',
+        "for key in ():",
+        "an out-of-range adam_beta1 or adam_beta2 is reported as the policy's "
+        "adam_betas pair, not as the INI key to mend",
+    ),
+    (
         "format_16_digits",
         "runner.py",
         'f"{x:.17g}"',
@@ -355,18 +386,22 @@ def run_mutant(old: str, new: str, file: str) -> int:
         return status if status >= 0 else -1
 
 
-def main() -> int:
+def main(ids) -> int:
+    unknown = sorted(set(ids) - {entry[0] for entry in MUTANTS})
+    if unknown:
+        raise SystemExit(f"unknown mutant ids: {', '.join(unknown)}")
+    chosen = [entry for entry in MUTANTS if not ids or entry[0] in ids]
     survivors = broken = 0
-    for ident, file, old, new, why in MUTANTS:
+    for ident, file, old, new, why in chosen:
         tic = time.perf_counter()
         status = run_mutant(old, new, file)
         verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
         survivors += status == 0
         broken += status not in (0, 1)
         print(f"{ident}: {verdict} in {time.perf_counter() - tic:.1f} s  ({file}: {why})")
-    print(f"mutants.killed={len(MUTANTS) - survivors - broken}/{len(MUTANTS)}")
+    print(f"mutants.killed={len(chosen) - survivors - broken}/{len(chosen)}")
     return 1 if survivors or broken else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

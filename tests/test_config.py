@@ -206,6 +206,23 @@ def test_non_finite_weight_decay_or_adam_eps_is_a_config_error(key, value):
         parse_config_text(MINIMAL.replace("eta = 0.1", f"eta = 0.1\n{key} = {value}"))
 
 
+@pytest.mark.parametrize("optimizer", ["teon\nmode = 1", "adamw"], ids=["teon", "adamw"])
+def test_adam_betas_reach_the_main_and_the_adamw_policy(optimizer):
+    text = MINIMAL.replace("teon\neta = 0.1\nmode = 1", f"{optimizer}\neta = 0.1")
+    cfg = parse_config_text(text + "adam_beta1 = 0.8\nadam_beta2 = 0.99\n")
+    assert cfg.policy.optimizer == optimizer.split()[0]
+    assert cfg.policy.adam_betas == cfg.adamw_policy.adam_betas == (0.8, 0.99)
+
+
+@pytest.mark.parametrize(
+    "key,value", [("adam_beta1", "1.0"), ("adam_beta1", "-0.5"), ("adam_beta2", "nan")]
+)
+def test_an_adam_beta_outside_its_range_is_a_config_error_naming_the_key(key, value):
+    message = rf"\[optimizer\] {key} must lie in \[0, 1\), got {value}$"
+    with pytest.raises(ValueError, match=message):
+        parse_config_text(MINIMAL + f"{key} = {value}\n")
+
+
 def test_unknown_ns_preset_is_a_config_error():
     bad = MINIMAL.replace("mode = 1", "mode = 1\nscheme = newton_schulz\nns_preset = bogus")
     with pytest.raises(ValueError, match=r"\[optimizer\] unknown Newton-Schulz preset 'bogus'"):

@@ -59,13 +59,13 @@ def _random_stacks(layout, classes, seed):
 
 
 def _lone(w, g, policy, states=None):
-    """One update of a lone (m, n) matrix: the K=1 stack through `apply_group_step`,
-    from `states["w"]` (a fresh state when `states` is None)."""
-    params = {"w": w[None].copy()}
+    """One update of a lone (m, n) matrix: the (1, 1, m, n) arena through
+    `apply_group_step`, from `states["w"]` (a fresh state when `states` is None)."""
+    params = {"w": w[None, None].copy()}
     group = _one(ParamGroup("w", ("w",), (w.shape,), policy))
     states = {"w": OptimizerState()} if states is None else states
-    apply_group_step(params, {"w": g[None]}, group, states)
-    return params["w"][0]
+    apply_group_step(params, {"w": g[None, None]}, group, states)
+    return params["w"][0, 0]
 
 
 # ------------------------------------------------------------------- policy
@@ -165,7 +165,7 @@ def test_muon_accumulate_two_constant_steps():
     w = np.zeros((4, 4))
     w = _lone(w, g, policy, states)
     w = _lone(w, g, policy, states)
-    np.testing.assert_allclose(states["w"].momentum[0], 1.95 * g, rtol=1e-14)
+    np.testing.assert_allclose(states["w"].momentum[0, 0], 1.95 * g, rtol=1e-14)
     # polar factor ignores the momentum magnitude
     step_dir = _lone(np.zeros((4, 4)), g, policy)
     np.testing.assert_allclose(w - step_dir, step_dir, atol=1e-10)
@@ -184,7 +184,7 @@ def test_momentum_closed_form(style):
     expected = sum(mu ** (4 - s) * gs[s] for s in range(5))
     if style == EMA:
         expected = (1 - mu) * expected
-    np.testing.assert_allclose(states["w"].momentum[0], expected, rtol=1e-12)
+    np.testing.assert_allclose(states["w"].momentum[0, 0], expected, rtol=1e-12)
     assert states["w"].t == 5
 
 
@@ -234,7 +234,7 @@ def test_muon_shape_errors_and_buffer_stability():
     with pytest.raises(ValueError, match="momentum buffer"):
         _lone(np.zeros((3, 2)), np.ones((3, 2)), policy, states)
     with pytest.raises(ValueError, match="muon or teon policy"):
-        ortho_step(np.zeros((1, 2, 2)), OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
+        ortho_step(np.zeros((1, 1, 2, 2)), OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
 
 
 # ------------------------------------------------------ ortho_step, stacks (K>=1)
@@ -252,11 +252,11 @@ def test_teon_k1_matches_muon_bitwise(style, scheme):
     kw = dict(eta=0.07, mu=0.9, momentum_style=style, scheme=scheme, weight_decay=0.01)
     muon_g = _one(ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.muon(**kw)))
     teon_g = _one(ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.teon(1, **kw)))
-    pm = {"w": rng.standard_normal((1, 3, 2))}
+    pm = {"w": rng.standard_normal((1, 1, 3, 2))}
     pt = {"w": pm["w"].copy()}
     sm, st = {"w": OptimizerState()}, {"w": OptimizerState()}
     for _ in range(20):
-        g = {"w": rng.standard_normal((1, 3, 2))}
+        g = {"w": rng.standard_normal((1, 1, 3, 2))}
         apply_group_step(pm, g, muon_g, sm)
         apply_group_step(pt, g, teon_g, st)
         assert pt["w"].tobytes() == pm["w"].tobytes()
@@ -271,8 +271,8 @@ def test_teon_aligned_rank_one_family_exact_when_full_row_rank():
     gs = build_max_gain_tensor(m, n, K, mode=2, seed=5)
     eta = 0.5
     policy = UpdatePolicy.teon(1, eta, mu=0.0)
-    step, _ = ortho_step(gs, OptimizerState(), policy, policy.eta)
-    np.testing.assert_allclose(step, eta * np.sqrt(m / n) * gs, atol=1e-10)
+    step, _ = ortho_step(gs[None], OptimizerState(), policy, policy.eta)
+    np.testing.assert_allclose(step[0], eta * np.sqrt(m / n) * gs, atol=1e-10)
 
 
 def test_teon_aligned_rank_one_family_ns_when_rank_deficient():
@@ -284,8 +284,8 @@ def test_teon_aligned_rank_one_family_ns_when_rank_deficient():
     eta = 0.5
     scheme = OrthoScheme.newton_schulz(30, preset="cubic")
     policy = UpdatePolicy.teon(1, eta, mu=0.0, scheme=scheme)
-    step, _ = ortho_step(gs, OptimizerState(), policy, policy.eta)
-    np.testing.assert_allclose(step, eta * np.sqrt(m / n) * gs, atol=1e-6)
+    step, _ = ortho_step(gs[None], OptimizerState(), policy, policy.eta)
+    np.testing.assert_allclose(step[0], eta * np.sqrt(m / n) * gs, atol=1e-6)
 
 
 def test_teon_shared_left_family_scales_by_sqrt_k():
@@ -297,15 +297,15 @@ def test_teon_shared_left_family_scales_by_sqrt_k():
     eta = 0.25
     scheme = OrthoScheme.newton_schulz(5, preset="cubic")
     policy = UpdatePolicy.teon(1, eta, mu=0.0, scheme=scheme)
-    step, _ = ortho_step(gs, OptimizerState(), policy, policy.eta)
-    np.testing.assert_allclose(step, eta * np.sqrt(m / n) * gs / np.sqrt(K), atol=1e-12)
+    step, _ = ortho_step(gs[None], OptimizerState(), policy, policy.eta)
+    np.testing.assert_allclose(step[0], eta * np.sqrt(m / n) * gs / np.sqrt(K), atol=1e-12)
 
 
 def test_teon_identical_slices_symmetry():
     a = np.random.default_rng(8).standard_normal((3, 3))
-    gs = np.stack([a, a, a])
+    gs = np.stack([a, a, a])[None]
     policy = UpdatePolicy.teon(1, 1.0, mu=0.0)
-    step, _ = ortho_step(gs, OptimizerState(), policy, policy.eta)
+    (step,), _ = ortho_step(gs, OptimizerState(), policy, policy.eta)
     np.testing.assert_allclose(step[0], step[1], atol=1e-12)
     np.testing.assert_allclose(step[0], step[2], atol=1e-12)
     # [A A A] has full row rank; its polar blocks are polar(A)/sqrt(3)
@@ -316,19 +316,19 @@ def test_teon_identical_slices_symmetry():
 def test_teon_mode2_step_is_the_literal_mode2_polar_update(shape):
     k, m, n = shape
     rng = np.random.default_rng(12)
-    g0, g1 = rng.standard_normal((2, k, m, n))
+    g0, g1 = rng.standard_normal((2, 1, k, m, n))
     eta, mu = 0.07, 0.9
     policy = UpdatePolicy.teon(2, eta, mu=mu)
     _, state = ortho_step(g0, OptimizerState(), policy, eta)
     step, state = ortho_step(g1, state, policy, eta)
     buf = mu * g0 + g1
     np.testing.assert_allclose(state.momentum, buf, rtol=0, atol=1e-12)
-    ref = eta * np.sqrt(m / n) * mode2_polar_reference(buf)
-    np.testing.assert_allclose(step, ref, rtol=0, atol=1e-12)
+    ref = eta * np.sqrt(m / n) * mode2_polar_reference(buf[0])
+    np.testing.assert_allclose(step[0], ref, rtol=0, atol=1e-12)
 
 
 def test_teon_mode1_and_mode2_steps_differ_on_a_generic_stack():
-    gs = np.random.default_rng(13).standard_normal((2, 3, 4))
+    gs = np.random.default_rng(13).standard_normal((1, 2, 3, 4))
     one, two = (
         ortho_step(gs, OptimizerState(), UpdatePolicy.teon(mode, 0.1), 0.1)[0] for mode in (1, 2)
     )
@@ -339,27 +339,29 @@ def test_teon_errors():
     policy = UpdatePolicy.teon(1, 0.1)
     muon_p = UpdatePolicy.muon(0.1)
     group = _one(ParamGroup("g", ("a", "b"), ((2, 2), (2, 2)), policy))
-    params, grads = {"g": np.zeros((2, 2, 2))}, {"g": np.zeros((3, 2, 2))}
+    params, grads = {"g": np.zeros((1, 2, 2, 2))}, {"g": np.zeros((1, 3, 2, 2))}
     with pytest.raises(ValueError):
         apply_group_step(params, grads, group, {"g": OptimizerState()})
     with pytest.raises(ValueError):
-        ortho_step(np.zeros((2, 2, 2)), OptimizerState(), muon_p, 0.1)
-    with pytest.raises(ValueError, match="ndim=2"):
-        ortho_step(np.zeros((2, 2)), OptimizerState(), policy, policy.eta)
-    for b, depth in ((2, 0), (2, 3), (3, 2)):
-        with pytest.raises(ValueError, match=f"{b} slices holds no whole groups of depth {depth}"):
-            ortho_step(np.ones((b, 2, 2)), OptimizerState(), policy, policy.eta, depth)
+        ortho_step(np.zeros((1, 2, 2, 2)), OptimizerState(), muon_p, 0.1)
+    # the arena states its groups: a (K, m, n) stack or a flat (G*K, m, n) one is refused
+    for ndim in (2, 3, 5):
+        with pytest.raises(ValueError, match=f"ndim={ndim}"):
+            ortho_step(np.ones((2,) * ndim), OptimizerState(), policy, policy.eta)
+    with pytest.raises(TypeError):
+        ortho_step(np.ones((2, 2, 2, 2)), OptimizerState(), policy, policy.eta, 2)
 
 
 def test_ortho_step_rejects_adamw_and_muon_beyond_depth_one():
-    g1, g2 = np.ones((1, 2, 3)), np.ones((2, 2, 3))
+    g1, g2 = np.ones((1, 1, 2, 3)), np.ones((1, 2, 2, 3))
     with pytest.raises(ValueError, match="muon or teon policy"):
         ortho_step(g1, OptimizerState(), UpdatePolicy.adamw(0.1), 0.1)
     with pytest.raises(ValueError, match="K=1"):
         ortho_step(g2, OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
     # the depth-1 stack takes either policy, and deeper stacks take teon
     ortho_step(g1, OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
-    ortho_step(g2, OptimizerState(), UpdatePolicy.muon(0.1), 0.1, depth=1)  # two lone matrices
+    two_lone = g2.reshape(2, 1, 2, 3)
+    ortho_step(two_lone, OptimizerState(), UpdatePolicy.muon(0.1), 0.1)
     ortho_step(g1, OptimizerState(), UpdatePolicy.teon(2, 0.1), 0.1)
     ortho_step(g2, OptimizerState(), UpdatePolicy.teon(2, 0.1), 0.1)
 
@@ -367,11 +369,11 @@ def test_ortho_step_rejects_adamw_and_muon_beyond_depth_one():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_rules_reject_a_non_finite_gradient_at_step_0(bad):
     # apply_group_step checks the gradient once, for either rule
-    g = np.ones((1, 2, 3))
-    g[0, 1, 0] = bad
+    g = np.ones((1, 1, 2, 3))
+    g[0, 0, 1, 0] = bad
     for policy in (UpdatePolicy.teon(1, 0.1), UpdatePolicy.adamw(0.1)):
         group = _one(ParamGroup("g", ("a",), ((2, 3),), policy))
-        params, states = {"g": np.zeros((1, 2, 3))}, {"g": OptimizerState()}
+        params, states = {"g": np.zeros((1, 1, 2, 3))}, {"g": OptimizerState()}
         pattern = "group 'g' at optimizer step 0: non-finite gradient rejected at step 0"
         with pytest.raises(FloatingPointError, match=pattern):
             apply_group_step(params, {"g": g}, group, states)
@@ -379,7 +381,7 @@ def test_rules_reject_a_non_finite_gradient_at_step_0(bad):
 
 
 def test_rules_are_pure_and_the_state_is_frozen():
-    g = np.random.default_rng(15).standard_normal((1, 2, 3))
+    g = np.random.default_rng(15).standard_normal((1, 1, 2, 3))
     rules = ((ortho_step, UpdatePolicy.teon(1, 0.1)), (adamw_step, UpdatePolicy.adamw(0.1)))
     for rule, policy in rules:
         _, state = rule(g, OptimizerState(), policy, policy.eta)
@@ -604,17 +606,18 @@ def test_member_views_are_slices_of_the_group_stacks(blocks, k, stack_set, optim
     assert sum(g.depth for g in groups) == len(views)
     for c in classes:
         arena = params[c.id]
-        assert arena.shape == (len(c.members),) + c.groups[0].shapes[0]
-        assert all(np.shares_memory(views[nm], arena) for nm in c.members)
+        # the (G, K) + slice shape stack of the class's groups
+        k = c.groups[0].depth
+        assert arena.shape == (len(c.groups), k) + c.groups[0].shapes[0]
+        assert c.members == tuple(nm for g in c.groups for nm in g.members)
         # slice-major arenas: a task's BLAS calls get each view without a copy
         assert all(views[nm].flags.c_contiguous for nm in c.members)
         assert c.stack(views).tobytes() == arena.tobytes()
-        # each group is the next `depth` slices of the arena, its stack
-        k = c.depth
-        assert [g.depth for g in c.groups] == [k] * len(c.groups)
-        assert [c.members[i * k : (i + 1) * k] for i in range(len(c.groups))] == [
-            g.members for g in c.groups
-        ]
+        # group i is arena[i], its stack in member order
+        for i, g in enumerate(c.groups):
+            assert g.depth == k
+            assert all(np.shares_memory(views[nm], arena[i]) for nm in g.members)
+            assert np.stack([views[nm] for nm in g.members]).tobytes() == arena[i].tobytes()
     assert sorted(g.id for c in classes for g in c.groups) == sorted(g.id for g in groups)
 
 
@@ -650,14 +653,14 @@ def test_apply_group_step_matches_direct_calls():
 
     # no decay here, so each new stack is the old one minus the rule's step
     stack = np.stack([ref["l0"], ref["l1"]])
-    gstack = np.stack([grads["l0"], grads["l1"]])
-    step, _ = ortho_step(gstack, OptimizerState(), groups[0].policy, groups[0].policy.eta)
+    gstack = np.stack([grads["l0"], grads["l1"]])[None]
+    (step,), _ = ortho_step(gstack, OptimizerState(), groups[0].policy, groups[0].policy.eta)
     new = stack - step
     np.testing.assert_array_equal(weights["l0"], new[0])
     np.testing.assert_array_equal(weights["l1"], new[1])
     head_pol = next(g for g in groups if g.id == "head").policy
-    head_step, _ = ortho_step(grads["head"][None], OptimizerState(), head_pol, head_pol.eta)
-    np.testing.assert_array_equal(weights["head"], ref["head"] - head_step[0])
+    head_step, _ = ortho_step(grads["head"][None, None], OptimizerState(), head_pol, head_pol.eta)
+    np.testing.assert_array_equal(weights["head"], ref["head"] - head_step[0, 0])
     bias_policy = next(g for g in groups if g.id == "bias").policy
     bias_step, _ = adamw_step(grads["bias"], OptimizerState(), bias_policy, bias_policy.eta)
     np.testing.assert_array_equal(weights["bias"], ref["bias"] - bias_step)
@@ -762,23 +765,23 @@ def _adamw_square_overflow():
     # (1 - b2) * g * g overflows after the first moment is already computed
     group = _one(ParamGroup("v", ("v",), ((4,),), UpdatePolicy.adamw(0.1)))
     rng = np.random.default_rng(14)
-    params, good = {"v": rng.standard_normal((1, 4))}, {"v": rng.standard_normal((1, 4))}
-    bad = {"v": np.full((1, 4), 1e200)}
+    params, good = {"v": rng.standard_normal((1, 1, 4))}, {"v": rng.standard_normal((1, 1, 4))}
+    bad = {"v": np.full((1, 1, 4), 1e200)}
     return group, params, (bad, 1.0), (good, 1.0), "overflow encountered in multiply"
 
 
 def _subtraction_overflow():
     # eta = 1e308: the rule's step is finite, W - step is not
     group = _one(ParamGroup("w", ("w",), ((2, 3),), UpdatePolicy.adamw(1.0)))
-    params, grads = {"w": np.full((1, 2, 3), -1e308)}, {"w": np.ones((1, 2, 3))}
+    params, grads = {"w": np.full((1, 1, 2, 3), -1e308)}, {"w": np.ones((1, 1, 2, 3))}
     return group, params, (grads, 1e308), (grads, 1.0), "overflow encountered in subtract"
 
 
 def _momentum_overflow():
     # exact scheme, no Newton-Schulz errstate: the second momentum add mu * M + G overflows
     group = _one(ParamGroup("w", ("w",), ((2, 2),), UpdatePolicy.muon(0.1)))
-    params = {"w": np.random.default_rng(15).standard_normal((1, 2, 2))}
-    good, bad = ({"w": np.full((1, 2, 2), v)} for v in (4e307, 1.5e308))
+    params = {"w": np.random.default_rng(15).standard_normal((1, 1, 2, 2))}
+    good, bad = ({"w": np.full((1, 1, 2, 2), v)} for v in (4e307, 1.5e308))
     return group, params, (bad, 1.0), (good, 1.0), "overflow encountered in add"
 
 
@@ -824,19 +827,20 @@ def test_a_raising_group_step_leaves_the_stack_unchanged(case):
 
 @pytest.mark.parametrize(
     "w_shape,g_shape",
-    [((2, 2, 3), (1, 2, 3)), ((1, 2, 2), (1, 2, 3))],
+    [((1, 2, 2, 3), (1, 1, 2, 3)), ((1, 1, 2, 2), (1, 1, 2, 3))],
     ids=["broadcastable", "mismatched"],
 )
 def test_apply_group_step_rejects_a_gradient_of_another_shape(w_shape, g_shape):
-    # a (1, m, n) step would broadcast silently over a (2, m, n) stack
-    k, m, n = w_shape
+    # a (1, 1, m, n) step would broadcast silently over a (1, 2, m, n) stack
+    _, k, m, n = w_shape
     policy = UpdatePolicy.teon(1, 0.1, weight_decay=0.1)
     group = _one(ParamGroup("g", tuple(f"p{i}" for i in range(k)), ((m, n),) * k, policy))
     params = {"g": np.random.default_rng(13).standard_normal(w_shape)}
     before = params["g"].copy()
     states = {"g": OptimizerState()}
-    with pytest.raises(ValueError, match=r"group 'g': gradient shape"):
+    with pytest.raises(ValueError, match=r"group 'g': gradient shape") as err:
         apply_group_step(params, {"g": np.ones(g_shape)}, group, states)
+    assert err.value.group == "g"
     assert params["g"].tobytes() == before.tobytes()
     assert states["g"] == OptimizerState()
 
@@ -849,8 +853,10 @@ def test_update_class_needs_one_policy_and_one_slice_shape():
     a = ParamGroup("a", ("a0", "a1"), ((2, 3),) * 2, teon_p)
     b = ParamGroup("b", ("b0", "b1"), ((2, 3),) * 2, teon_p)
     cls = UpdateClass((a, b))
-    assert (cls.id, cls.policy, cls.kind, cls.depth) == ("a", teon_p, TENSOR_GROUP, 2)
+    assert (cls.id, cls.policy, cls.kind) == ("a", teon_p, TENSOR_GROUP)
     assert cls.members == ("a0", "a1", "b0", "b1")
+    arena = cls.stack({nm: np.full((2, 3), float(i)) for i, nm in enumerate(cls.members)})
+    assert arena.shape == (2, 2, 2, 3) and arena[1, 0, 0, 0] == 2.0
     with pytest.raises(ValueError, match="at least one group"):
         UpdateClass(())
     message = "group 'c' does not share the policy, slice shape and depth of 'a'"
@@ -906,7 +912,7 @@ def test_a_class_step_writes_the_bytes_of_its_groups_stepped_alone(name):
             assert got.t == want.t == 3
             for buf, ref_buf in zip(got[1:], want[1:]):
                 assert (buf is None) == (ref_buf is None)
-                assert buf is None or buf[i * k : (i + 1) * k].tobytes() == ref_buf.tobytes()
+                assert buf is None or buf[i : i + 1].tobytes() == ref_buf.tobytes()
 
 
 def test_update_classes_keep_remainder_depths_and_policies_apart():
@@ -925,7 +931,8 @@ def test_update_classes_keep_remainder_depths_and_policies_apart():
         ["readout"],
         ["readout_bias"],
     ]
-    assert [c.depth for c in classes] == [2, 1, 2, 1, 2, 1, 1, 1]
+    arenas, _ = _random_stacks(layout, classes, 0)
+    assert [arenas[c.id].shape[1] for c in classes] == [2, 1, 2, 1, 2, 1, 1, 1]
     # QKV stacked: the TEON stacks and the lone Muon O matrices of the same
     # shape never share a class
     groups = build_groups(_transformer_layout(2), 2, {"QKV"}, policy=UpdatePolicy.teon(1, 0.1))
@@ -962,11 +969,11 @@ def test_a_failing_class_commits_nothing_and_names_the_failing_group():
     # zero, while the decay would still move group a's weights
     scheme = OrthoScheme(OrthoScheme.NEWTON_SCHULZ, schedule=((3.0, 400.0, -402.5),) * 12, steps=12)
     cls = _two_lone_matrices(UpdatePolicy.muon(0.1, weight_decay=0.1, scheme=scheme))
-    params = {"a": np.random.default_rng(17).standard_normal((2, 6, 6))}
+    params = {"a": np.random.default_rng(17).standard_normal((2, 1, 6, 6))}
     states = {"a": OptimizerState()}
-    apply_group_step(params, {"a": np.zeros((2, 6, 6))}, cls, states)  # momentum is held now
-    grads = np.zeros((2, 6, 6))
-    grads[1] = np.random.default_rng(18).standard_normal((6, 6))
+    apply_group_step(params, {"a": np.zeros((2, 1, 6, 6))}, cls, states)  # momentum is held now
+    grads = np.zeros((2, 1, 6, 6))
+    grads[1, 0] = np.random.default_rng(18).standard_normal((6, 6))
     before = _fingerprint(params["a"], states["a"])
     pattern = r"^group 'b' at optimizer step 1: Newton-Schulz diverged at step \d+: "
     with pytest.raises(FloatingPointError, match=pattern) as err:
@@ -980,11 +987,11 @@ def test_a_failing_class_raises_the_error_its_first_failing_group_raises_alone(f
     # eta = 1e308: the overflowing group's step is finite, W - step is not; the
     # other group's gradient holds a NaN, which the class sees first
     cls = _two_lone_matrices(UpdatePolicy.adamw(1.0), shape=(2, 3))
-    w = np.zeros((2, 2, 3))
-    g = np.ones((2, 2, 3))
+    w = np.zeros((2, 1, 2, 3))
+    g = np.ones((2, 1, 2, 3))
     over, nan = (0, 1) if first == "overflow" else (1, 0)
     w[over] = -1e308
-    g[nan, 0, 0] = np.nan
+    g[nan, 0, 0, 0] = np.nan
     params, states = {"a": w.copy()}, {"a": OptimizerState()}
     message = {
         "overflow": "group 'a' at optimizer step 0: overflow encountered in subtract",

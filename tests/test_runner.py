@@ -328,6 +328,37 @@ def test_a_run_raises_the_lowest_index_failing_group_across_classes(monkeypatch)
         run(cfg, write=False)
 
 
+def test_a_gradient_of_another_shape_raises_a_value_error_naming_its_group(
+    tmp_path, monkeypatch
+):
+    # every matrix gradient one column short: the run and the sweep name the
+    # first group that meets it, as they name a non-finite gradient's
+    import teon.runner as runner
+
+    original = runner.make_task
+
+    def shortening(*args, **kwargs):
+        task = original(*args, **kwargs)
+        full = task.loss_and_grads
+
+        def loss_and_grads(weights):
+            loss, grads = full(weights)
+            return loss, {nm: g[:, :-1] if g.ndim == 2 else g for nm, g in grads.items()}
+
+        task.loss_and_grads = loss_and_grads
+        return task
+
+    monkeypatch.setattr(runner, "make_task", shortening)
+    ini = Path(__file__).resolve().parents[1] / "configs" / "deep_linear_muon.ini"
+    cfg = replace(parse_config(ini), out_path=str(tmp_path / "run"))
+    message = "group 'w0': gradient shape (1, 1, 16, 15) does not match (1, 1, 16, 16)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        run(cfg, write=False)
+    assert err.value.group == "w0"
+    _, (row,) = sweep([cfg], tmp_path / "sweep")
+    assert row.split(",")[6] == "failed" and row.endswith(message.replace(",", ";"))
+
+
 def test_run_alignment_interval_longer_than_run_gives_header_only(tmp_path):
     cfg = parse_config_text(
         f"""
@@ -728,19 +759,21 @@ def test_gradient_metrics_equals_the_three_norm_formula_exactly(
     arenas, classes = _class_arenas(grads, groups)
     assert {g.depth for g in groups} == depths
     if k == 3:
-        stacked = [(c.depth, len(c.groups)) for c in classes if c.kind == "tensor_group"]
-        assert stacked == [(3, 4), (1, 4)]
+        stacked = [arenas[c.id].shape[:2] for c in classes if c.kind == "tensor_group"]
+        assert stacked == [(4, 3), (4, 1)]
     import teon.runner as runner
 
     seen = []
     monkeypatch.setattr(runner, "norm", lambda t, *a, **kw: seen.append(t) or norm(t, *a, **kw))
     assert gradient_metrics(arenas, classes, groups) == _three_norm_formula(grads, groups)
-    # one call on each matrix class's (G, K, m, n) arena view, one more on a deeper one's
-    calls = [c for c in classes if c.kind != VECTOR_ADAMW for _ in range(1 + (c.depth > 1))]
-    assert [t.shape for t in seen] == [
-        (len(c.groups), c.depth) + c.groups[0].shapes[0] for c in calls
+    # one call on each matrix class's (G, K, m, n) arena itself, one more on a deeper one's
+    calls = [
+        c for c in classes if c.kind != VECTOR_ADAMW for _ in range(1 + (c.groups[0].depth > 1))
     ]
-    assert all(np.shares_memory(t, arenas[c.id]) for t, c in zip(seen, calls))
+    assert len(seen) == len(calls)
+    for t, c in zip(seen, calls):
+        assert t is arenas[c.id]
+        assert t.shape == (len(c.groups), c.groups[0].depth) + c.groups[0].shapes[0]
 
 
 def test_gradient_metrics_decomposes_each_gradient_slice_once(monkeypatch):
