@@ -1,7 +1,8 @@
 """Run configuration: INI-style text with fixed sections and fail-closed
 key validation.
 
-Sections: [run] (task/steps/seed/output), [task] (per-task dimensions),
+Sections: [run] (task/steps/seed/output), [task] (the task constructor's
+parameters but `seed`, typed by their annotations, with their defaults),
 [optimizer] (UpdatePolicy fields), and optional [grouping] / [schedule].
 Unknown sections or keys are errors naming the offending section and key;
 type errors name the key and the raw value. Low-level syntax errors keep
@@ -12,11 +13,12 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import inspect
 from dataclasses import dataclass, field, replace
 
 from .optim import ADAMW, UpdatePolicy, expand_stack_set
-from .ortho import OrthoScheme
-from .tasks import TASK_NAMES
+from .ortho import PRESETS, OrthoScheme
+from .tasks import TASK_NAMES, TASKS
 
 __all__ = [
     "SCHEDULES",
@@ -39,26 +41,6 @@ _RUN_KEYS = {
     "log_every": (int, 10),
     "align_every": (int, 50),
     "log_timing": (bool, False),
-}
-_TASK_KEYS = {
-    "quadratic": {"m": (int, _MISSING), "n": (int, _MISSING), "K": (int, _MISSING)},
-    "aligned_quadratic": {
-        "m": (int, _MISSING),
-        "n": (int, _MISSING),
-        "K": (int, _MISSING),
-        "c": (float, 1.5),
-    },
-    "deep_linear": {
-        "depth": (int, _MISSING),
-        "width": (int, _MISSING),
-        "batch": (int, _MISSING),
-    },
-    "micro_attention": {
-        "dim": (int, _MISSING),
-        "seq": (int, _MISSING),
-        "batch": (int, _MISSING),
-        "blocks": (int, _MISSING),
-    },
 }
 _OPTIMIZER_KEYS = {
     "optimizer": (str, _MISSING),
@@ -85,7 +67,7 @@ _SCHEDULE_KEYS = {"kind": (str, "constant"), "warmup_ratio": (float, 0.0)}
 
 _SECTIONS = {
     "run": _RUN_KEYS,
-    "task": None,  # schema depends on [run] task
+    "task": None,  # the [run] task's constructor: _task_keys
     "optimizer": _OPTIMIZER_KEYS,
     "grouping": _GROUPING_KEYS,
     "schedule": _SCHEDULE_KEYS,
@@ -120,7 +102,9 @@ class RunConfig:
         if self.log_every < 1 or self.align_every < 1:
             raise ValueError("log_every and align_every must be >= 1")
         if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}; valid: {SCHEDULES}")
+            raise ValueError(
+                f"[schedule] kind: unknown schedule {self.schedule!r}; valid: {SCHEDULES}"
+            )
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ValueError(f"warmup_ratio must lie in [0, 1], got {self.warmup_ratio}")
         if self.schedule == "constant" and self.warmup_ratio != 0.0:
@@ -133,6 +117,16 @@ class RunConfig:
                 raise ValueError(f"[task] {key} must lie in [1, {_TASK_DIM_MAX}], got {val}")
         if self.adamw_policy.optimizer != ADAMW:
             raise ValueError("adamw_policy must be an adamw policy")
+
+
+def _task_keys(cls) -> dict:
+    """The [task] schema of a task class: its constructor's parameters but
+    `seed`, each typed by its annotation; one with no default is required."""
+    return {
+        p.name: (p.annotation, _MISSING if p.default is p.empty else p.default)
+        for p in inspect.signature(cls, eval_str=True).parameters.values()
+        if p.name != "seed"
+    }
 
 
 def _cast(raw: str, typ, source: str, section: str, key: str):
@@ -176,6 +170,11 @@ def _build_policies(opt: dict, present: set, source: str):
         if not 0.0 <= opt[key] < 1.0:  # named here: the policy knows only the pair
             raise ValueError(f"{source}: [optimizer] {key} must lie in [0, 1), got {opt[key]}")
     betas = (opt["adam_beta1"], opt["adam_beta2"])
+    if opt["adam_eta"] is not None and not 0.0 < opt["adam_eta"] < float("inf"):
+        # named here: the adamw policy calls it eta
+        raise ValueError(
+            f"{source}: [optimizer] adam_eta must be positive and finite, got {opt['adam_eta']}"
+        )
     adam_eta = opt["adam_eta"] if opt["adam_eta"] is not None else opt["eta"]
     try:
         adamw_policy = UpdatePolicy.adamw(
@@ -196,6 +195,11 @@ def _build_policies(opt: dict, present: set, source: str):
                 )
             scheme = OrthoScheme.exact()
         elif opt["scheme"] == "newton_schulz":
+            if opt["ns_preset"] not in PRESETS:  # named here: the scheme names no key
+                raise ValueError(
+                    f"unknown Newton-Schulz preset {opt['ns_preset']!r} in [optimizer] "
+                    f"ns_preset; valid: {sorted(PRESETS)}"
+                )
             scheme = OrthoScheme.newton_schulz(opt["ns_steps"], preset=opt["ns_preset"])
         else:
             raise ValueError(
@@ -240,11 +244,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ValueError(f"{source}: missing required section [{name}]")
 
     run, _ = _parse_section(cp, "run", _RUN_KEYS, source)
-    if run["task"] not in _TASK_KEYS:
+    if run["task"] not in TASK_NAMES:
         raise ValueError(
             f"{source}: [run] task must be one of {TASK_NAMES}, got {run['task']!r}"
         )
-    task_params, _ = _parse_section(cp, "task", _TASK_KEYS[run["task"]], source)
+    task_params, _ = _parse_section(cp, "task", _task_keys(TASKS[run["task"]]), source)
     opt, opt_present = _parse_section(cp, "optimizer", _OPTIMIZER_KEYS, source)
     grouping, _ = _parse_section(cp, "grouping", _GROUPING_KEYS, source)
     schedule, _ = _parse_section(cp, "schedule", _SCHEDULE_KEYS, source)

@@ -241,8 +241,23 @@ class UpdateClass:
 
     def stack(self, arrays: dict) -> np.ndarray:
         """The class's arena: the members' arrays from `arrays` (keyed by
-        name) stacked as (G, K) + their shape, group i at index i."""
-        slices = np.stack([arrays[nm] for nm in self.members])
+        name) stacked as (G, K) + their shape, group i at index i. A member
+        whose shape is not the class's slice shape raises ValueError naming
+        its group, which is also the error's `group` attribute."""
+        try:
+            slices = np.stack([arrays[nm] for nm in self.members])
+        except ValueError:  # only a failed stack pays for finding the member
+            shape = self.groups[0].shapes[0]
+            for g in self.groups:
+                for nm in g.members:
+                    if np.shape(arrays[nm]) != shape:
+                        error = ValueError(
+                            f"group {g.id!r}: member {nm!r} has shape {np.shape(arrays[nm])}, "
+                            f"not the class's slice shape {shape}"
+                        )
+                        error.group = g.id
+                        raise error from None
+            raise
         return slices.reshape(len(self.groups), -1, *slices.shape[1:])
 
 
@@ -279,6 +294,8 @@ def ortho_step(
     if gs.ndim != 4:
         raise ValueError(f"ortho_step needs a (G, K, m, n) gradient arena, got ndim={gs.ndim}")
     _, k, m, n = gs.shape  # slice dims m, n, not the unfolded ones
+    if len(gs) == 0:
+        raise ValueError("ortho_step needs a gradient arena of at least one group")
     if policy.optimizer == MUON and k != 1:
         raise ValueError(f"a muon policy updates one matrix (K=1) per group, got K={k}")
     buf = state.momentum

@@ -21,6 +21,9 @@ grouping), `init_weights(rng)`, `loss_and_grads(weights)`, and
 loss. Gradient correctness is checked by Richardson-extrapolated central
 finite differences of `loss`; micro_attention runs that check at
 construction time and refuses to instantiate if it fails.
+
+`TASKS` maps each name to its class, whose constructor's parameters but
+`seed` are the task's `[task]` config keys, typed by their annotations.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .norms import build_max_gain_tensor
 from .optim import LayoutEntry
 
 __all__ = [
+    "TASKS",
     "TASK_NAMES",
     "QuadraticTask",
     "AlignedQuadraticTask",
@@ -298,20 +302,20 @@ class MicroAttentionTask(_Task):
         return loss, grads
 
 
-_TASKS = {
+TASKS = {
     cls.name: cls
     for cls in (QuadraticTask, AlignedQuadraticTask, DeepLinearTask, MicroAttentionTask)
 }
-TASK_NAMES = tuple(_TASKS)
+TASK_NAMES = tuple(TASKS)
 
 
 def make_task(name: str, seed: int, **params):
     """Instantiate a task by name; parameter names are task-specific and
     unknown ones are rejected."""
-    if name not in _TASKS:
+    if name not in TASKS:
         raise ValueError(f"unknown task {name!r}; valid: {TASK_NAMES}")
     try:
-        return _TASKS[name](seed=seed, **params)
+        return TASKS[name](seed=seed, **params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for task {name!r}: {exc}") from None
 

@@ -337,6 +337,66 @@ MUTANTS = [
         "adam_betas pair, not as the INI key to mend",
     ),
     (
+        "task_keys_keep_seed",
+        "config.py",
+        'if p.name != "seed"',
+        "if True",
+        "the [task] schema takes the constructor's seed as a required key, so "
+        "every config fails for want of one",
+    ),
+    (
+        "task_keys_drop_defaults",
+        "config.py",
+        "_MISSING if p.default is p.empty else p.default",
+        "_MISSING",
+        "a constructor default no longer reaches the config: aligned_quadratic "
+        "requires c",
+    ),
+    (
+        "member_shape_unnamed",
+        "optim.py",
+        "if np.shape(arrays[nm]) != shape:",
+        "if False:",
+        "one member gradient of another shape fails in np.stack, naming no group "
+        "and member and setting no group attribute",
+    ),
+    (
+        "empty_arena_accepted",
+        "optim.py",
+        "if len(gs) == 0:",
+        "if False:",
+        "ortho_step on an arena of no groups returns None as its step",
+    ),
+    (
+        "ns_preset_key_unnamed",
+        "config.py",
+        'if opt["ns_preset"] not in PRESETS:',
+        "if False:",
+        "an unknown ns_preset is reported by the scheme, which names no key",
+    ),
+    (
+        "schedule_kind_key_unnamed",
+        "config.py",
+        'f"[schedule] kind: unknown schedule',
+        'f"unknown schedule',
+        "an unknown schedule kind names neither its section nor its key",
+    ),
+    (
+        "adam_eta_key_unnamed",
+        "config.py",
+        'if opt["adam_eta"] is not None and not 0.0 < opt["adam_eta"] < float("inf"):',
+        "if False:",
+        "a bad adam_eta is reported as the adamw policy's eta, naming another key",
+    ),
+    (
+        "align_every_unchecked",
+        "config.py",
+        "if self.log_every < 1 or self.align_every < 1:",
+        "if self.log_every < 1:",
+        "align_every = 0 parses and the run fails with ZeroDivisionError; only the "
+        "config fuzz test tries it",
+    ),
+    (
         "format_16_digits",
         "runner.py",
         'f"{x:.17g}"',

@@ -350,6 +350,9 @@ def test_teon_errors():
             ortho_step(np.ones((2,) * ndim), OptimizerState(), policy, policy.eta)
     with pytest.raises(TypeError):
         ortho_step(np.ones((2, 2, 2, 2)), OptimizerState(), policy, policy.eta, 2)
+    # an arena of no groups, which would have no step to return
+    with pytest.raises(ValueError, match="at least one group"):
+        ortho_step(np.zeros((0, 1, 2, 2)), OptimizerState(), muon_p, 0.1)
 
 
 def test_ortho_step_rejects_adamw_and_muon_beyond_depth_one():

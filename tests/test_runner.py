@@ -328,11 +328,26 @@ def test_a_run_raises_the_lowest_index_failing_group_across_classes(monkeypatch)
         run(cfg, write=False)
 
 
+@pytest.mark.parametrize(
+    "short,message",
+    [
+        (
+            ("w0", "w1", "w2", "w3"),
+            "group 'w0': gradient shape (1, 1, 16, 15) does not match (1, 1, 16, 16)",
+        ),
+        (
+            ("w2",),
+            "group 'w2': member 'w2' has shape (16, 15), not the class's slice shape (16, 16)",
+        ),
+    ],
+    ids=["every_member", "one_member"],
+)
 def test_a_gradient_of_another_shape_raises_a_value_error_naming_its_group(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, short, message
 ):
-    # every matrix gradient one column short: the run and the sweep name the
-    # first group that meets it, as they name a non-finite gradient's
+    # the `short` gradients one column short: the run and the sweep name the
+    # first group that meets it, as they name a non-finite gradient's; one
+    # member alone fails in the class's stack, every member in the class step
     import teon.runner as runner
 
     original = runner.make_task
@@ -343,7 +358,7 @@ def test_a_gradient_of_another_shape_raises_a_value_error_naming_its_group(
 
         def loss_and_grads(weights):
             loss, grads = full(weights)
-            return loss, {nm: g[:, :-1] if g.ndim == 2 else g for nm, g in grads.items()}
+            return loss, {nm: g[:, :-1] if nm in short else g for nm, g in grads.items()}
 
         task.loss_and_grads = loss_and_grads
         return task
@@ -351,10 +366,9 @@ def test_a_gradient_of_another_shape_raises_a_value_error_naming_its_group(
     monkeypatch.setattr(runner, "make_task", shortening)
     ini = Path(__file__).resolve().parents[1] / "configs" / "deep_linear_muon.ini"
     cfg = replace(parse_config(ini), out_path=str(tmp_path / "run"))
-    message = "group 'w0': gradient shape (1, 1, 16, 15) does not match (1, 1, 16, 16)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
         run(cfg, write=False)
-    assert err.value.group == "w0"
+    assert err.value.group == short[0]
     _, (row,) = sweep([cfg], tmp_path / "sweep")
     assert row.split(",")[6] == "failed" and row.endswith(message.replace(",", ";"))
 

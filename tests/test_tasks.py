@@ -57,7 +57,7 @@ def test_loss_is_the_loss_of_loss_and_grads_bitwise(name, seed, a, b, c):
 def test_every_task_class_defines_its_own_loss_and_grads():
     # The benchmark's tracer wraps each class's own `loss_and_grads`.
     for name in TASK_NAMES:
-        cls = teon.tasks._TASKS[name]
+        cls = teon.tasks.TASKS[name]
         assert cls.name == name and "loss_and_grads" in vars(cls), name
 
 
