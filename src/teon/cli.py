@@ -1,10 +1,9 @@
-"""Command-line front end: run / sweep / check / construct-maxgain / align-demo.
+"""Command-line front end: run / sweep / check / construct-maxgain.
 
 All failures surface as a single `error: ...` line on stderr with exit
-status 1; success output is key=value or CSV-shaped text on stdout. `sweep`
-also exits 1 when any of its runs failed, after printing `sweep.failed=N`
-and writing the summary. `align-demo` runs a config exactly as `run` does
-(same CSVs under its `out_path`), then prints the alignment records.
+status 1; success output is key=value text on stdout. `sweep` also exits 1
+when any of its runs failed, after printing `sweep.failed=N` and writing the
+summary. `check` exits 1 when any check fails.
 """
 
 from __future__ import annotations
@@ -13,10 +12,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .checks import format_check_lines, run_all_checks
+from .checks import run_all_checks
 from .config import parse_config
 from .norms import build_max_gain_tensor, norm
-from .runner import ALIGNMENT_COLUMNS, ALIGNMENT_HEADER, csv_row, format_value, run, sweep
+from .runner import format_value, run, sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -49,12 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mg.add_argument("--K", type=int, required=True)
     p_mg.add_argument("--mode", type=int, required=True, choices=(1, 2))
     p_mg.add_argument("--seed", type=int, default=0)
-
-    p_ad = sub.add_parser(
-        "align-demo",
-        help="execute one configured experiment and print its momentum alignment records",
-    )
-    p_ad.add_argument("--config", required=True, help="path to an INI run config")
     return p
 
 
@@ -83,10 +76,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    results = run_all_checks(seed=args.seed)
-    for line in format_check_lines(results):
-        print(line)
-    return 0 if all(r.ok for r in results) else 1
+    lines = run_all_checks(seed=args.seed)
+    print("\n".join(lines))
+    return 0 if lines[-1].startswith("check.summary=pass") else 1
 
 
 def _cmd_maxgain(args) -> int:
@@ -104,24 +96,11 @@ def _cmd_maxgain(args) -> int:
     return 0
 
 
-def _cmd_align_demo(args) -> int:
-    res = run(parse_config(args.config))
-    print(ALIGNMENT_HEADER)
-    print(ALIGNMENT_COLUMNS)
-    for rec in res.alignment:
-        print(csv_row(rec))
-    print(f"alignment.records={len(res.alignment)}")
-    print(f"alignment.final_loss={format_value(res.summary['final_loss'])}")
-    print(f"alignment.csv_path={res.alignment_path}")
-    return 0
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "sweep": _cmd_sweep,
     "check": _cmd_check,
     "construct-maxgain": _cmd_maxgain,
-    "align-demo": _cmd_align_demo,
 }
 
 

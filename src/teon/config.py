@@ -256,7 +256,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     policy, adamw_policy = _build_policies(opt, opt_present, source)
     stack_set = tuple(tok.strip() for tok in grouping["stack_set"].split(",") if tok.strip())
     try:
-        return RunConfig(
+        cfg = RunConfig(
             task=run["task"],
             steps=run["steps"],
             seed=run["seed"],
@@ -274,6 +274,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         )
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
+    try:  # after RunConfig, which bounds every [task] integer
+        TASKS[cfg.task].check_params(**cfg.task_params)
+    except ValueError as exc:
+        raise ValueError(f"{source}: [task] {exc}") from None
+    return cfg
 
 
 def parse_config(path) -> RunConfig:

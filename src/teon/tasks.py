@@ -23,7 +23,8 @@ finite differences of `loss`; micro_attention runs that check at
 construction time and refuses to instantiate if it fails.
 
 `TASKS` maps each name to its class, whose constructor's parameters but
-`seed` are the task's `[task]` config keys, typed by their annotations.
+`seed` are the task's `[task]` config keys, typed by their annotations, and
+whose `check_params` holds the task's rules for their values.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ class _Task:
     pass that its `loss_and_grads` continues from `cache`; so `loss` costs no
     backward pass and equals `loss_and_grads(weights)[0]` bitwise."""
 
+    @classmethod
+    def check_params(cls, **params):
+        """Raise ValueError, its message starting with the key, on a parameter
+        (every constructor parameter but `seed`) that the task refuses. The
+        constructor and the config parser both call it."""
+        _positive(**params)
+
     def loss(self, weights: dict) -> float:
         return self._evaluate(weights)[0]
 
@@ -67,7 +75,7 @@ class QuadraticTask(_Task):
     name = "quadratic"
 
     def __init__(self, m: int, n: int, K: int, seed: int):
-        _positive(m=m, n=n, K=K)
+        self.check_params(m=m, n=n, K=K)
         rng = np.random.default_rng([seed, 81])
         self.m, self.n, self.K = m, n, K
         self.curvature = rng.uniform(0.5, 1.5, (m, n, K))
@@ -96,16 +104,20 @@ class AlignedQuadraticTask(_Task):
     name = "aligned_quadratic"
 
     def __init__(self, m: int, n: int, K: int, seed: int, c: float = 1.5):
-        _positive(m=m, n=n, K=K)
-        if K > m:
-            raise ValueError(f"the aligned cone needs K <= m, got K={K}, m={m}")
-        if not (np.isfinite(c) and c != 0):
-            raise ValueError(f"c must be finite and nonzero, got {c}")
+        self.check_params(m=m, n=n, K=K, c=c)
         self.m, self.n, self.K, self.c = m, n, K, float(c)
         self.gstar = build_max_gain_tensor(m, n, K, mode=2, seed=seed)
         # kept (m, n, K): the loss sums in memory order, and (K, m, n) moves its last bits
         self.target = self.c * self.gstar.transpose(1, 2, 0)
         self.layout = [LayoutEntry(f"layer{k}", "W", (m, n), k) for k in range(K)]
+
+    @classmethod
+    def check_params(cls, m, n, K, c):
+        _positive(m=m, n=n, K=K)
+        if K > m:
+            raise ValueError(f"K must not exceed m (the aligned cone needs K <= m), got {K} > {m}")
+        if not (np.isfinite(c) and c != 0):
+            raise ValueError(f"c must be finite and nonzero, got {c}")
 
     def init_weights(self, rng) -> dict:
         return {f"layer{k}": np.zeros((self.m, self.n)) for k in range(self.K)}
@@ -128,7 +140,7 @@ class DeepLinearTask(_Task):
     name = "deep_linear"
 
     def __init__(self, depth: int, width: int, batch: int, seed: int):
-        _positive(depth=depth, width=width, batch=batch)
+        self.check_params(depth=depth, width=width, batch=batch)
         rng = np.random.default_rng([seed, 82])
         self.depth, self.width, self.batch = depth, width, batch
         self.x = rng.standard_normal((width, batch))
@@ -190,9 +202,7 @@ class MicroAttentionTask(_Task):
         blocks: int,
         seed: int,
     ):
-        _positive(dim=dim, seq=seq, batch=batch, blocks=blocks)
-        if blocks < 2:
-            raise ValueError(f"need at least 2 blocks, got {blocks}")
+        self.check_params(dim=dim, seq=seq, batch=batch, blocks=blocks)
         rng = np.random.default_rng([seed, 83])
         self.dim, self.seq, self.batch, self.blocks = dim, seq, batch, blocks
         self.hidden = 2 * dim
@@ -208,6 +218,12 @@ class MicroAttentionTask(_Task):
         layout.append(LayoutEntry("readout_bias", "bias", (dim,), None))
         self.layout = layout
         self._fd_gate(seed)
+
+    @classmethod
+    def check_params(cls, **params):
+        super().check_params(**params)
+        if params["blocks"] < 2:
+            raise ValueError(f"blocks must be at least 2, got {params['blocks']}")
 
     def _fd_gate(self, seed: int):
         weights = self.init_weights(np.random.default_rng([seed, 84]))

@@ -404,6 +404,22 @@ MUTANTS = [
         "every written float loses its 17th significant digit and no longer reads "
         "back to the same double",
     ),
+    (
+        "task_rules_skipped_at_parse",
+        "config.py",
+        "TASKS[cfg.task].check_params(**cfg.task_params)",
+        "pass",
+        "c = nan or K > m under [task] parses, and the run fails in the task "
+        "constructor, naming neither the file nor [task]",
+    ),
+    (
+        "check_discards_its_defect",
+        "checks.py",
+        "worst = np.maximum(worst, abs(obj + eta * norm(g, mode, dual=True)))",
+        "worst = np.maximum(worst, 0.0)",
+        "ntr_oracle reads 0 whatever the steps: teon check and criterion 4 no "
+        "longer measure obj = -eta * dual norm",
+    ),
 ]
 
 # Runs in the child: pytest must see the mutated copy, not an installed teon.

@@ -13,18 +13,19 @@ from pathlib import Path
 import numpy as np
 
 from oracles import convergence_bound_pair, per_parameter_fd_errors, primal_norm_batch
-from teon.config import parse_config_text
-from teon.diagnostics import top_singular_alignment
-from teon.linalg import fold, matricize
-from teon.norms import (
-    BoundInputs,
-    build_max_gain_tensor,
-    check_comparability,
-    eval_ntr_bound,
-    norm,
-    ntr_step_muon,
-    ntr_step_teon,
+from teon.checks import (
+    bound_identity,
+    gradient_fd,
+    matricize_roundtrip,
+    max_gain_ratio,
+    norm_sandwich,
+    ns_matches_exact,
+    ntr_oracle,
+    ortho_exact_defects,
 )
+from teon.config import RunConfig, parse_config_text
+from teon.diagnostics import top_singular_alignment
+from teon.norms import build_max_gain_tensor, ntr_step_muon, ntr_step_teon
 from teon.optim import (
     OptimizerState,
     UpdateClass,
@@ -33,10 +34,9 @@ from teon.optim import (
     build_groups,
     member_views,
 )
-from teon.ortho import OrthoScheme, apply_ortho, ortho_exact
+from teon.ortho import OrthoScheme
 from teon.runner import run
-from teon.config import RunConfig
-from teon.tasks import finite_difference_check, make_task
+from teon.tasks import make_task
 
 
 @contextmanager
@@ -55,68 +55,33 @@ def criterion(n, desc, budget_s):
 def test_criterion_01_matricization_round_trip():
     with criterion(1, "matricization round-trip + norm invariance, 1000 tensors", 5):
         rng = np.random.default_rng(1001)
-        for _ in range(1000):
-            m, n = rng.integers(1, 17, size=2)
-            k = rng.integers(1, 9)
-            t = rng.standard_normal((k, m, n))
-            ft = np.linalg.norm(t)
-            for mode in (1, 2, 3):
-                mat = matricize(t, mode)
-                assert np.array_equal(fold(mat, mode, t.shape), t)
-                assert abs(np.linalg.norm(mat) - ft) <= 1e-12 * ft
+        assert matricize_roundtrip(rng, 1000, (1, 17), (1, 9)) <= 1e-12
 
 
 def test_criterion_02_polar_correctness():
     with criterion(2, "ortho_exact invariants + cubic NS-30 agreement, 500+500", 30):
         rng = np.random.default_rng(1002)
-        for _ in range(500):
-            m, n = rng.integers(1, 33, size=2)
-            o = ortho_exact(rng.standard_normal((m, n)))
-            gram = o.T @ o if m >= n else o @ o.T
-            assert np.abs(gram - np.eye(gram.shape[0])).max() <= 1e-10
-            assert np.abs(ortho_exact(o) - o).max() <= 1e-9
-        scheme = OrthoScheme.newton_schulz(30, preset="cubic")
-        for _ in range(500):
-            m, n = rng.integers(2, 33, size=2)
-            r = min(m, n)
-            u = np.linalg.qr(rng.standard_normal((m, m)))[0][:, :r]
-            v = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :r]
-            a = (u * rng.uniform(0.1, 1.0, size=r)) @ v.T
-            assert np.abs(apply_ortho(a, scheme) - ortho_exact(a)).max() <= 1e-6
+        gram, idempotence = ortho_exact_defects(rng, 500, (1, 33))
+        assert gram <= 1e-10 and idempotence <= 1e-9
+        assert ns_matches_exact(rng, 500, (2, 33)) <= 1e-6
 
 
 def test_criterion_03_norm_lemma_suite():
     with criterion(3, "comparability + dual + rho=1, 1000 tensors; max-gain ratio", 60):
-        rng = np.random.default_rng(1003)
-        for _ in range(1000):
-            m, n = rng.integers(1, 17, size=2)
-            k = rng.integers(1, 9)
-            t = rng.standard_normal((k, m, n))
-            frob = np.linalg.norm(t)
-            for mode in (1, 2):
-                rep = check_comparability(t, mode)
-                assert not rep.violation
-                assert rep.teon_primal <= frob + 1e-9 * frob  # rho = 1
-            assert norm(t) <= frob + 1e-9 * frob
-        g = build_max_gain_tensor(8, 8, 4, 1, seed=0)
-        ratio = norm(g, 1) / norm(g)
-        assert abs(ratio - 2.0) <= 1e-9
+        assert norm_sandwich(np.random.default_rng(1003), 1000, (1, 17), (1, 9)) <= 1e-9
+        assert max_gain_ratio(8, 8, 4, seed=0) <= 1e-9
 
 
 def test_criterion_04_steepest_descent_oracle():
     with criterion(4, "NTR oracle: obj = -eta*dual; beats 1e4 sampled directions x200", 120):
-        rng = np.random.default_rng(1004)
         eta = 0.7
+        assert ntr_oracle(np.random.default_rng(1004), 200, (1, 4), (1, 4), eta) <= 1e-8
+        rng = np.random.default_rng(1004)
         for _ in range(200):
             m, n, k = rng.integers(1, 4, size=3)
             g = rng.standard_normal((k, m, n))
-            for mode, step in (
-                (1, ntr_step_teon(g, 1, eta)),
-                (None, ntr_step_muon(g, eta)),
-            ):
+            for mode, step in ((1, ntr_step_teon(g, 1, eta)), (None, ntr_step_muon(g, eta))):
                 obj = float(np.sum(g * step))
-                dual = norm(g, mode, dual=True)
-                assert abs(obj + eta * dual) <= 1e-8
                 cand = rng.standard_normal((10_000, k, m, n))
                 norms = primal_norm_batch(cand, mode)
                 cand *= (eta / norms)[:, None, None, None]
@@ -126,20 +91,8 @@ def test_criterion_04_steepest_descent_oracle():
 
 def test_criterion_05_bound_formulas():
     with criterion(5, "eta* identity on 100-point grid; bound-pair ratio endpoints", 1):
-        pts = 0
-        for d0 in (0.1, 0.5, 1.0, 2.0, 5.0):
-            for lips in (0.25, 0.5, 1.0, 2.0, 4.0):
-                for t_steps in (10, 100, 1000, 10_000):
-                    eta_star = np.sqrt(2.0 * d0 / (t_steps * lips))
-                    val = eval_ntr_bound(
-                        BoundInputs(
-                            delta0=d0, L=lips, eta=eta_star,
-                            mu=0.0, sigma=0.0, rho=1.0, T=t_steps,
-                        )
-                    )
-                    assert abs(val - np.sqrt(2.0 * lips * d0 / t_steps)) <= 1e-12
-                    pts += 1
-        assert pts == 100
+        grid = ((0.1, 0.5, 1.0, 2.0, 5.0), (0.25, 0.5, 1.0, 2.0, 4.0), (10, 100, 1000, 10_000))
+        assert bound_identity(*grid) <= 1e-12
         k = 4
         lo_t, lo_m = convergence_bound_pair(1.3, 250, 0.7, 0.7)
         assert lo_m / lo_t == 1.0  # L_teon == L_muon endpoint
@@ -193,10 +146,7 @@ def test_criterion_07_gradient_fidelity():
             ("deep_linear", {"depth": 3, "width": 12, "batch": 8}),
             ("micro_attention", {"dim": 8, "seq": 6, "batch": 4, "blocks": 2}),
         ]
-        for name, params in specs:
-            task = make_task(name, 42, **params)
-            weights = task.init_weights(np.random.default_rng([42, 1]))
-            assert finite_difference_check(task, weights, directions=20, seed=5) <= 1e-5
+        assert gradient_fd(specs, seed=42, fd_seed=5, directions=20) <= 1e-5
         attn = make_task("micro_attention", 42, dim=8, seq=6, batch=4, blocks=2)
         weights = attn.init_weights(np.random.default_rng([42, 1]))
         per_param = per_parameter_fd_errors(attn, weights, seed=5)

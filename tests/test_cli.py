@@ -1,15 +1,21 @@
 """CLI surface: exit codes, output shape, error routing."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import teon
+from teon import checks
 from teon.cli import main
+from teon.optim import UpdatePolicy
+from teon.tasks import DeepLinearTask
 
 GOOD_INI = """
 [run]
@@ -60,14 +66,53 @@ def test_check_command_passes(capsys):
     assert out.count("=pass") >= 10
 
 
-def test_check_result_failure_formatting():
-    from teon.checks import CheckResult, format_check_lines
+def _nan_w0_gradient(loss_and_grads):
+    def faulty(self, weights):
+        loss, grads = loss_and_grads(self, weights)
+        return loss, dict(grads, w0=grads["w0"] * np.nan)
 
-    bad = CheckResult("k1_collapse", False, "trajectories diverged")
-    good = CheckResult("ntr_oracle", True, "max obj defect 1e-15")
-    lines = format_check_lines([bad, good])
-    assert lines[0] == "check.k1_collapse=FAIL (trajectories diverged)"
-    assert lines[-1] == "check.summary=FAIL (1/2 ok)"
+    return faulty
+
+
+def _next_seed(run):
+    seeds = itertools.count()
+    return lambda cfg, write: run(replace(cfg, seed=next(seeds)), write=write)
+
+
+# check -> (owner, attribute, fault built from the attribute): one wrong
+# measurement per check, which that check must report
+PLANTED_FAULTS = {
+    "matricize_roundtrip": (checks, "fold", lambda fold: lambda *a: fold(*a)[1:]),
+    "ortho_exact": (checks, "ortho_exact", lambda ortho: lambda u: u),
+    "ns_matches_exact": (checks, "apply_ortho", lambda apply: lambda a, scheme: a),
+    # rho = 1 fails on twice the tensor
+    "norm_sandwich": (checks, "check_comparability", lambda cc: lambda t, mode: cc(2 * t, mode)),
+    # the other mode's construction
+    "max_gain_ratio": (
+        checks,
+        "build_max_gain_tensor",
+        lambda build: lambda m, n, k, mode, seed: build(m, n, k, 3 - mode, seed),
+    ),
+    "ntr_oracle": (checks, "norm", lambda norm: lambda *a, **kw: 2 * norm(*a, **kw)),
+    "bound_identity": (checks, "eval_ntr_bound", lambda bound: lambda b: 1.01 * bound(b)),
+    "k1_collapse": (
+        UpdatePolicy, "teon", lambda teon: lambda mode, eta, **kw: teon(mode, 2 * eta, **kw)
+    ),
+    "gradient_fd": (DeepLinearTask, "loss_and_grads", _nan_w0_gradient),
+    "run_determinism": (checks, "run", _next_seed),  # each run takes the next seed
+}
+
+
+@pytest.mark.parametrize("name", PLANTED_FAULTS)
+def test_check_reports_a_planted_fault(monkeypatch, capsys, name):
+    owner, attr, fault = PLANTED_FAULTS[name]
+    monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [ln for ln in lines if ln.startswith(f"check.{name}=")]
+    assert line.startswith(f"check.{name}=FAIL (defect ")
+    n_ok = sum("=pass (" in ln for ln in lines)
+    assert len(lines) == 11 and lines[-1] == f"check.summary=FAIL ({n_ok}/10 ok)"
 
 
 def test_construct_maxgain_prints_ratio(capsys):
@@ -126,16 +171,19 @@ def test_run_command_reports_an_allocation_failure_in_one_error_line(
     assert not (tmp_path / "out").exists()
 
 
-def test_run_command_rejects_bad_config(tmp_path, capsys):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text(
+def test_run_command_rejects_a_missing_or_bad_config(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(
         GOOD_INI.format(out=tmp_path / "out").replace("seed = 4", "seed = 4\nbogus = 1"),
         encoding="utf-8",
     )
-    assert main(["run", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "unknown key 'bogus'" in err
+    for path, message in ((tmp_path / "nope.ini", "nope.ini"), (bad, "unknown key 'bogus'")):
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and message in line
+        assert captured.out == ""
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def _assert_config_error_before_any_run(tmp_path, capsys, command, ini, message):
@@ -169,11 +217,6 @@ def test_repeated_stack_set_token_fails_before_any_run(tmp_path, capsys, command
     ini = GOOD_INI.format(out=tmp_path / "out").replace("stack_set = W", "stack_set = W,W")
     message = "stack_set repeats token 'W'"
     _assert_config_error_before_any_run(tmp_path, capsys, command, ini, message)
-
-
-def test_run_command_missing_file(tmp_path, capsys):
-    assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_command(tmp_path, capsys):
@@ -217,89 +260,6 @@ def test_sweep_empty_dir_errors(tmp_path, capsys):
     cdir.mkdir()
     assert main(["sweep", "--config-dir", str(cdir)]) == 1
     assert "no *.ini configs" in capsys.readouterr().err
-
-
-ATTENTION_INI = """
-[run]
-task = micro_attention
-steps = 4
-seed = 0
-out_path = {out}
-align_every = 2
-
-[task]
-dim = 4
-seq = 3
-batch = 2
-blocks = 2
-
-[optimizer]
-optimizer = teon
-eta = 0.05
-mode = 1
-"""
-
-
-def _align_demo(tmp_path, capsys, ini):
-    """Run `align-demo` on `ini` (its `{out}` filled in) and return the printed
-    lines and the bytes of the alignment.csv the run wrote."""
-    cfg = tmp_path / "demo.ini"
-    cfg.write_text(ini.format(out=tmp_path / "demo"), encoding="utf-8")
-    assert main(["align-demo", "--config", str(cfg)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    csv_path = tmp_path / "demo" / "alignment.csv"
-    assert lines[-1] == f"alignment.csv_path={csv_path}"
-    return lines, csv_path.read_bytes()
-
-
-def _printed_records(lines, written):
-    """The printed record rows, once checked against the trailer and, with
-    the header, byte for byte against the written alignment.csv."""
-    assert lines[:2] == ["# teon-alignment v1", "step,pair_id,left_align,right_align,sigma_gap"]
-    assert lines[-2].startswith("alignment.final_loss=")
-    rows = lines[2:-3]
-    assert lines[-3] == f"alignment.records={len(rows)}"
-    assert "".join(ln + "\n" for ln in lines[:-3]).encode() == written
-    return rows
-
-
-def test_align_demo_prints_records(tmp_path, capsys):
-    assert _printed_records(*_align_demo(tmp_path, capsys, ATTENTION_INI))
-
-
-def test_align_demo_prints_records_on_a_non_attention_task(tmp_path, capsys):
-    rows = _printed_records(*_align_demo(tmp_path, capsys, GOOD_INI))
-    assert {row.split(",")[0] for row in rows} == {"3", "6"}
-
-
-def test_align_demo_prints_no_records_under_adamw(tmp_path, capsys):
-    # adamw keeps no momentum buffer, so there is nothing to align
-    ini = ATTENTION_INI.replace("optimizer = teon", "optimizer = adamw").replace("mode = 1\n", "")
-    assert _printed_records(*_align_demo(tmp_path, capsys, ini)) == []
-
-
-def test_align_demo_writes_the_csvs_that_run_writes(tmp_path, capsys):
-    _align_demo(tmp_path, capsys, GOOD_INI)
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(GOOD_INI.format(out=tmp_path / "run"), encoding="utf-8")
-    assert main(["run", "--config", str(cfg)]) == 0
-    for name in ("metrics.csv", "alignment.csv"):
-        assert (tmp_path / "demo" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
-
-
-def test_align_demo_rejects_a_missing_or_bad_config(tmp_path, capsys):
-    bad = tmp_path / "bad.ini"
-    bad.write_text(
-        GOOD_INI.format(out=tmp_path / "out").replace("seed = 4", "seed = 4\nbogus = 1"),
-        encoding="utf-8",
-    )
-    for path, message in ((tmp_path / "nope.ini", "nope.ini"), (bad, "unknown key 'bogus'")):
-        assert main(["align-demo", "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        (line,) = captured.err.splitlines()
-        assert line.startswith("error:") and message in line
-        assert captured.out == ""
-    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

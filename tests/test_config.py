@@ -261,6 +261,22 @@ def test_a_task_dimension_at_its_bound_parses():
     assert cfg.task_params == {"m": _TASK_DIM_MAX, "n": 3, "K": 4}
 
 
+@pytest.mark.parametrize(
+    "task,params,message",
+    [
+        ("aligned_quadratic", "m = 16\nn = 16\nK = 4\nc = nan", "c must be finite and nonzero"),
+        ("aligned_quadratic", "m = 16\nn = 16\nK = 4\nc = 0", "c must be finite and nonzero"),
+        ("aligned_quadratic", "m = 16\nn = 16\nK = 17", "K must not exceed m"),
+        ("micro_attention", "dim = 4\nseq = 3\nbatch = 2\nblocks = 1", "blocks must be at least 2"),
+    ],
+)
+def test_a_task_rule_fails_at_parse_time_naming_its_key(task, params, message):
+    text = MINIMAL.replace("quadratic", task).replace("m = 4\nn = 3\nK = 4", params)
+    with pytest.raises(ValueError) as info:
+        parse_config_text(text, source="bad.ini")
+    assert str(info.value).startswith(f"bad.ini: [task] {message}")
+
+
 def test_runconfig_validation_surface():
     with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
         parse_config_text(MINIMAL.replace("steps = 5", "steps = 0"))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import mode2_polar_reference, update_classes
+from teon.checks import k1_collapse
 from teon.norms import build_max_gain_tensor
 from teon.optim import (
     ACCUMULATE,
@@ -247,20 +248,9 @@ def test_muon_shape_errors_and_buffer_stability():
     ids=["exact", "ns-jordan"],
 )
 def test_teon_k1_matches_muon_bitwise(style, scheme):
-    # the same engine under a muon and a teon mode-1 policy
-    rng = np.random.default_rng(4)
+    # the same engine under a muon and a teon mode-1 policy, over 20 steps
     kw = dict(eta=0.07, mu=0.9, momentum_style=style, scheme=scheme, weight_decay=0.01)
-    muon_g = _one(ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.muon(**kw)))
-    teon_g = _one(ParamGroup("w", ("w",), ((3, 2),), UpdatePolicy.teon(1, **kw)))
-    pm = {"w": rng.standard_normal((1, 1, 3, 2))}
-    pt = {"w": pm["w"].copy()}
-    sm, st = {"w": OptimizerState()}, {"w": OptimizerState()}
-    for _ in range(20):
-        g = {"w": rng.standard_normal((1, 1, 3, 2))}
-        apply_group_step(pm, g, muon_g, sm)
-        apply_group_step(pt, g, teon_g, st)
-        assert pt["w"].tobytes() == pm["w"].tobytes()
-        assert st["w"].momentum.tobytes() == sm["w"].momentum.tobytes()
+    assert k1_collapse(np.random.default_rng(4), 20, **kw) == 0.0
 
 
 def test_teon_aligned_rank_one_family_exact_when_full_row_rank():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 import teon.tasks
 from oracles import full_evaluation_fd_error, per_parameter_fd_errors, traced_peak
-from teon.checks import _gradient_fd
 from teon.norms import build_max_gain_tensor
 from teon.tasks import (
     TASK_NAMES,
@@ -109,18 +108,6 @@ def test_micro_attention_fd_gate_rejects_a_nan_gradient():
 
     with pytest.raises(RuntimeError, match="max relative error inf"):
         NanGrad(dim=4, seq=2, batch=2, blocks=2, seed=0)
-
-
-def test_check_battery_gradient_fd_fails_on_a_nan_gradient(monkeypatch):
-    honest = DeepLinearTask.loss_and_grads
-
-    def nan_grads(self, weights):
-        loss, grads = honest(self, weights)
-        return loss, dict(grads, w0=grads["w0"] * np.nan)
-
-    monkeypatch.setattr(DeepLinearTask, "loss_and_grads", nan_grads)
-    result = _gradient_fd(0)
-    assert not result.ok and result.detail == "max rel err inf"
 
 
 BAD_FD_ARGUMENTS = {
@@ -353,7 +340,7 @@ def test_micro_attention_fd_gate_rejects_one_percent_error_at_dim64_blocks6(seed
 
 
 def test_micro_attention_validation():
-    with pytest.raises(ValueError, match="2 blocks"):
+    with pytest.raises(ValueError, match="blocks must be at least 2, got 1"):
         MicroAttentionTask(dim=4, seq=2, batch=2, blocks=1, seed=0)
     with pytest.raises(ValueError):
         MicroAttentionTask(dim=0, seq=2, batch=2, blocks=2, seed=0)
