@@ -115,24 +115,26 @@ class UpdatePolicy:
     def __post_init__(self):
         if self.optimizer not in (TEON, MUON, ADAMW):
             raise ValueError(
-                f"unknown optimizer {self.optimizer!r}; valid: {(TEON, MUON, ADAMW)}"
+                f"optimizer must be one of {(TEON, MUON, ADAMW)}, got {self.optimizer!r}"
             )
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.optimizer == TEON:
             if self.mode not in (1, 2):
-                raise ValueError(f"teon needs mode in {{1,2}}, got {self.mode!r}")
+                raise ValueError(f"mode must be 1 or 2 under teon, got {self.mode!r}")
         elif self.mode is not None:
             raise ValueError(f"mode is a teon-only field, got {self.mode!r}")
         if not 0.0 <= self.mu < 1.0:
             raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
         if self.momentum_style not in (ACCUMULATE, EMA):
-            raise ValueError(f"unknown momentum_style {self.momentum_style!r}")
+            raise ValueError(
+                f"momentum_style must be one of {(ACCUMULATE, EMA)}, got {self.momentum_style!r}"
+            )
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.optimizer == ADAMW:
             if self.scheme is not None:
-                raise ValueError("adamw does not orthogonalize; scheme must be None")
+                raise ValueError("scheme must be None under adamw, which does not orthogonalize")
             b1, b2 = self.adam_betas
             if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
                 raise ValueError(f"adam_betas must lie in [0, 1), got {self.adam_betas}")
@@ -363,7 +365,7 @@ def expand_stack_set(stack_set) -> tuple[str, ...]:
     for i, token in enumerate(tokens):
         if token not in STACK_TOKENS:
             raise ValueError(
-                f"unknown stack_set token {token!r}; valid: {sorted(STACK_TOKENS)}"
+                f"stack_set token {token!r} is unknown; valid: {sorted(STACK_TOKENS)}"
             )
         if token in tokens[:i]:
             raise ValueError(f"stack_set repeats token {token!r}")

@@ -125,7 +125,7 @@ class OrthoScheme:
         """Build an NS scheme from a name in ``PRESETS``, fitted to `steps`
         (1 to ``_NS_STEPS_MAX``)."""
         if preset not in PRESETS:
-            raise ValueError(f"unknown Newton-Schulz preset {preset!r}; valid: {sorted(PRESETS)}")
+            raise ValueError(f"ns_preset must be one of {sorted(PRESETS)}, got {preset!r}")
         if not 1 <= steps <= _NS_STEPS_MAX:
             raise ValueError(f"ns_steps must lie in [1, {_NS_STEPS_MAX}], got {steps}")
         return cls(

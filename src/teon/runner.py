@@ -304,7 +304,13 @@ def run(cfg: RunConfig, *, write: bool = True) -> RunResult:
                 raise FloatingPointError(f"non-finite loss at step {t}: {exc}") from exc
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at step {t}")
-            grads = {c.id: c.stack(grads) for c in classes}
+            # each class's arena replaces its member gradients, taken from a
+            # copy of the task's dict, so a step holds each gradient once
+            members, grads = dict(grads), {}
+            for c in classes:
+                grads[c.id] = c.stack(members)
+                for name in c.members:
+                    del members[name]
             factor = schedule_factor(t, cfg.steps, cfg.schedule, cfg.warmup_ratio)
             pending = [
                 pool.submit(_step_lane, lane, params, grads, states, factor) for lane in lanes[1:]

@@ -115,7 +115,7 @@ class AlignedQuadraticTask(_Task):
     def check_params(cls, m, n, K, c):
         _positive(m=m, n=n, K=K)
         if K > m:
-            raise ValueError(f"K must not exceed m (the aligned cone needs K <= m), got {K} > {m}")
+            raise ValueError(f"m must be at least K (the aligned cone needs K <= m), got {m} < {K}")
         if not (np.isfinite(c) and c != 0):
             raise ValueError(f"c must be finite and nonzero, got {c}")
 

@@ -5,12 +5,13 @@
 For each entry (only the named ones when IDs are given; an unknown ID exits
 1), the script copies `src/teon` into a temporary directory, replaces the
 entry's old text (which must occur exactly once in its file) with the new
-text, and runs the tier-1 suite (`pytest -x -q tests`) with that
-copy first on the import path; before the tests run it checks that `teon`
-was imported from the copy. A mutant is killed when the suite fails. The
-script prints one line per entry and exits 1 if any mutant survives or a
-run does not start. Every entry changes what the program computes, so a
-survivor is a gap in the tests, not noise.
+text, and runs the tier-1 suite (`pytest -x -q` over the files of `tests`
+in name order, but `tests/test_acceptance.py` last: its slow criteria are
+rarely the first to fail) with that copy first on the import path; before
+the tests run it checks that `teon` was imported from the copy. A mutant is
+killed when the suite fails. The script prints one line per entry and exits
+1 if any mutant survives or a run does not start. Every entry changes what
+the program computes, so a survivor is a gap in the tests, not noise.
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ MUTANTS = [
     (
         "task_keys_keep_seed",
         "config.py",
-        'if p.name != "seed"',
+        'if p != "seed"',
         "if True",
         "the [task] schema takes the constructor's seed as a required key, so "
         "every config fails for want of one",
@@ -347,10 +348,10 @@ MUTANTS = [
     (
         "task_keys_drop_defaults",
         "config.py",
-        "_MISSING if p.default is p.empty else p.default",
-        "_MISSING",
-        "a constructor default no longer reaches the config: aligned_quadratic "
-        "requires c",
+        "(params[p].annotation, params[p].default)",
+        "(params[p].annotation, _MISSING)",
+        "no parameter's default reaches the config: every key is required, "
+        "aligned_quadratic's c and [run] log_every among them",
     ),
     (
         "member_shape_unnamed",
@@ -369,10 +370,11 @@ MUTANTS = [
     ),
     (
         "ns_preset_key_unnamed",
-        "config.py",
-        'if opt["ns_preset"] not in PRESETS:',
-        "if False:",
-        "an unknown ns_preset is reported by the scheme, which names no key",
+        "ortho.py",
+        'f"ns_preset must be one of',
+        'f"preset must be one of',
+        "an unknown ns_preset is reported under the scheme's parameter name, "
+        "not the key to mend",
     ),
     (
         "schedule_kind_key_unnamed",
@@ -391,8 +393,8 @@ MUTANTS = [
     (
         "align_every_unchecked",
         "config.py",
-        "if self.log_every < 1 or self.align_every < 1:",
-        "if self.log_every < 1:",
+        "if self.align_every < 1:",
+        "if False:",
         "align_every = 0 parses and the run fails with ZeroDivisionError; only the "
         "config fuzz test tries it",
     ),
@@ -420,6 +422,36 @@ MUTANTS = [
         "ntr_oracle reads 0 whatever the steps: teon check and criterion 4 no "
         "longer measure obj = -eta * dual norm",
     ),
+    (
+        "norm_sandwich_ignores_violation",
+        "checks.py",
+        '            if rep.violation:\n                return float("inf")\n',
+        "",
+        "norm_sandwich passes a tensor whose comparability inequalities fail, as "
+        "long as its norms stay within the Frobenius bound",
+    ),
+    (
+        "nan_loss_unchecked",
+        "runner.py",
+        "if not np.isfinite(loss):",
+        "if False:",
+        "a task's NaN loss with finite gradients is written to the CSV silently",
+    ),
+    (
+        "task_gradients_consumed",
+        "runner.py",
+        "members, grads = dict(grads), {}",
+        "members, grads = grads, {}",
+        "a step empties the gradient dict the task returned, which the task may "
+        "still hold",
+    ),
+    (
+        "stack_set_section_unnamed",
+        "config.py",
+        'raise ValueError(f"[grouping] {exc}") from None',
+        "raise",
+        "a bad stack_set token is reported without its [grouping] section",
+    ),
 ]
 
 # Runs in the child: pytest must see the mutated copy, not an installed teon.
@@ -428,11 +460,13 @@ MUTANTS = [
 OFFSET = 10
 BOOT = f"""
 import sys
+from pathlib import Path
 import pytest
 import teon
 if not teon.__file__.startswith(sys.argv[1]):
     sys.exit(f"the tests would import {{teon.__file__}}, not the mutated copy")
-sys.exit({OFFSET} + pytest.main(["-x", "-q", "-p", "no:cacheprovider", "tests"]))
+files = sorted(Path("tests").glob("test_*.py"), key=lambda p: (p.name == "test_acceptance.py", p))
+sys.exit({OFFSET} + pytest.main(["-x", "-q", "-p", "no:cacheprovider", *map(str, files)]))
 """
 
 

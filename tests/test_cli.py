@@ -115,6 +115,15 @@ def test_check_reports_a_planted_fault(monkeypatch, capsys, name):
     assert len(lines) == 11 and lines[-1] == f"check.summary=FAIL ({n_ok}/10 ok)"
 
 
+def test_norm_sandwich_fails_on_a_violation_its_norms_do_not_show(monkeypatch):
+    # every norm exact, so the Frobenius excess stays at rounding level
+    flagged = checks.check_comparability
+    monkeypatch.setattr(
+        checks, "check_comparability", lambda t, mode: replace(flagged(t, mode), violation=True)
+    )
+    assert checks.norm_sandwich(np.random.default_rng(0), 2, (1, 5), (1, 4)) == math.inf
+
+
 def test_construct_maxgain_prints_ratio(capsys):
     assert main(
         ["construct-maxgain", "--m", "8", "--n", "8", "--K", "4", "--mode", "1"]
@@ -208,7 +217,7 @@ def test_unknown_ns_preset_fails_before_any_run(tmp_path, capsys, command):
     ini = GOOD_INI.format(out=tmp_path / "out").replace(
         "mode = 1", "mode = 1\nscheme = newton_schulz\nns_preset = jordn"
     )
-    message = "[optimizer] unknown Newton-Schulz preset 'jordn'"
+    message = "[optimizer] ns_preset must be one of ['cubic', 'jordan', 'polar-express', 'you']"
     _assert_config_error_before_any_run(tmp_path, capsys, command, ini, message)
 
 

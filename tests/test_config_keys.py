@@ -1,11 +1,12 @@
-"""Config keys at the boundary: each task's `[task]` keys are its constructor's
-parameters, and a bad value for any key of a shipped config fails closed,
-with an error that names the key.
+"""Config keys at the boundary: each key takes its type and default from the
+parameter it fills (a task constructor's, RunConfig's or UpdatePolicy's), and
+a bad value for any key of a shipped config fails closed, with an error that
+names its section and key.
 
 The fuzz test replaces one value of one shipped config at a time with each
-of `BAD_VALUES`. Parsing either succeeds or raises ValueError naming the key
-as written in the file; a parsed variant, run for at most 3 steps, finishes
-or raises ValueError, FloatingPointError or RuntimeError.
+of `BAD_VALUES`. Parsing either succeeds or raises ValueError containing
+`[section] key` as written in the file; a parsed variant, run for at most 3
+steps, finishes or raises ValueError, FloatingPointError or RuntimeError.
 """
 
 import re
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from teon.config import _MISSING, _task_keys, parse_config_text
+from teon.config import _MISSING, _SECTIONS, _task_keys, parse_config_text
 from teon.runner import run
 from teon.tasks import TASKS
 
@@ -37,13 +38,47 @@ def test_task_keys_are_the_constructor_parameters_but_seed():
     }
 
 
+def test_section_keys_are_run_config_and_policy_parameters():
+    required = _MISSING
+    assert _SECTIONS == {
+        "run": {
+            "task": (str, required),
+            "steps": (int, required),
+            "seed": (int, required),
+            "out_path": (str, required),
+            "log_every": (int, 10),
+            "align_every": (int, 50),
+            "log_timing": (bool, False),
+        },
+        "task": None,
+        "optimizer": {
+            "optimizer": (str, required),
+            "eta": (float, required),
+            "mode": (int | None, None),
+            "mu": (float, 0.95),
+            "momentum_style": (str, "accumulate"),
+            "scheme": (str, "exact"),
+            "ns_steps": (int, 5),
+            "ns_preset": (str, "jordan"),
+            "weight_decay": (float, 0.0),
+            "adam_eta": (float, None),
+            "adam_beta1": (float, 0.9),
+            "adam_beta2": (float, 0.999),
+            "adam_eps": (float, 1e-8),
+        },
+        "grouping": {"K": (int, 2), "stack_set": (tuple[str, ...], ("QKV",))},
+        "schedule": {"kind": (str, "constant"), "warmup_ratio": (float, 0.0)},
+    }
+
+
 @pytest.mark.parametrize(
     "old,new,message",
     [
         (
             "ns_preset = jordan",
             "ns_preset = jordn",
-            "[optimizer] unknown Newton-Schulz preset 'jordn' in [optimizer] ns_preset; valid: ",
+            "[optimizer] ns_preset must be one of ['cubic', 'jordan', 'polar-express', 'you'], "
+            "got 'jordn'",
         ),
         ("kind = linear_warmup", "kind = cosin", "[schedule] kind: unknown schedule 'cosin'; "),
         ("adam_eta = 0.005", "adam_eta = nan", "[optimizer] adam_eta must be positive and finite"),
@@ -77,7 +112,7 @@ def test_a_bad_value_fails_closed_naming_its_key(tmp_path, path):
         try:
             cfg = parse_config_text(text, source="fuzz.ini")
         except ValueError as exc:
-            assert re.search(rf"(?<!\w){re.escape(key)}(?!\w)", str(exc)), f"{case}: {exc}"
+            assert f"[{section}] {key}" in str(exc), f"{case}: {exc}"
             continue
         cfg = replace(cfg, steps=min(cfg.steps, 3), out_path=str(tmp_path / "run"))
         try:

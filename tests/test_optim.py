@@ -564,7 +564,7 @@ def test_expand_stack_set_orders_roles_as_stack_tokens_whatever_the_token_order(
     assert expand_stack_set({"O", "QKV"}) == canonical
     assert expand_stack_set(iter(["W", "MLP2", "QKV"])) == ("Q", "K", "V", "MLP2", "W")
     assert expand_stack_set(()) == ()
-    with pytest.raises(ValueError, match="unknown stack_set token 'X'"):
+    with pytest.raises(ValueError, match="stack_set token 'X' is unknown; valid: "):
         expand_stack_set(("O", "X"))
     with pytest.raises(ValueError, match="stack_set repeats token 'O'"):
         expand_stack_set(["O", "QKV", "O"])

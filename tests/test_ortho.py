@@ -258,7 +258,7 @@ def test_unknown_preset_raises_and_lists_valid_names():
     with pytest.raises(ValueError) as exc:
         OrthoScheme.newton_schulz(5, preset="bogus")
     msg = str(exc.value)
-    assert msg.startswith("unknown Newton-Schulz preset 'bogus'")
+    assert msg.startswith("ns_preset must be one of ") and msg.endswith(", got 'bogus'")
     for name in PRESETS:
         assert repr(name) in msg
 

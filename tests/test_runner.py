@@ -273,15 +273,26 @@ eta = 1e200
         run(cfg)
 
 
-def _plant_nan(monkeypatch, names, at_step):
-    """Set entry [0, 0] of each named gradient to NaN at step `at_step`."""
+def _wrap_task(monkeypatch, wrap):
+    """Each task that a later `run` builds takes `wrap(its loss_and_grads)`
+    as its loss_and_grads."""
     import teon.runner as runner
 
     original = runner.make_task
 
-    def planting(*args, **kwargs):
+    def wrapping(*args, **kwargs):
         task = original(*args, **kwargs)
-        clean, calls = task.loss_and_grads, []
+        task.loss_and_grads = wrap(task.loss_and_grads)
+        return task
+
+    monkeypatch.setattr(runner, "make_task", wrapping)
+
+
+def _plant_nan(monkeypatch, names, at_step):
+    """Set entry [0, 0] of each named gradient to NaN at step `at_step`."""
+
+    def wrap(clean):
+        calls = []
 
         def loss_and_grads(weights):
             loss, grads = clean(weights)
@@ -291,10 +302,35 @@ def _plant_nan(monkeypatch, names, at_step):
             calls.append(1)
             return loss, grads
 
-        task.loss_and_grads = loss_and_grads
-        return task
+        return loss_and_grads
 
-    monkeypatch.setattr(runner, "make_task", planting)
+    _wrap_task(monkeypatch, wrap)
+
+
+def test_a_nan_loss_with_finite_gradients_stops_the_run(tmp_path, monkeypatch):
+    # returning NaN raises no floating-point error: only the loss check sees it
+    _wrap_task(monkeypatch, lambda clean: lambda weights: (float("nan"), clean(weights)[1]))
+    with pytest.raises(FloatingPointError, match=r"^non-finite loss at step 0$"):
+        run(_quad_cfg(tmp_path), write=False)
+
+
+def test_a_step_leaves_the_tasks_gradient_dict_whole(tmp_path, monkeypatch):
+    returned = []  # (the dict the task returned, a copy taken as it returned it)
+
+    def wrap(clean):
+        def loss_and_grads(weights):
+            loss, grads = clean(weights)
+            returned.append((grads, dict(grads)))
+            return loss, grads
+
+        return loss_and_grads
+
+    _wrap_task(monkeypatch, wrap)
+    cfg = _quad_cfg(tmp_path)
+    run(cfg, write=False)
+    assert len(returned) == cfg.steps
+    for grads, copy in returned:
+        assert grads.keys() == copy.keys() and all(grads[k] is copy[k] for k in copy)
 
 
 @pytest.mark.parametrize("log_every", [10, 7])
