@@ -3,11 +3,11 @@
 Four desk-scale tasks, all full-batch and deterministic in their seed:
 
 * quadratic          elementwise-anisotropic quadratic over a K-stack
-* aligned_quadratic  quadratic whose gradients live on the shared-right-
-                     vector rank-1 cone: the family that attains the sqrt(K)
-                     norm gap under the mode-2 unfolding only; under mode 1,
-                     which the shipped config uses, its TEON and Muon dual
-                     norms are equal and stacking gains nothing
+* aligned_quadratic  the unit-curvature quadratic whose gradients live on the
+                     shared-right-vector rank-1 cone: the family that attains
+                     the sqrt(K) norm gap under the mode-2 unfolding only;
+                     under mode 1, which the shipped config uses, its TEON and
+                     Muon dual norms are equal and stacking gains nothing
 * deep_linear        least squares through a product of square matrices,
                      teacher-generated targets, exact backprop
 * micro_attention    a stack of minimal transformer blocks (single-head
@@ -96,12 +96,13 @@ class QuadraticTask(_Task):
         return loss, {f"layer{k}": g[:, :, k] for k in range(self.K)}
 
 
-class AlignedQuadraticTask(_Task):
-    """f(W) = 1/2 ||W - c G*||_F^2 where G* has shared right vector v and
-    orthonormal left vectors u^(k); the gradient W - c G* stays on that cone
-    along the whole trajectory from W=0."""
+class AlignedQuadraticTask(QuadraticTask):
+    """The quadratic at unit curvature, f(W) = 1/2 ||W - c G*||_F^2, where G*
+    has shared right vector v and orthonormal left vectors u^(k); the gradient
+    W - c G* stays on that cone along the whole trajectory from W=0."""
 
     name = "aligned_quadratic"
+    curvature = 1.0  # 1.0 * d is d bit for bit
 
     def __init__(self, m: int, n: int, K: int, seed: int, c: float = 1.5):
         self.check_params(m=m, n=n, K=K, c=c)
@@ -119,17 +120,8 @@ class AlignedQuadraticTask(_Task):
         if not (np.isfinite(c) and c != 0):
             raise ValueError(f"c must be finite and nonzero, got {c}")
 
-    def init_weights(self, rng) -> dict:
-        return {f"layer{k}": np.zeros((self.m, self.n)) for k in range(self.K)}
-
-    def _evaluate(self, weights: dict):
-        w = np.stack([weights[f"layer{k}"] for k in range(self.K)], axis=2)
-        d = w - self.target
-        return 0.5 * float(np.sum(d * d)), d
-
-    def loss_and_grads(self, weights: dict):
-        loss, d = self._evaluate(weights)
-        return loss, {f"layer{k}": d[:, :, k] for k in range(self.K)}
+    # bound here too: the benchmark's tracer wraps each task class's own copy
+    loss_and_grads = QuadraticTask.loss_and_grads
 
 
 class DeepLinearTask(_Task):

@@ -9,9 +9,10 @@ text, and runs the tier-1 suite (`pytest -x -q` over the files of `tests`
 in name order, but `tests/test_acceptance.py` last: its slow criteria are
 rarely the first to fail) with that copy first on the import path; before
 the tests run it checks that `teon` was imported from the copy. A mutant is
-killed when the suite fails. The script prints one line per entry and exits
-1 if any mutant survives or a run does not start. Every entry changes what
-the program computes, so a survivor is a gap in the tests, not noise.
+killed when the suite fails. Every entry's old text is checked before the
+first suite runs. The script prints one line per entry and exits 1 if any
+mutant survives or a run does not start. Every entry changes what the
+program computes, so a survivor is a gap in the tests, not noise.
 """
 
 from __future__ import annotations
@@ -452,6 +453,37 @@ MUTANTS = [
         "raise",
         "a bad stack_set token is reported without its [grouping] section",
     ),
+    (
+        "fd_gate_one_direction",
+        "tasks.py",
+        "directions=3",
+        "directions=1",
+        "micro_attention's construction gate probes one direction, not the three "
+        "its docstring promises",
+    ),
+    (
+        "richardson_weights",
+        "tasks.py",
+        "(4.0 * central(s / 2.0) - central(s)) / 3.0",
+        "(3.0 * central(s / 2.0) - central(s)) / 2.0",
+        "the finite-difference check extrapolates with weights that keep D's s^2 "
+        "truncation term",
+    ),
+    (
+        "softmax_backward_rank1_dropped",
+        "tasks.py",
+        "dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))",
+        "dscores = attn * dattn",
+        "the softmax backward pass drops its rank-1 term, so every Q and K gradient "
+        "is wrong",
+    ),
+    (
+        "deep_linear_batch_unscaled",
+        "tasks.py",
+        "delta = resid / self.batch",
+        "delta = resid",
+        "deep_linear's gradients are batch times too large for its mean loss",
+    ),
 ]
 
 # Runs in the child: pytest must see the mutated copy, not an installed teon.
@@ -470,17 +502,21 @@ sys.exit({OFFSET} + pytest.main(["-x", "-q", "-p", "no:cacheprovider", *map(str,
 """
 
 
-def run_mutant(old: str, new: str, file: str) -> int:
-    """pytest's exit status on a copy of src/teon with `old` replaced by `new`,
+def mutated(file: str, old: str, new: str) -> str:
+    """The text of src/teon/`file` with `old`, which must occur once, replaced by `new`."""
+    text = (ROOT / "src" / "teon" / file).read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        raise SystemExit(f"{file}: the old text occurs {text.count(old)} times, not once")
+    return text.replace(old, new)
+
+
+def run_mutant(file: str, text: str) -> int:
+    """pytest's exit status on a copy of src/teon whose `file` reads `text`,
     or -1 if the child did not run the tests."""
     with tempfile.TemporaryDirectory(prefix="teon-mutant-") as tmp:
         copy = Path(tmp) / "teon"
         shutil.copytree(ROOT / "src" / "teon", copy)
-        path = copy / file
-        text = path.read_text(encoding="utf-8")
-        if text.count(old) != 1:
-            raise SystemExit(f"{file}: the old text occurs {text.count(old)} times, not once")
-        path.write_text(text.replace(old, new), encoding="utf-8")
+        (copy / file).write_text(text, encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": tmp}
         proc = subprocess.run(
             [sys.executable, "-c", BOOT, str(copy)],
@@ -501,10 +537,11 @@ def main(ids) -> int:
     if unknown:
         raise SystemExit(f"unknown mutant ids: {', '.join(unknown)}")
     chosen = [entry for entry in MUTANTS if not ids or entry[0] in ids]
+    texts = [mutated(file, old, new) for _, file, old, new, _ in chosen]
     survivors = broken = 0
-    for ident, file, old, new, why in chosen:
+    for (ident, file, _, _, why), text in zip(chosen, texts):
         tic = time.perf_counter()
-        status = run_mutant(old, new, file)
+        status = run_mutant(file, text)
         verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
         survivors += status == 0
         broken += status not in (0, 1)

@@ -110,6 +110,23 @@ def test_micro_attention_fd_gate_rejects_a_nan_gradient():
         NanGrad(dim=4, seq=2, batch=2, blocks=2, seed=0)
 
 
+def test_micro_attention_fd_gate_probes_three_directions():
+    # one analytic gradient, then four forward-only losses per direction
+    calls = []
+
+    class Counted(MicroAttentionTask):
+        def loss_and_grads(self, weights):
+            calls.append("loss_and_grads")
+            return super().loss_and_grads(weights)
+
+        def loss(self, weights):
+            calls.append("loss")
+            return super().loss(weights)
+
+    Counted(dim=4, seq=2, batch=2, blocks=2, seed=0)
+    assert calls == ["loss_and_grads"] + ["loss"] * 12
+
+
 BAD_FD_ARGUMENTS = {
     "directions=0": dict(directions=0),
     "directions=-1": dict(directions=-1),
