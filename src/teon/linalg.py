@@ -13,6 +13,13 @@ Conventions used throughout the package:
 
 Mode 3 is a plain reshape (a view). Folding is the exact inverse; round-trips
 are bit-exact because only reshape/transpose are involved, never arithmetic.
+
+A 2-D product on the per-step path goes through `product(madds)`, picked from
+the product's multiply-adds: `np.ndarray.dot` up to SMALL_WORK, which skips
+the generalized-ufunc dispatch of `np.matmul` (about 1 us a call, as much as
+the arithmetic of an 8 x 8 product), else `np.matmul`, whose `x @ x.T` mirrors
+its syrk triangle faster than `dot`'s scalar loop. Both kernels call the same
+BLAS gemm or syrk and return the same bits, so the choice moves no byte.
 """
 
 from __future__ import annotations
@@ -25,7 +32,28 @@ __all__ = [
     "matricize",
     "fold",
     "svd",
+    "SMALL_WORK",
+    "polar_work",
+    "product",
 ]
+
+# The per-call crossover of the two kernels, measured at one BLAS thread,
+# lies between 32 x 32 and 64 x 64 (README, `teon.linalg`).
+SMALL_WORK = 32**3
+
+
+def polar_work(m: int, n: int) -> int:
+    """r*r*c of an m x n matrix (r <= c its sides): the work of its
+    Newton-Schulz run on the short side, or of its SVD, and the multiply-adds
+    of the largest product either makes."""
+    r, c = sorted((m, n))
+    return r * r * c
+
+
+def product(madds: int):
+    """The 2-D matrix product for products of `madds` multiply-adds:
+    `np.ndarray.dot` up to SMALL_WORK, `np.matmul` above it."""
+    return np.ndarray.dot if madds <= SMALL_WORK else np.matmul
 
 
 def as_matrix(a) -> np.ndarray:

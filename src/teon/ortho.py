@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import svd
+from .linalg import polar_work, product, svd
 
 __all__ = [
     "PRESETS",
@@ -141,7 +141,7 @@ def ortho_exact(m: np.ndarray) -> np.ndarray:
     if not m.any():
         return np.zeros_like(m)
     u, _, vh = svd(m)
-    return u @ vh
+    return product(polar_work(*m.shape))(u, vh)
 
 
 def ortho_ns(m: np.ndarray, scheme: OrthoScheme) -> np.ndarray:
@@ -151,13 +151,20 @@ def ortho_ns(m: np.ndarray, scheme: OrthoScheme) -> np.ndarray:
     rows > cols the iteration runs on the transpose so the Gram matrix has
     the short side. No renormalization between steps: the tuned presets
     oscillate around 1 by design. NaN/Inf input, a norm out of float range or
-    an overflowing step raises FloatingPointError."""
+    an overflowing step raises FloatingPointError.
+
+    Every product of the run takes at most r*r*c multiply-adds (r <= c the
+    sides), so one kernel serves them all: `linalg.product` picks
+    `ndarray.dot` for an unfolding with r*r*c <= SMALL_WORK, as the 8-16-wide
+    ones of the shipped configs, and `np.matmul` above it; the bytes are the
+    same either way."""
     if scheme.kind != OrthoScheme.NEWTON_SCHULZ:
         raise ValueError("ortho_ns needs a newton_schulz scheme")
     if not m.any():
         return np.zeros_like(m)
     transposed = m.shape[0] > m.shape[1]
     x = m.T if transposed else m
+    mm = product(polar_work(*m.shape))
     t = None
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -170,12 +177,12 @@ def ortho_ns(m: np.ndarray, scheme: OrthoScheme) -> np.ndarray:
             for t, (a, b, c) in enumerate(scheme.schedule):
                 # row Gram: X(X^T X) == (X X^T)X, and rows <= cols here.
                 # x = a*x + (b*g + c*(g@g)) @ x, in place: the same roundings
-                g = x @ x.T
-                gg = g @ g
+                g = mm(x, x.T)
+                gg = mm(g, g)
                 gg *= c
                 g *= b
                 g += gg
-                y = g @ x
+                y = mm(g, x)
                 x *= a
                 y += x
                 x = y

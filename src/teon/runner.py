@@ -72,6 +72,7 @@ import numpy as np
 
 from .config import SCHEDULES, RunConfig, config_hash
 from .diagnostics import AlignmentRecord, default_alignment_pairs, top_singular_alignment
+from .linalg import polar_work
 from .norms import norm
 from .optim import ADAMW, VECTOR_ADAMW, OptimizerState, apply_group_step, build_groups
 from .optim import UpdateClass, member_views
@@ -217,13 +218,6 @@ def _check_record_sandwich(teon_dual: float, muon_dual: float, max_depth: int):
         )
 
 
-def _work(m: int, n: int) -> int:
-    """r*r*c of an m x n matrix (r <= c its sides): the work of its
-    Newton-Schulz run on the short side, or of its SVD."""
-    r, c = sorted((m, n))
-    return r * r * c
-
-
 def _plan(groups, pairs, cfg: RunConfig, spare: int, *, lane_work: int = LANE_WORK):
     """How a run of `groups` executes on `spare` usable lanes, as the module
     docstring describes: (the update classes, in order of first appearance;
@@ -235,7 +229,7 @@ def _plan(groups, pairs, cfg: RunConfig, spare: int, *, lane_work: int = LANE_WO
         work[g.id] = 0
         if g.policy.optimizer != ADAMW:
             (m, n), k = g.shapes[0], g.depth
-            work[g.id] = _work(*((n, m * k) if g.policy.mode == 2 else (m, n * k)))
+            work[g.id] = polar_work(*((n, m * k) if g.policy.mode == 2 else (m, n * k)))
         key = (g.policy, g.shapes[0], g.depth) if work[g.id] < lane_work else i
         members.setdefault(key, []).append(g)
     classes = [UpdateClass(tuple(gs)) for gs in members.values()]
@@ -249,7 +243,7 @@ def _plan(groups, pairs, cfg: RunConfig, spare: int, *, lane_work: int = LANE_WO
     lanes = [[c for c in classes if lane_of.get(c.id, 0) == j] for j in range(len(load))]
     paired = {name for _, a, b in pairs for name in (a, b)}
     align = sum(
-        _work(*shape)
+        polar_work(*shape)
         for g in groups
         if g.policy.optimizer != ADAMW
         for name, shape in zip(g.members, g.shapes)

@@ -22,6 +22,11 @@ loss. Gradient correctness is checked by Richardson-extrapolated central
 finite differences of `loss`; micro_attention runs that check at
 construction time and refuses to instantiate if it fails.
 
+deep_linear and micro_attention pick one `linalg.product` kernel at
+construction, from their largest 2-D product, and run every 2-D product of
+their forward and backward passes through it; micro_attention's batched
+(batch, seq, .) attention products stay `np.matmul`.
+
 `TASKS` maps each name to its class, whose constructor's parameters but
 `seed` are the task's `[task]` config keys, typed by their annotations, and
 whose `check_params` holds the task's rules for their values.
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import product
 from .norms import build_max_gain_tensor
 from .optim import LayoutEntry
 
@@ -135,6 +141,7 @@ class DeepLinearTask(_Task):
         self.check_params(depth=depth, width=width, batch=batch)
         rng = np.random.default_rng([seed, 82])
         self.depth, self.width, self.batch = depth, width, batch
+        self._product = product(width * width * batch)
         self.x = rng.standard_normal((width, batch))
         y = self.x
         for _ in range(depth):
@@ -155,17 +162,18 @@ class DeepLinearTask(_Task):
         ws = [weights[f"w{i}"] for i in range(self.depth)]
         hs = [self.x]
         for w in ws:
-            hs.append(w @ hs[-1])
+            hs.append(self._product(w, hs[-1]))
         resid = hs[-1] - self.y
         return 0.5 * float(np.sum(resid * resid)) / self.batch, (ws, hs, resid)
 
     def loss_and_grads(self, weights: dict):
         loss, (ws, hs, resid) = self._evaluate(weights)
         delta = resid / self.batch
+        mm = self._product
         grads = {}
         for i in reversed(range(self.depth)):
-            grads[f"w{i}"] = delta @ hs[i].T
-            delta = ws[i].T @ delta
+            grads[f"w{i}"] = mm(delta, hs[i].T)
+            delta = mm(ws[i].T, delta)
         return loss, grads
 
 
@@ -198,6 +206,7 @@ class MicroAttentionTask(_Task):
         rng = np.random.default_rng([seed, 83])
         self.dim, self.seq, self.batch, self.blocks = dim, seq, batch, blocks
         self.hidden = 2 * dim
+        self._product = product(batch * seq * dim * self.hidden)
         self.inputs = rng.standard_normal((batch, seq, dim))
         self.targets = 0.5 * rng.standard_normal((batch, seq, dim))
         layout = []
@@ -239,28 +248,29 @@ class MicroAttentionTask(_Task):
         # projection is one 2-D GEMM; only attention needs (batch, seq, .) views.
         # Each block's activations are cached for the backward pass if `keep`.
         batch, seq, dim = self.batch, self.seq, self.dim
+        mm = self._product
         x = self.inputs.reshape(batch * seq, dim)
         caches = []
         inv_sqrt_d = 1.0 / np.sqrt(dim)
         for b in range(self.blocks):
             wq, wk, wv = weights[f"b{b}.q"], weights[f"b{b}.k"], weights[f"b{b}.v"]
             wo, w1, w2 = weights[f"b{b}.o"], weights[f"b{b}.mlp1"], weights[f"b{b}.mlp2"]
-            q = (x @ wq.T).reshape(batch, seq, dim)
-            k = (x @ wk.T).reshape(batch, seq, dim)
-            v = (x @ wv.T).reshape(batch, seq, dim)
+            q = mm(x, wq.T).reshape(batch, seq, dim)
+            k = mm(x, wk.T).reshape(batch, seq, dim)
+            v = mm(x, wv.T).reshape(batch, seq, dim)
             scores = (q @ k.transpose(0, 2, 1)) * inv_sqrt_d
             scores -= scores.max(axis=-1, keepdims=True)  # stable softmax
             e = np.exp(scores)
             attn = e / e.sum(axis=-1, keepdims=True)
             ctx = (attn @ v).reshape(batch * seq, dim)
-            x1 = x + ctx @ wo.T
-            h = x1 @ w1.T
+            x1 = x + mm(ctx, wo.T)
+            h = mm(x1, w1.T)
             z = np.tanh(h)
-            x2 = x1 + z @ w2.T
+            x2 = x1 + mm(z, w2.T)
             if keep:
                 caches.append((x, q, k, v, attn, ctx, x1, z))
             x = x2
-        pred = x @ weights["readout"].T + weights["readout_bias"]
+        pred = mm(x, weights["readout"].T) + weights["readout_bias"]
         return pred.reshape(batch, seq, dim), x, caches
 
     def loss(self, weights: dict) -> float:
@@ -277,12 +287,13 @@ class MicroAttentionTask(_Task):
         loss, (resid, x_final, caches) = self._evaluate(weights)
         batch, seq, dim = self.batch, self.seq, self.dim
         rows = batch * seq
+        mm = self._product
         dpred = resid / rows
         grads = {
-            "readout": dpred.T @ x_final,
+            "readout": mm(dpred.T, x_final),
             "readout_bias": dpred.sum(axis=0),
         }
-        dx = dpred @ weights["readout"]
+        dx = mm(dpred, weights["readout"])
         inv_sqrt_d = 1.0 / np.sqrt(dim)
         for b in reversed(range(self.blocks)):
             # pop, so each block's forward cache dies once its backward ran
@@ -290,23 +301,23 @@ class MicroAttentionTask(_Task):
             wq, wk, wv = weights[f"b{b}.q"], weights[f"b{b}.k"], weights[f"b{b}.v"]
             wo, w1, w2 = weights[f"b{b}.o"], weights[f"b{b}.mlp1"], weights[f"b{b}.mlp2"]
             # x2 = x1 + tanh(x1 W1^T) W2^T
-            dz = dx @ w2
-            grads[f"b{b}.mlp2"] = dx.T @ z
+            dz = mm(dx, w2)
+            grads[f"b{b}.mlp2"] = mm(dx.T, z)
             dh = (1.0 - z * z) * dz
-            grads[f"b{b}.mlp1"] = dh.T @ x1
-            dx1 = dx + dh @ w1
+            grads[f"b{b}.mlp1"] = mm(dh.T, x1)
+            dx1 = dx + mm(dh, w1)
             # x1 = x + (attn v) Wo^T
-            grads[f"b{b}.o"] = dx1.T @ ctx
-            dctx = (dx1 @ wo).reshape(batch, seq, dim)
+            grads[f"b{b}.o"] = mm(dx1.T, ctx)
+            dctx = mm(dx1, wo).reshape(batch, seq, dim)
             dattn = dctx @ v.transpose(0, 2, 1)
             dv = (attn.transpose(0, 2, 1) @ dctx).reshape(rows, dim)
             dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
             dq = ((dscores @ k) * inv_sqrt_d).reshape(rows, dim)
             dk = ((dscores.transpose(0, 2, 1) @ q) * inv_sqrt_d).reshape(rows, dim)
-            grads[f"b{b}.q"] = dq.T @ x
-            grads[f"b{b}.k"] = dk.T @ x
-            grads[f"b{b}.v"] = dv.T @ x
-            dx = dx1 + dq @ wq + dk @ wk + dv @ wv
+            grads[f"b{b}.q"] = mm(dq.T, x)
+            grads[f"b{b}.k"] = mm(dk.T, x)
+            grads[f"b{b}.v"] = mm(dv.T, x)
+            dx = dx1 + mm(dq, wq) + mm(dk, wk) + mm(dv, wv)
         return loss, grads
 
 

@@ -11,8 +11,11 @@ rarely the first to fail) with that copy first on the import path; before
 the tests run it checks that `teon` was imported from the copy. A mutant is
 killed when the suite fails. Every entry's old text is checked before the
 first suite runs. The script prints one line per entry and exits 1 if any
-mutant survives or a run does not start. Every entry changes what the
-program computes, so a survivor is a gap in the tests, not noise.
+mutant survives or a run does not start. An entry changes what the program
+computes, or computes the same values another way: equal in exact
+arithmetic (`ns_long_side`) or bit for bit (`small_work_zero`); such an
+entry says so and names the test that kills it. Either way a survivor is a
+gap in the tests, not noise.
 """
 
 from __future__ import annotations
@@ -483,6 +486,31 @@ MUTANTS = [
         "delta = resid / self.batch",
         "delta = resid",
         "deep_linear's gradients are batch times too large for its mean loss",
+    ),
+    (
+        "small_work_zero",
+        "linalg.py",
+        "SMALL_WORK = 32**3",
+        "SMALL_WORK = 0",
+        "every product takes np.matmul, which pays its ufunc dispatch on the shipped "
+        "8-16-wide products: bitwise equal, killed by tests/test_linalg.py::"
+        "test_product_takes_ndarray_dot_up_to_small_work_and_matmul_above and the "
+        "kernel asserts of the tasks' einsum reference tests",
+    ),
+    (
+        "ns_dot_operand_swapped",
+        "ortho.py",
+        "y = mm(g, x)",
+        "y = mm(x, g)",
+        "Newton-Schulz multiplies X by its Gram matrix from the wrong side: X(XX^T), "
+        "which is no polar iteration and fails on any non-square unfolding",
+    ),
+    (
+        "attention_dot_operand_swapped",
+        "tasks.py",
+        'grads[f"b{b}.o"] = mm(dx1.T, ctx)',
+        'grads[f"b{b}.o"] = mm(ctx.T, dx1)',
+        "micro_attention's output-projection gradient is transposed",
     ),
 ]
 

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teon.linalg import (
+    SMALL_WORK,
     as_matrix,
     as_tensor3,
     fold,
     matricize,
+    polar_work,
+    product,
     svd,
 )
 
@@ -215,3 +218,59 @@ def test_svd_of_a_stack_is_numpys_and_rejects_a_non_finite_slice():
         svd(stack)
     with pytest.raises(ValueError, match="ndim=4"):
         svd(stack[None])
+
+
+# ------------------------------------------------------------ product kernel
+
+
+def test_product_takes_ndarray_dot_up_to_small_work_and_matmul_above():
+    assert product(SMALL_WORK) is np.ndarray.dot
+    assert product(SMALL_WORK + 1) is np.matmul
+    # the shipped configs' 8-16-wide unfoldings and tasks get the cheap call;
+    # from 64 x 64 up, where dot's syrk is slower, matmul keeps them
+    for r, c in ((8, 16), (16, 16), (16, 64), (32, 32)):
+        assert product(polar_work(r, c)) is np.ndarray.dot, (r, c)
+    for r, c in ((64, 64), (128, 256), (33, 32)):
+        assert product(polar_work(r, c)) is np.matmul, (r, c)
+
+
+def _ns_products(r, c, rng):
+    x = rng.standard_normal((r, c)) / np.sqrt(r * c)
+    g = x @ x.T
+    return [(x, x.T), (g, g), (g, x)]
+
+
+def _task_products(dim, rows, rng):
+    # micro_attention's (rows, dim) stream with hidden width 2 dim, and
+    # deep_linear at width dim over `rows` samples; .T operands are views
+    hidden = 2 * dim
+    shapes = [(rows, dim), (rows, dim), (dim, dim), (rows, hidden), (hidden, dim), (dim, hidden)]
+    x, ctx, w, z, w1, w2 = (rng.standard_normal(s) for s in shapes)
+    h, delta = rng.standard_normal((2, dim, rows))
+    return [
+        (x, w.T), (ctx, w.T), (x, w1.T), (z, w2.T),  # forward
+        (x, w2), (z, w1), (x, w),  # dx W2, dh W1, dq Wq
+        (x.T, ctx), (x.T, z), (z.T, x),  # weight gradients
+        (w, h), (delta, h.T), (w.T, delta),  # deep_linear: W h, delta h^T, W^T delta
+    ]
+
+
+NS_SHAPES = [(8, 16), (16, 16), (64, 64), (128, 256), (256, 256), (128, 512)]
+
+
+@pytest.mark.parametrize(
+    "products",
+    [pytest.param(("ns", s), id=f"ns-{s[0]}x{s[1]}") for s in NS_SHAPES]
+    + [pytest.param(("task", d, rows), id=f"task-dim{d}-rows{rows}") for d in (8, 64, 128)
+       for rows in (48, 128)],
+)
+def test_ndarray_dot_and_matmul_agree_bitwise_on_every_product_shape(products):
+    # the premise of `product`: its choice of kernel never moves a byte
+    kind, *args = products
+    rng = np.random.default_rng([len(kind), *np.ravel(args)])
+    pairs = _ns_products(*args[0], rng) if kind == "ns" else _task_products(*args, rng)
+    if kind == "ns":
+        u, _, vh = svd(pairs[0][0])
+        pairs.append((u, vh))  # ortho_exact's u @ vh
+    for a, b in pairs:
+        assert np.ndarray.dot(a, b).tobytes() == np.matmul(a, b).tobytes(), (a.shape, b.shape)

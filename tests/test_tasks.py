@@ -312,12 +312,26 @@ def _einsum_loss_and_grads(task, weights):
     return loss, pred, grads
 
 
+# each task runs every 2-D product through `ndarray.dot` up to SMALL_WORK
+# multiply-adds and `np.matmul` above it: both kernels face the reference
+DOT, MATMUL = np.ndarray.dot, np.matmul
+
+
 @pytest.mark.parametrize(
-    "dim,seq,batch,blocks",
-    [(8, 5, 3, 2), (32, 4, 2, 3), (8, 1, 4, 3), (32, 6, 1, 2), (8, 1, 1, 2)],
+    "dim,seq,batch,blocks,kernel",
+    [
+        (8, 5, 3, 2, DOT),
+        (32, 4, 2, 3, DOT),
+        (8, 1, 4, 3, DOT),
+        (32, 6, 1, 2, DOT),
+        (8, 1, 1, 2, DOT),
+        (32, 8, 4, 2, MATMUL),
+        (24, 5, 7, 2, MATMUL),
+    ],
 )
-def test_micro_attention_gemm_backprop_matches_einsum_reference(dim, seq, batch, blocks):
+def test_micro_attention_gemm_backprop_matches_einsum_reference(dim, seq, batch, blocks, kernel):
     task = MicroAttentionTask(dim=dim, seq=seq, batch=batch, blocks=blocks, seed=dim + seq)
+    assert task._product is kernel
     weights = task.init_weights(np.random.default_rng([dim, seq, batch, blocks]))
     ref_loss, ref_pred, ref_grads = _einsum_loss_and_grads(task, weights)
     loss, grads = task.loss_and_grads(weights)
@@ -333,6 +347,40 @@ def test_micro_attention_gemm_backprop_matches_einsum_reference(dim, seq, batch,
         # for entries that nearly cancel, of the largest entry.
         np.testing.assert_allclose(
             g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=e.name
+        )
+
+
+def _deep_linear_einsum_loss_and_grads(task, weights):
+    """Reference backprop through W^(N) ... W^(1) x with einsum products."""
+    hs = [task.x]
+    for i in range(task.depth):
+        hs.append(np.einsum("ij,jb->ib", weights[f"w{i}"], hs[-1]))
+    resid = hs[-1] - task.y
+    delta = resid / task.batch
+    grads = {}
+    for i in reversed(range(task.depth)):
+        grads[f"w{i}"] = np.einsum("ib,jb->ij", delta, hs[i])
+        delta = np.einsum("ji,jb->ib", weights[f"w{i}"], delta)
+    return 0.5 * float(np.sum(resid * resid)) / task.batch, grads
+
+
+@pytest.mark.parametrize(
+    "depth,width,batch,kernel",
+    [(3, 8, 8, DOT), (2, 6, 11, DOT), (4, 16, 32, DOT), (2, 36, 36, MATMUL), (3, 32, 40, MATMUL)],
+)
+def test_deep_linear_backprop_matches_einsum_reference(depth, width, batch, kernel):
+    task = DeepLinearTask(depth=depth, width=width, batch=batch, seed=width + batch)
+    assert task._product is kernel
+    rng = np.random.default_rng([depth, width, batch])
+    weights = {e.name: rng.standard_normal(e.shape) / np.sqrt(width) for e in task.layout}
+    ref_loss, ref_grads = _deep_linear_einsum_loss_and_grads(task, weights)
+    loss, grads = task.loss_and_grads(weights)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+    assert set(grads) == set(ref_grads)
+    for name, ref in ref_grads.items():
+        assert grads[name].shape == ref.shape == (width, width), name
+        np.testing.assert_allclose(
+            grads[name], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=name
         )
 
 
